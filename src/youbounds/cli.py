@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -23,8 +22,6 @@ from .analytic import (
     YouParams,
 )
 from .harness import ExperimentConfig
-
-_WORKERS_ENV = "YOUBOUNDS_WORKERS"
 
 # every simulate flag has a config-file equivalent under the same name
 _CONFIG_CONVERTERS = {
@@ -123,18 +120,6 @@ def _build_schedule(model: str, settings: dict, n: int) -> JumpSchedule:
     if "p" not in settings or "sigma_c2" not in settings:
         raise ValueError("model YOUj requires p and sigma_c2 (or schedule_file)")
     return JumpSchedule.constant(settings["p"], settings["sigma_c2"])
-
-
-def _default_workers(settings: dict) -> int:
-    if "workers" in settings:
-        return settings["workers"]
-    env = os.environ.get(_WORKERS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"{_WORKERS_ENV} must be an integer, got {env!r}")
-    return 1
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +327,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     schedule = _build_schedule(model, settings, n)
     config = ExperimentConfig(model=model, n=n, params=params, schedule=schedule,
                               replicates=settings["replicates"], seed=settings["seed"],
-                              workers=_default_workers(settings))
+                              workers=harness.resolve_workers(settings.get("workers"), 1))
 
     if "dump_tree" in settings:
         rng = harness.replicate_rng(config.seed, 0)
@@ -378,7 +363,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # verify
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    workers = args.workers if args.workers is not None else verify.default_workers()
+    workers = harness.resolve_workers(args.workers, verify.DEFAULT_WORKERS)
     suite = verify.quick_suite if args.level == "quick" else verify.full_suite
     results = suite(workers)
     for result in results:

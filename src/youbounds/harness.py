@@ -3,9 +3,13 @@
 Per replicate: sample a tree (and jump placements for the jump model),
 compute the exact conditional moments, and draw the tip average from its
 conditional normal. Every replicate owns an RNG stream derived from
-(seed, replicate index), so results are bit-identical for any worker count;
-workers only farm out contiguous index ranges, and every reduction runs over
-the full index-ordered arrays.
+(seed, replicate index). Replicates run in blocks of B = max(1, 2^15 // n),
+starting at global multiples of B: a loop builds each replicate's stream and
+makes its draws in stream order (tree uniforms, splits, jump uniforms, one
+standard normal) into block arrays, and the trees, moments and draws of the
+whole block are then computed at once by the `trees` kernels. Workers take
+contiguous runs of whole blocks and every reduction runs over the full
+index-ordered arrays, so results are bit-identical for any worker count.
 
 The empirical distances compare the analytically standardized draws against
 N(0,1): the Kolmogorov statistic is the one-sample sup-distance to the normal
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +36,9 @@ _DKW_DELTA = 0.01
 _JACKKNIFE_BATCHES = 32
 _BOOTSTRAP_RESAMPLES = 32
 _LOWER_BOUND_TRUST_N = 1000
+# array elements per block of replicates, (B, n) arrays; see _block_size
+_BLOCK_ELEMENTS = 2 ** 15
+_WORKERS_ENV = "YOUBOUNDS_WORKERS"
 
 
 @dataclass(frozen=True)
@@ -88,6 +96,20 @@ class ReplicateData:
     oracle: dict[str, np.ndarray] | None = None
 
 
+def resolve_workers(explicit: int | None, default: int) -> int:
+    """The worker count: an explicit setting, else the YOUBOUNDS_WORKERS
+    environment variable (at least 1), else the command's default."""
+    if explicit is not None:
+        return explicit
+    env = os.environ.get(_WORKERS_ENV)
+    if env:
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"{_WORKERS_ENV} must be an integer, got {env!r}")
+    return default
+
+
 def replicate_rng(seed: int, rep: int) -> np.random.Generator:
     """The RNG stream owned by replicate `rep` of a run seeded with `seed`."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(rep,))
@@ -101,55 +123,78 @@ def _oracle_keys(config: ExperimentConfig) -> list[str]:
     return keys
 
 
-def _run_chunk(args) -> list[np.ndarray]:
-    config, start, stop, collect_oracle = args
+def _block_size(n: int) -> int:
+    """Replicates per block: about 2^15 array elements per (B, n) array."""
+    return max(1, _BLOCK_ELEMENTS // n)
+
+
+def _run_block(config: ExperimentConfig, start: int, stop: int, jump_arrays,
+               collect_oracle: bool) -> list[np.ndarray]:
+    n, params = config.n, config.params
     size = stop - start
-    cond_mean = np.empty(size)
-    cond_var = np.empty(size)
-    ybar = np.empty(size)
-    keys = _oracle_keys(config) if collect_oracle else []
-    extras = {k: np.empty(size) for k in keys}
-    params = config.params
-    two_alpha = 2.0 * params.alpha
+    uniforms = np.empty((size, n))
+    splits = np.empty((size, n - 1), dtype=np.int64)
+    normals = np.empty(size)
+    if jump_arrays is not None:
+        ps, variances = jump_arrays
+        flags = np.empty((size, n - 1, 2), dtype=bool)
     for i in range(size):
         rng = replicate_rng(config.seed, start + i)
-        tree = trees.sample_tree(config.n, rng)
-        if config.model == MODEL_YOUJ:
-            jumps = trees.sample_jumps(tree, config.schedule, rng)
-            moments = trees.conditional_moments_youj(tree, jumps, params)
-        else:
-            jumps = None
-            moments = trees.conditional_moments_you(tree, params)
-        cond_mean[i] = moments.cond_mean
-        cond_var[i] = moments.cond_var
-        ybar[i] = rng.normal(moments.cond_mean, math.sqrt(moments.cond_var))
-        if collect_oracle:
-            height = tree.height
-            extras["exp_height_1"][i] = math.exp(-height)
-            extras["exp_height_2a"][i] = math.exp(-two_alpha * height)
-            extras["pair_1"][i] = trees.pair_mean_exp(tree, 1.0)
-            extras["pair_2a"][i] = trees.pair_mean_exp(tree, two_alpha)
-            if jumps is not None:
-                single, pair = trees.jump_exposure_sums(tree, jumps, params.alpha)
-                extras["jump_single"][i] = single
-                extras["jump_pair"][i] = pair
-    return [cond_mean, cond_var, ybar] + [extras[k] for k in keys]
+        uniforms[i], splits[i] = trees.draw_tree(n, rng)
+        if jump_arrays is not None:
+            flags[i] = rng.random((n - 1, 2)) < ps[:, None]
+        normals[i] = rng.standard_normal()
+
+    block = trees.tree_block(uniforms, splits)
+    cond_mean, cond_var = trees.block_moments_you(block, params)
+    if jump_arrays is not None:
+        cond_var = cond_var + trees.block_jump_variance(block, flags, variances, params)
+    # bit-for-bit what normal(cond_mean, sqrt(cond_var)) would draw
+    ybar = cond_mean + np.sqrt(cond_var) * normals
+    columns = [cond_mean, cond_var, ybar]
+    if collect_oracle:
+        two_alpha = 2.0 * params.alpha
+        columns += [np.exp(-block.heights), np.exp(-two_alpha * block.heights),
+                    trees.block_pair_mean_exp(block, 1.0),
+                    trees.block_pair_mean_exp(block, two_alpha)]
+        if jump_arrays is not None:
+            columns += trees.block_jump_exposure_sums(block, flags, params.alpha)
+    return columns
+
+
+def _run_chunk(args) -> list[np.ndarray]:
+    """Replicates start..stop-1, where start is a multiple of the block size."""
+    config, start, stop, collect_oracle = args
+    jump_arrays = None
+    if config.model == MODEL_YOUJ:
+        jump_arrays = trees.jump_event_arrays(config.schedule, config.n)
+    width = 3 + (len(_oracle_keys(config)) if collect_oracle else 0)
+    columns = np.empty((width, stop - start))
+    step = _block_size(config.n)
+    for lo in range(start, stop, step):
+        hi = min(stop, lo + step)
+        columns[:, lo - start:hi - start] = _run_block(config, lo, hi, jump_arrays,
+                                                       collect_oracle)
+    return list(columns)
 
 
 def run_replicates(config: ExperimentConfig, collect_oracle: bool = False) -> ReplicateData:
     """All replicate columns for a configuration, index-ordered.
 
-    The worker count splits the index range into contiguous chunks whose
-    results are concatenated back in order, so it cannot affect any value.
+    The worker count splits the blocks into contiguous runs whose results are
+    concatenated back in order, so it cannot affect any value.
     """
     r = config.replicates
-    if config.workers == 1 or r < 4 * config.workers:
+    step = _block_size(config.n)
+    blocks = -(-r // step)
+    processes = min(config.workers, blocks)
+    if processes == 1:
         columns = _run_chunk((config, 0, r, collect_oracle))
     else:
-        bounds = np.linspace(0, r, config.workers + 1).astype(int)
+        edges = np.minimum(np.linspace(0, blocks, processes + 1).astype(int) * step, r)
         tasks = [(config, int(a), int(b), collect_oracle)
-                 for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        with multiprocessing.Pool(processes=config.workers) as pool:
+                 for a, b in zip(edges[:-1], edges[1:]) if b > a]
+        with multiprocessing.Pool(processes=len(tasks)) as pool:
             chunk_results = pool.map(_run_chunk, tasks)
         columns = [np.concatenate(parts) for parts in zip(*chunk_results)]
     data = ReplicateData(cond_mean=columns[0], cond_var=columns[1], ybar=columns[2])

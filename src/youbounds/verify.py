@@ -53,11 +53,8 @@ class CriterionResult:
         return "\n".join([head] + ["  " + c.render() for c in self.checks])
 
 
-def default_workers() -> int:
-    env = os.environ.get("YOUBOUNDS_WORKERS")
-    if env:
-        return max(1, int(env))
-    return max(1, min(4, os.cpu_count() or 1))
+# worker count of `verify` when neither --workers nor YOUBOUNDS_WORKERS is set
+DEFAULT_WORKERS = max(1, min(4, os.cpu_count() or 1))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ descendant counts, dense covariance matrices instead of aggregated sums.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -121,6 +123,16 @@ def _ancestor_chains(tree) -> tuple[list[list[int]], dict[int, int]]:
             chain.append(parent[chain[-1]])
         chains.append(chain)
     return chains, split_event
+
+
+def daughter_counts_by_chains(splits) -> np.ndarray:
+    """Daughter tip counts of one tree from its splits: every lineage id is
+    counted once per tip whose ancestor chain passes through it."""
+    n = len(splits) + 1
+    chains, _ = _ancestor_chains(SimpleNamespace(n=n, splits=splits))
+    hits = Counter(node for chain in chains for node in chain)
+    return np.array([[hits[2 * k - 1], hits[2 * k]] for k in range(1, n)],
+                    dtype=np.int64).reshape(n - 1, 2)
 
 
 def mrca_pair_ages(tree) -> np.ndarray:

@@ -12,7 +12,11 @@ its stated operating point and tolerance rather than loosened; see the README
 section on the critical-regime limit check.
 """
 
-from youbounds import verify
+from youbounds import harness, verify
+
+
+def _workers() -> int:
+    return harness.resolve_workers(None, verify.DEFAULT_WORKERS)
 
 
 def _run(result: verify.CriterionResult) -> None:
@@ -32,7 +36,7 @@ def test_criterion_2_brute_force_tree_oracles():
 
 
 def test_criterion_3_monte_carlo_vs_closed_forms():
-    _run(verify.criterion_3(verify.default_workers()))
+    _run(verify.criterion_3(_workers()))
 
 
 def test_criterion_4_fast_regime_limits():
@@ -49,7 +53,7 @@ def test_criterion_5_bound_curve_rates():
 
 
 def test_criterion_6_sandwich_runs():
-    _run(verify.criterion_6(verify.default_workers()))
+    _run(verify.criterion_6(_workers()))
 
 
 def test_criterion_7_penalty_and_lower_constant():
@@ -61,4 +65,4 @@ def test_criterion_8_determinism_across_workers():
 
 
 def test_variance_spread_order_stability():
-    _run(verify.vv_order_check(verify.default_workers()))
+    _run(verify.vv_order_check(_workers()))

@@ -83,20 +83,26 @@ class TestFlagPrecedence:
 class TestWorkerDefaults:
     def test_explicit_setting_wins(self, monkeypatch):
         monkeypatch.setenv("YOUBOUNDS_WORKERS", "3")
-        assert cli._default_workers({"workers": 2}) == 2
+        assert harness.resolve_workers(2, 1) == 2
 
     def test_environment_variable_used(self, monkeypatch):
         monkeypatch.setenv("YOUBOUNDS_WORKERS", "3")
-        assert cli._default_workers({}) == 3
+        assert harness.resolve_workers(None, 1) == 3
 
     def test_defaults_to_single_worker(self, monkeypatch):
         monkeypatch.delenv("YOUBOUNDS_WORKERS", raising=False)
-        assert cli._default_workers({}) == 1
+        assert harness.resolve_workers(None, 1) == 1
 
     def test_bad_environment_value_rejected(self, monkeypatch):
         monkeypatch.setenv("YOUBOUNDS_WORKERS", "many")
         with pytest.raises(ValueError, match="YOUBOUNDS_WORKERS"):
-            cli._default_workers({})
+            harness.resolve_workers(None, 1)
+
+    def test_bad_environment_value_rejected_by_verify(self, monkeypatch, capsys):
+        monkeypatch.setenv("YOUBOUNDS_WORKERS", "many")
+        assert cli.main(["verify", "--level", "quick"]) == 1
+        err = capsys.readouterr().err
+        assert "error: YOUBOUNDS_WORKERS must be an integer, got 'many'" in err
 
 
 class TestBoundsCommand:

@@ -14,7 +14,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from youbounds import analytic, harness, stein
+from youbounds import analytic, harness, stein, trees
 from youbounds.analytic import JumpSchedule, YouParams
 from youbounds.harness import ExperimentConfig
 
@@ -93,6 +93,63 @@ class TestReplicateStreams:
         assert set(base.oracle) == set(split.oracle)
         for key, column in base.oracle.items():
             assert np.array_equal(column, split.oracle[key])
+
+    @pytest.mark.parametrize("model,schedule", [
+        ("YOU", JumpSchedule.none()),
+        ("YOUj", JumpSchedule.constant(0.5, 1.3)),
+        ("YOUj", JumpSchedule.per_event([(0.1 * (k % 10), 0.5 + k % 3) for k in range(36)])),
+    ])
+    def test_blocks_match_per_tree_path(self, model, schedule):
+        # replicate i of the block engine is the single-tree API driven by
+        # replicate_rng(seed, i); R is not a multiple of the block size
+        n = 37
+        params = YouParams(alpha=0.8, sigma_a2=1.2, x0=0.6)
+        r = harness._block_size(n) + 17
+        config = ExperimentConfig(model=model, n=n, params=params, schedule=schedule,
+                                  replicates=r, seed=SEED)
+        data = harness.run_replicates(config, collect_oracle=True)
+        for i in range(r):
+            rng = harness.replicate_rng(SEED, i)
+            tree = trees.sample_tree(n, rng)
+            jumps = trees.sample_jumps(tree, schedule, rng) if model == "YOUj" else None
+            if jumps is None:
+                m = trees.conditional_moments_you(tree, params)
+            else:
+                m = trees.conditional_moments_youj(tree, jumps, params)
+            expected = {
+                "cond_mean": (data.cond_mean, m.cond_mean),
+                "cond_var": (data.cond_var, m.cond_var),
+                "exp_height_1": (data.oracle["exp_height_1"], math.exp(-tree.height)),
+                "exp_height_2a": (data.oracle["exp_height_2a"],
+                                  math.exp(-2.0 * params.alpha * tree.height)),
+                "pair_1": (data.oracle["pair_1"], trees.pair_mean_exp(tree, 1.0)),
+                "pair_2a": (data.oracle["pair_2a"],
+                            trees.pair_mean_exp(tree, 2.0 * params.alpha)),
+            }
+            if jumps is not None:
+                single, pair = trees.jump_exposure_sums(tree, jumps, params.alpha)
+                expected["jump_single"] = (data.oracle["jump_single"], single)
+                expected["jump_pair"] = (data.oracle["jump_pair"], pair)
+            for key, (column, value) in expected.items():
+                assert column[i] == pytest.approx(value, rel=1e-14, abs=0.0), (key, i)
+            ybar = trees.sample_ybar(tree, params, rng, jumps)
+            assert abs(data.ybar[i] - ybar) <= 1e-14, i
+
+    def test_worker_splits_align_to_blocks(self):
+        n = 200
+        r = 3 * harness._block_size(n) + 5
+        configs = [ExperimentConfig(model="YOUj", n=n, params=YouParams(alpha=1.0, x0=0.7),
+                                    schedule=JumpSchedule.constant(0.5, 1.0),
+                                    replicates=r, seed=SEED, workers=w)
+                   for w in (1, 2, 3, 4)]
+        base = harness.run_replicates(configs[0], collect_oracle=True)
+        for config in configs[1:]:
+            split = harness.run_replicates(config, collect_oracle=True)
+            assert np.array_equal(base.cond_mean, split.cond_mean)
+            assert np.array_equal(base.cond_var, split.cond_var)
+            assert np.array_equal(base.ybar, split.ybar)
+            for key, column in base.oracle.items():
+                assert np.array_equal(column, split.oracle[key])
 
     def test_oracle_keys_by_model(self):
         you = harness.run_replicates(_you_config(n=5, replicates=4),

@@ -1,6 +1,7 @@
 """Scalar special functions against frozen values and independent oracles."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -114,6 +115,14 @@ class TestHarmonic:
                      - 1.0 / (12.0 * n * n) + 1.0 / (120.0 * float(n) ** 4))
         assert direct == pytest.approx(expansion, abs=2e-11)
         assert special.harmonic(n + 1) == pytest.approx(direct + 1.0 / (n + 1), abs=2e-11)
+
+    def test_against_fractions_through_3000(self):
+        # running sum of the oracle's terms, pinned to the oracle at the end
+        exact = Fraction(0)
+        for n in range(1, 3001):
+            exact += Fraction(1, n)
+            assert special.harmonic(n) == pytest.approx(float(exact), rel=1e-15)
+        assert exact == oracles.harmonic_fraction(3000)
 
     def test_domain(self):
         with pytest.raises(ValueError):

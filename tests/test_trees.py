@@ -186,6 +186,23 @@ class TestSampleTree:
         _assert_within_4se(stats_single_edge, 1.0)
 
 
+class TestDaughterCountKernel:
+    @pytest.mark.parametrize("b", [1, 5])
+    @pytest.mark.parametrize("n", [2, 3, 17, 200, 1000])
+    def test_matches_chain_replay(self, n, b):
+        # a random block, then the same block with a caterpillar (every
+        # event splits the newest lineage, the deepest slot tree) in it
+        rng = np.random.default_rng(1000 * n + b)
+        splits = np.stack([rng.integers(0, np.arange(1, n)) for _ in range(b)])
+        caterpillar = splits.copy()
+        caterpillar[b // 2] = np.arange(n - 1)
+        for block in (splits, caterpillar):
+            counts = trees.daughter_counts(block)
+            assert counts.shape == (b, n - 1, 2)
+            for row, got in zip(block, counts):
+                assert np.array_equal(got, oracles.daughter_counts_by_chains(row))
+
+
 class TestPairMeanExp:
     def test_rejects_single_tip(self):
         tree = trees.sample_tree(1, np.random.default_rng(0))
