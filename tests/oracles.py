@@ -2,7 +2,9 @@
 
 Everything here is deliberately written along a different route than the
 package code: series instead of erfc, ancestor-chain walks instead of
-descendant counts, dense covariance matrices instead of aggregated sums.
+descendant counts, dense covariance matrices instead of aggregated sums, a
+quantile at every empirical-CDF level and a fresh sort per bootstrap
+resample instead of crossing tests and rank counts.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
+
+from youbounds import special
 
 
 def phi_series(z: float) -> float:
@@ -174,3 +178,59 @@ def cov_matrix_cond_var(tree, params, jumps=None) -> float:
                     for j in tips:
                         cov[i, j] += add
     return float(cov.sum()) / (n * n)
+
+
+# ---------------------------------------------------------------------------
+# Wasserstein statistic and its bootstrap error by level curves: a quantile
+# for every empirical-CDF level and a sort and CDF pass for every resample
+
+def _dw_level_curves(r: int) -> tuple[np.ndarray, np.ndarray]:
+    """Empirical-CDF levels (i/R, i = 1..R-1) and the normal quantile at
+    each."""
+    levels = np.arange(1, r, dtype=np.float64) / r
+    zc = np.fromiter((special.std_normal_quantile(c) for c in levels),
+                     dtype=np.float64, count=r - 1)
+    return levels, zc
+
+
+def _normal_cdf_antiderivative(x: np.ndarray) -> np.ndarray:
+    # integral of the normal CDF: z Phi(z) + phi(z), vanishing at -infinity
+    inv_sqrt_2pi = 1.0 / math.sqrt(2.0 * math.pi)
+    return x * special.std_normal_cdf_array(x) + inv_sqrt_2pi * np.exp(-0.5 * x * x)
+
+
+def _dw_level_sorted(x: np.ndarray, levels: np.ndarray, zc: np.ndarray) -> float:
+    """L1 distance between the empirical CDF of sorted x and the normal CDF,
+    each segment classified by where the quantile of its level falls."""
+    g = _normal_cdf_antiderivative(x)
+    total = g[0] + (g[-1] - x[-1])
+    if len(x) > 1:
+        a, b = x[:-1], x[1:]
+        ga, gb = g[:-1], g[1:]
+        da = ga - levels * a
+        db = gb - levels * b
+        dz = _normal_cdf_antiderivative(zc) - levels * zc
+        seg = np.where(zc <= a, db - da,
+                       np.where(zc >= b, da - db, da + db - 2.0 * dz))
+        total += float(np.sum(seg))
+    return float(total)
+
+
+def dw_by_level_curves(samples) -> float:
+    x = np.sort(np.asarray(samples, dtype=np.float64).ravel())
+    return _dw_level_sorted(x, *_dw_level_curves(len(x)))
+
+
+def bootstrap_dw_se_by_resorting(z: np.ndarray, seed: int, resamples: int = 32) -> float:
+    """Bootstrap error of the Wasserstein statistic: each resample drawn
+    from spawn key (R, 1), sorted and scored from scratch."""
+    z = np.asarray(z, dtype=np.float64)
+    r = len(z)
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(r, 1))
+    rng = np.random.Generator(np.random.PCG64(ss))
+    levels, zc = _dw_level_curves(r)
+    values = np.empty(resamples)
+    for b in range(resamples):
+        resample = np.sort(z[rng.integers(0, r, size=r)])
+        values[b] = _dw_level_sorted(resample, levels, zc)
+    return float(np.std(values, ddof=1))

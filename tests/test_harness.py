@@ -10,10 +10,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from youbounds import analytic, harness, stein, trees
 from youbounds.analytic import JumpSchedule, YouParams
 from youbounds.harness import ExperimentConfig
@@ -302,6 +304,54 @@ class TestEmpiricalWasserstein:
         assert harness.empirical_dw(samples) >= 0.0
 
 
+def _oracle_sample(kind: str, r: int) -> np.ndarray:
+    rng = np.random.default_rng(1000 + r)
+    z = rng.standard_normal(r) + 0.2
+    if kind == "ties":
+        z = np.round(z, 1)
+    elif kind == "far_tails":
+        # Phi rounds to 1 above z = 8.3 and to 0 below z = -38
+        z[:4] = [8.5, 12.0, 30.0, 45.0][:r]
+        z[4:8] = [-38.5, -40.0, -60.0, -100.0][:max(0, r - 4)]
+    return z
+
+
+def _assert_matches_oracles(z, seed: int) -> None:
+    # both routes evaluate the same segment terms up to rounding; the
+    # absolute floor covers standard errors of resamples that are all equal
+    dw = harness.empirical_dw(z)
+    assert abs(dw - oracles.dw_by_level_curves(z)) <= 1e-12 * dw
+    se = harness._bootstrap_dw_se(harness._sort_sample(z, "test"), seed)
+    reference = oracles.bootstrap_dw_se_by_resorting(z, seed)
+    assert abs(se - reference) <= 1e-12 * reference + 1e-15
+
+
+class TestAgainstLevelCurveOracles:
+    """The segment-by-segment dw and the rank-count bootstrap against the
+    earlier route: a quantile at every empirical-CDF level and a fresh sort
+    and CDF pass for every resample."""
+
+    @pytest.mark.parametrize("kind", ["normal", "ties", "far_tails"])
+    @pytest.mark.parametrize("r", [1, 2, 3, 1000])
+    def test_matches(self, kind, r):
+        _assert_matches_oracles(_oracle_sample(kind, r), seed=r)
+
+    def test_ties_and_far_tails_present(self):
+        z = _oracle_sample("ties", 1000)
+        assert len(np.unique(z)) < 100
+        z = _oracle_sample("far_tails", 1000)
+        cdf = scipy.stats.norm.cdf(z)
+        assert np.sum(cdf == 1.0) == 4 and np.sum(cdf == 0.0) == 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(min_value=-50.0, max_value=50.0, allow_nan=False),
+                    min_size=1, max_size=6)
+           .flatmap(lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=25)),
+           st.integers(min_value=0, max_value=2 ** 32))
+    def test_short_lists_with_duplicates(self, samples, seed):
+        _assert_matches_oracles(np.array(samples), seed)
+
+
 class TestDkwBand:
     def test_frozen_values(self):
         assert harness.dkw_band(200_000) == pytest.approx(
@@ -319,12 +369,12 @@ class TestDkwBand:
 
 class TestBootstrapSE:
     def test_deterministic_and_positive(self):
-        z = np.random.default_rng(10).standard_normal(500)
-        a = harness._bootstrap_dw_se(z, 99)
-        b = harness._bootstrap_dw_se(z, 99)
+        s = harness._sort_sample(np.random.default_rng(10).standard_normal(500), "test")
+        a = harness._bootstrap_dw_se(s, 99)
+        b = harness._bootstrap_dw_se(s, 99)
         assert a == b
         assert a > 0.0
-        assert harness._bootstrap_dw_se(z, 100) != a
+        assert harness._bootstrap_dw_se(s, 100) != a
 
 
 class TestVerdict:
@@ -343,6 +393,44 @@ class TestVerdict:
 
     def test_lower_miss_fails_at_large_n(self):
         assert harness._verdict(0.01, 0.40, 0.1, 0.05, 1000) == "fail"
+
+
+class TestDwSamplingBias:
+    def test_integral_constant(self):
+        # sqrt(Phi (1 - Phi)) is even in z
+        half, _ = scipy.integrate.quad(
+            lambda z: math.sqrt(scipy.stats.norm.cdf(z) * scipy.stats.norm.sf(z)),
+            0.0, math.inf, epsabs=0.0, epsrel=1e-13, limit=200)
+        assert harness._W1_NULL_INTEGRAL == pytest.approx(2.0 * half, rel=1e-12)
+
+    def test_null_mean_of_normal_samples(self):
+        # 300 samples of 1000 standard normals: the mean W1 to N(0,1) is the
+        # bias the dw verdict allows for, within 4 standard errors
+        dws = np.array([harness.empirical_dw(np.random.default_rng(5000 + i)
+                                             .standard_normal(1000))
+                        for i in range(300)])
+        se = dws.std(ddof=1) / math.sqrt(len(dws))
+        assert abs(dws.mean() - harness._dw_sampling_bias(1000)) <= 4.0 * se
+
+    def _sandwich(self, shift: float) -> harness.SandwichReport:
+        config = ExperimentConfig(model="YOU", n=5000,
+                                  params=YouParams(alpha=1.0, x0=1.0 / math.sqrt(2.0)),
+                                  schedule=JumpSchedule.none(), replicates=1000, seed=11)
+        data = harness.run_replicates(config)
+        sd = math.sqrt(analytic.var_ybar_you(config.n, config.params))
+        data.ybar = data.ybar + shift * sd
+        return harness.run_sandwich(config, data)
+
+    def test_small_sample_bias_is_not_a_failure(self):
+        # W1 of 1000 draws sits about 0.04 above the distance it estimates;
+        # 3 bootstrap errors alone (0.037 here) do not cover it
+        report = self._sandwich(0.0)
+        assert report.empirical_dw > report.upper_dw.total + 3.0 * report.dw_bootstrap_se
+        assert report.verdict_dw == "pass"
+
+    def test_shifted_sample_still_fails(self):
+        report = self._sandwich(0.3)
+        assert report.verdict_dw == "fail"
 
 
 class TestSandwich:

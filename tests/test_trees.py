@@ -53,50 +53,59 @@ def _assert_within_4se(samples: np.ndarray, target: float) -> None:
     assert abs(samples.mean() - target) <= 4.0 * se
 
 
+def _tree_blocks(n: int, rng: np.random.Generator, jump_ps=None):
+    """R_TREES n-tip trees, drawn one after another from rng exactly as
+    sample_tree (then, with jump_ps, sample_jumps) draws them, handed out in
+    blocks of up to 4096 with their (B, n-1, 2) jump flags (None without
+    jump_ps)."""
+    chunk = 4096
+    for lo in range(0, R_TREES, chunk):
+        size = min(chunk, R_TREES - lo)
+        uniforms = np.empty((size, n))
+        splits = np.empty((size, n - 1), dtype=np.int64)
+        flags = None if jump_ps is None else np.empty((size, n - 1, 2), dtype=bool)
+        for i in range(size):
+            uniforms[i], splits[i] = trees.draw_tree(n, rng)
+            if flags is not None:
+                flags[i] = rng.random((n - 1, 2)) < jump_ps[:, None]
+        yield trees.tree_block(uniforms, splits), flags
+
+
 @pytest.fixture(scope="module")
 def stats_50():
     """One 1e5-replicate pass over 50-tip trees, accumulating every statistic
     the module-level Monte Carlo examples need."""
     rng = np.random.default_rng(20260819)
     params = YouParams(alpha=1.0)
-    schedule = JumpSchedule.constant(0.5, 1.0)
+    ps, variances = trees.jump_event_arrays(JumpSchedule.constant(0.5, 1.0), 50)
     names = ("exp_height", "pair_y1", "pair_y2", "cond_var", "jump_part",
              "single_sum", "pair_sum")
-    out = {name: np.empty(R_TREES) for name in names}
-    for r in range(R_TREES):
-        tree = trees.sample_tree(50, rng)
-        out["exp_height"][r] = math.exp(-tree.height)
-        out["pair_y1"][r] = trees.pair_mean_exp(tree, 1.0)
-        out["pair_y2"][r] = trees.pair_mean_exp(tree, 2.0)
-        base = trees.conditional_moments_you(tree, params)
-        out["cond_var"][r] = base.cond_var
-        jumps = trees.sample_jumps(tree, schedule, rng)
-        withj = trees.conditional_moments_youj(tree, jumps, params)
-        out["jump_part"][r] = withj.cond_var - base.cond_var
-        single, pair = trees.jump_exposure_sums(tree, jumps, params.alpha)
-        out["single_sum"][r] = single
-        out["pair_sum"][r] = pair
-    return out
+    out = {name: [] for name in names}
+    for block, flags in _tree_blocks(50, rng, ps):
+        out["exp_height"].append(np.exp(-block.heights))
+        out["pair_y1"].append(trees.block_pair_mean_exp(block, 1.0))
+        out["pair_y2"].append(trees.block_pair_mean_exp(block, 2.0))
+        out["cond_var"].append(trees.block_moments_you(block, params)[1])
+        out["jump_part"].append(trees.block_jump_variance(block, flags, variances, params))
+        single, pair = trees.block_jump_exposure_sums(block, flags, params.alpha)
+        out["single_sum"].append(single)
+        out["pair_sum"].append(pair)
+    return {name: np.concatenate(parts) for name, parts in out.items()}
 
 
 @pytest.fixture(scope="module")
 def stats_100():
     """1e5 heights of 100-tip trees, transformed by exp(-2U)."""
     rng = np.random.default_rng(20260820)
-    vals = np.empty(R_TREES)
-    for r in range(R_TREES):
-        vals[r] = math.exp(-2.0 * trees.sample_tree(100, rng).height)
-    return vals
+    return np.concatenate([np.exp(-2.0 * block.heights)
+                           for block, _ in _tree_blocks(100, rng)])
 
 
 @pytest.fixture(scope="module")
 def stats_single_edge():
     """1e5 single-tip trees: the lone edge is a unit-rate exponential."""
     rng = np.random.default_rng(20260821)
-    heights = np.empty(R_TREES)
-    for r in range(R_TREES):
-        heights[r] = trees.sample_tree(1, rng).height
-    return heights
+    return np.concatenate([block.heights for block, _ in _tree_blocks(1, rng)])
 
 
 class TestSampleTree:
