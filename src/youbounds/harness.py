@@ -41,7 +41,6 @@ from .stein import BoundReport, LowerBoundInputs
 
 # 99% two-sided empirical-CDF band: sqrt(ln(2/0.01) / (2R))
 _DKW_DELTA = 0.01
-_JACKKNIFE_BATCHES = 32
 _BOOTSTRAP_RESAMPLES = 32
 # I = integral over the line of sqrt(Phi (1 - Phi)); see _dw_sampling_bias
 _W1_NULL_INTEGRAL = 1.6147438534296696
@@ -220,21 +219,18 @@ def _mean_estimate(x: np.ndarray) -> EstimateWithSE:
 
 
 def _variance_estimate(x: np.ndarray) -> EstimateWithSE:
-    """Sample variance with a delete-one-batch jackknife standard error."""
+    """Sample variance with the fourth-moment standard error of a sample
+    variance, se^2 = (m4 - m2^2 (R-3)/(R-1)) / R from the central moments
+    m2 and m4; below four replicates there is no error estimate."""
     r = len(x)
     value = float(np.var(x, ddof=1))
     if r < 4:
         return EstimateWithSE(value, float("nan"), r)
-    batches = np.array_split(x, min(_JACKKNIFE_BATCHES, r))
-    s1 = np.array([b.sum() for b in batches])
-    s2 = np.array([np.sum(b * b) for b in batches])
-    counts = np.array([len(b) for b in batches], dtype=np.float64)
-    total1, total2, total_n = s1.sum(), s2.sum(), counts.sum()
-    rest_n = total_n - counts
-    rest_mean = (total1 - s1) / rest_n
-    theta = (total2 - s2 - rest_n * rest_mean ** 2) / (rest_n - 1.0)
-    b = len(batches)
-    se = math.sqrt((b - 1.0) / b * float(np.sum((theta - theta.mean()) ** 2)))
+    dev2 = x - np.mean(x)
+    dev2 *= dev2
+    m2 = float(np.mean(dev2))
+    m4 = float(np.mean(dev2 * dev2))
+    se = math.sqrt((m4 - m2 * m2 * (r - 3.0) / (r - 1.0)) / r)
     return EstimateWithSE(value, se, r)
 
 
@@ -242,8 +238,8 @@ def estimate_moment_summary(config: ExperimentConfig,
                             data: ReplicateData | None = None) -> MomentEstimates:
     """Monte Carlo estimates of mean, ev, vv and ve with standard errors.
 
-    Means get s/sqrt(R); the two variances get jackknife-over-batches errors,
-    which stay honest for fourth-moment-driven quantities.
+    Means get s/sqrt(R); the two variances get the fourth-moment error of a
+    sample variance, which follows the data's own kurtosis.
     """
     if data is None:
         data = run_replicates(config)

@@ -7,6 +7,7 @@ sandwich reports that compare empirical distances with the analytic bounds.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -201,6 +202,8 @@ class TestMomentEstimates:
         assert est.ve.se == 0.0
 
     def test_jackknife_needs_four_replicates(self):
+        # the variance error (a jackknife at first, now the fourth-moment
+        # error of a sample variance) is reported only from four replicates
         est = harness.estimate_moment_summary(_you_config(n=5, replicates=3))
         assert math.isfinite(est.vv.value)
         assert math.isnan(est.vv.se)
@@ -208,12 +211,28 @@ class TestMomentEstimates:
 
     def test_jackknife_tracks_normal_theory(self):
         # For i.i.d. normals the variance of the sample variance is
-        # 2 sigma^4 / R; the 32-batch jackknife should land near it.
+        # 2 sigma^4 / R; the fourth-moment error should land near it.
         draws = np.random.default_rng(5).normal(size=20_000)
         est = harness._variance_estimate(draws)
         theory = math.sqrt(2.0 / 20_000)
         assert est.value == pytest.approx(1.0, abs=0.05)
         assert 0.5 * theory <= est.se <= 2.0 * theory
+
+    def test_variance_se_matches_exact_error_on_skewed_draws(self):
+        # exp(-H) of a 200-tip Yule tree is Beta(1, 200) (H is distributed
+        # as the largest of 200 unit exponentials): the conditional means
+        # behind ve at alpha = 1, kurtosis 8.8. Its exact error is
+        # sqrt((mu4 - sigma^4 (R-3)/(R-1)) / R); the estimate spreads about
+        # 4% around it at R = 2e4.
+        n, r = 200, 20_000
+        raw = [Fraction(1)]
+        for j in range(4):
+            raw.append(raw[-1] * Fraction(1 + j, 1 + n + j))
+        var = raw[2] - raw[1] ** 2
+        mu4 = raw[4] - 4 * raw[3] * raw[1] + 6 * raw[2] * raw[1] ** 2 - 3 * raw[1] ** 4
+        exact = math.sqrt(float((mu4 - var ** 2 * Fraction(r - 3, r - 1)) / r))
+        est = harness._variance_estimate(np.random.default_rng(7).beta(1.0, n, size=r))
+        assert 0.8 <= est.se / exact <= 1.25
 
     def test_reuses_precomputed_replicates(self):
         config = _you_config(n=15, x0=0.4, replicates=200)
