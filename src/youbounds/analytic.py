@@ -422,22 +422,32 @@ def is_nonconvergent(model: str, params: YouParams, schedule: JumpSchedule | Non
             and schedule.sigma_c2 > 0.0)
 
 
+# Where the leading-order vv is known to be too small at finite n (Monte
+# Carlo vv over the shipped one, n = 200 to 5000): 1.15-1.30 for the
+# jump-free model above alpha = 3/4, about 30 for jumps with p = 1 (alpha = 1).
+_VV_BELOW_MONTE_CARLO_BANDS = ("three_quarters_to_one", "one", "above_one")
+VV_TOO_SMALL_NOTE = "vv below Monte Carlo: upper bound may be too small"
+
+
 def bound_point(model: str, params: YouParams, schedule: JumpSchedule | None,
                 distance: str, n: int) -> BoundReport:
     """Upper bound at a single tip count, hybrid assembly.
 
     ev and ve enter exactly; vv enters at leading order (no exact closed form
     exists for it). The report notes record the regime, which ingredients are
-    exact, and a plateau warning in the non-convergent jump regime.
+    exact, a warning where that vv is known to fall below its Monte Carlo
+    value, and a plateau warning in the non-convergent jump regime.
     """
     schedule = _normalize_schedule(model, schedule)
     regime = _require_supported(params.alpha)
     if model == MODEL_YOU or schedule.is_inactive:
         ev = var_ybar_you(n, params)
         vv = var_cond_var_you_asymptotic(n, params)
+        vv_too_small = regime.band in _VV_BELOW_MONTE_CARLO_BANDS
     else:
         ev = var_ybar_youj(n, params, schedule)
         vv = var_cond_var_youj_upper(n, params, schedule)
+        vv_too_small = schedule.p == 1.0
     ve = var_cond_mean_exact(n, params)
     ms = MomentSummary(mean=mean_ybar(n, params), ev=ev, vv=vv, ve=ve)
     if distance == stein.KOLMOGOROV:
@@ -452,6 +462,8 @@ def bound_point(model: str, params: YouParams, schedule: JumpSchedule | None,
         "ve exact",
         "vv leading-order",
     )
+    if vv_too_small:
+        notes = notes + (VV_TOO_SMALL_NOTE,)
     if is_nonconvergent(model, params, schedule):
         notes = notes + ("non-convergent regime",)
     return dataclasses.replace(report, notes=report.notes + notes)

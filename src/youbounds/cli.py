@@ -330,9 +330,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                               workers=harness.resolve_workers(settings.get("workers"), 1))
 
     if "dump_tree" in settings:
-        rng = harness.replicate_rng(config.seed, 0)
-        tree = trees.sample_tree(n, rng)
-        jumps = trees.sample_jumps(tree, schedule, rng) if model == MODEL_YOUJ else None
+        # replicate 0 of the run: row 0 of block 0's draws
+        draws = harness.draw_block(config, 0)
+        tree = trees.yule_tree(draws.uniforms[:1], draws.splits[:1])
+        jumps = None
+        if draws.flags is not None:
+            variances = trees.jump_event_arrays(schedule, n)[1]
+            jumps = trees.JumpRealization(flags=draws.flags[0], variances=variances)
         with open(settings["dump_tree"], "w", encoding="utf-8") as fh:
             fh.write(trees.dump_tree(tree, jumps))
 

@@ -2,13 +2,16 @@
 
 Per replicate: sample a tree (and jump placements for the jump model),
 compute the exact conditional moments, and draw the tip average from its
-conditional normal. Every replicate owns an RNG stream derived from
-(seed, replicate index). Replicates run in blocks of B = max(1, 2^15 // n),
-starting at global multiples of B: a loop builds each replicate's stream and
-makes its draws in stream order (tree uniforms, splits, jump uniforms, one
-standard normal) into block arrays, and the trees, moments and draws of the
-whole block are then computed at once by the `trees` kernels. Workers take
-contiguous runs of whole blocks and every reduction runs over the full
+conditional normal. Replicates run in blocks of B = max(1, 2^15 // n),
+starting at global multiples of B, and every block owns an RNG stream
+derived from (seed, block index). A block draws all of its B rows as whole
+arrays, in stream order: the (B, n) period uniforms, the (B, n-1) splits,
+for the jump model the (B, n-1, 2) jump uniforms, then B standard normals.
+The trees, moments and tip averages of the whole block are then computed at
+once by the `trees` kernels. The last block of a run draws its B full rows
+too and keeps the ones it needs, so replicate i depends only on (seed, i, n)
+and the first R' replicates of a run are a run of R' replicates. Workers
+take contiguous runs of whole blocks and every reduction runs over the full
 index-ordered arrays, so results are bit-identical for any worker count.
 
 The empirical distances compare the analytically standardized draws against
@@ -120,10 +123,42 @@ def resolve_workers(explicit: int | None, default: int) -> int:
     return default
 
 
-def replicate_rng(seed: int, rep: int) -> np.random.Generator:
-    """The RNG stream owned by replicate `rep` of a run seeded with `seed`."""
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(rep,))
+def replicate_rng(seed: int, block: int) -> np.random.Generator:
+    """The RNG stream owned by block `block` of replicates of a run seeded
+    with `seed`."""
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(block,))
     return np.random.Generator(np.random.PCG64(ss))
+
+
+@dataclass(frozen=True)
+class BlockDraws:
+    """Every draw of one block of B replicates, row i for the block's i-th
+    replicate: period uniforms (B, n), splits (B, n-1), jump flags
+    (B, n-1, 2) (None for the jump-free model) and standard normals (B,)."""
+
+    uniforms: np.ndarray
+    splits: np.ndarray
+    flags: np.ndarray | None
+    normals: np.ndarray
+
+
+def draw_block(config: ExperimentConfig, block: int,
+               jump_ps: np.ndarray | None = None) -> BlockDraws:
+    """The draws of block `block` of a run, as whole arrays from the block's
+    stream, in stream order: uniforms (zeros redrawn), splits, for the jump
+    model the jump uniforms (compared with the per-event probabilities
+    jump_ps), then the normals. A block always draws B full rows, so a
+    replicate's draws depend only on the seed, its index and n."""
+    n = config.n
+    rows = _block_size(n)
+    rng = replicate_rng(config.seed, block)
+    uniforms, splits = trees.draw_tree(n, rng, rows)
+    flags = None
+    if config.model == MODEL_YOUJ:
+        if jump_ps is None:
+            jump_ps = trees.jump_event_arrays(config.schedule, n)[0]
+        flags = rng.random((rows, n - 1, 2)) < jump_ps[:, None]
+    return BlockDraws(uniforms, splits, flags, rng.standard_normal(rows))
 
 
 def _oracle_keys(config: ExperimentConfig) -> list[str]:
@@ -138,36 +173,26 @@ def _block_size(n: int) -> int:
     return max(1, _BLOCK_ELEMENTS // n)
 
 
-def _run_block(config: ExperimentConfig, start: int, stop: int, jump_arrays,
+def _run_block(config: ExperimentConfig, index: int, size: int, jump_arrays,
                collect_oracle: bool) -> list[np.ndarray]:
-    n, params = config.n, config.params
-    size = stop - start
-    uniforms = np.empty((size, n))
-    splits = np.empty((size, n - 1), dtype=np.int64)
-    normals = np.empty(size)
-    if jump_arrays is not None:
-        ps, variances = jump_arrays
-        flags = np.empty((size, n - 1, 2), dtype=bool)
-    for i in range(size):
-        rng = replicate_rng(config.seed, start + i)
-        uniforms[i], splits[i] = trees.draw_tree(n, rng)
-        if jump_arrays is not None:
-            flags[i] = rng.random((n - 1, 2)) < ps[:, None]
-        normals[i] = rng.standard_normal()
-
-    block = trees.tree_block(uniforms, splits)
+    """The columns of the first `size` replicates of block `index`."""
+    params = config.params
+    ps, variances = jump_arrays if jump_arrays is not None else (None, None)
+    draws = draw_block(config, index, ps)
+    block = trees.tree_block(draws.uniforms[:size], draws.splits[:size])
     cond_mean, cond_var = trees.block_moments_you(block, params)
-    if jump_arrays is not None:
+    if draws.flags is not None:
+        flags = draws.flags[:size]
         cond_var = cond_var + trees.block_jump_variance(block, flags, variances, params)
     # bit-for-bit what normal(cond_mean, sqrt(cond_var)) would draw
-    ybar = cond_mean + np.sqrt(cond_var) * normals
+    ybar = cond_mean + np.sqrt(cond_var) * draws.normals[:size]
     columns = [cond_mean, cond_var, ybar]
     if collect_oracle:
         two_alpha = 2.0 * params.alpha
         columns += [np.exp(-block.heights), np.exp(-two_alpha * block.heights),
                     trees.block_pair_mean_exp(block, 1.0),
                     trees.block_pair_mean_exp(block, two_alpha)]
-        if jump_arrays is not None:
+        if draws.flags is not None:
             columns += trees.block_jump_exposure_sums(block, flags, params.alpha)
     return columns
 
@@ -183,8 +208,8 @@ def _run_chunk(args) -> list[np.ndarray]:
     step = _block_size(config.n)
     for lo in range(start, stop, step):
         hi = min(stop, lo + step)
-        columns[:, lo - start:hi - start] = _run_block(config, lo, hi, jump_arrays,
-                                                       collect_oracle)
+        columns[:, lo - start:hi - start] = _run_block(config, lo // step, hi - lo,
+                                                       jump_arrays, collect_oracle)
     return list(columns)
 
 
@@ -332,9 +357,9 @@ def dkw_band(r: int) -> float:
 def _bootstrap_dw_se(s: _SortedSample, seed: int) -> float:
     """Resampling standard error of the Wasserstein statistic.
 
-    The bootstrap stream uses spawn key (R, 1), disjoint from every
-    replicate's (rep,) key, so it neither disturbs nor depends on the
-    replicate draws. A resample is R indices into the original sample; its
+    The bootstrap stream uses spawn key (R, 1), disjoint from every block's
+    (block,) key, so it neither disturbs nor depends on the replicate
+    draws. A resample is R indices into the original sample; its
     sorted form is the sorted sample with element k repeated as often as
     its rank k was drawn, so its empirical CDF is the running sum of the
     rank counts over the sorted sample (segments between undrawn elements

@@ -9,10 +9,12 @@ the present.
 
 Every quantity is computed by a block kernel: arrays whose leading axis runs
 over B trees with the same tip count (a `TreeBlock`), with no Python loop over
-trees or events (only over the levels of the slot tree below). The
+trees or events (only over the levels of the slot tree below). The draws
+come from one routine, `draw_tree`, which makes a block's tree draws as
+whole arrays; the Monte Carlo harness calls it once per block. The
 single-tree API (`sample_tree`, `pair_mean_exp`,
 `conditional_moments_you`, `conditional_moments_youj`, `jump_exposure_sums`)
-is the same kernels with B = 1; the Monte Carlo harness calls them on blocks.
+is the same draws and kernels with B = 1.
 
 Daughter counts come from the slot tree. Event k keeps the split lineage in
 its slot splits[k-1] and puts the new lineage in slot k, so slot k hangs below
@@ -28,7 +30,6 @@ draw from the exact conditional mean and variance below.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,19 +138,17 @@ def tree_block(uniforms: np.ndarray, splits: np.ndarray) -> TreeBlock:
                      coalescence_ages=ages, heights=times.sum(axis=1))
 
 
-def draw_tree(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """The draws of one n-tip tree, in stream order: n period uniforms
-    (re-drawing the measure-zero u = 0 case so every duration is strictly
-    positive), then the n-1 splitting lineages, uniform over the k alive at
-    event k."""
-    u = rng.random(n)
+def draw_tree(n: int, rng: np.random.Generator, rows: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """The draws of `rows` n-tip trees, in stream order: the (rows, n) period
+    uniforms (re-drawing the measure-zero u = 0 cases, in row-major order,
+    so every duration is strictly positive), then the (rows, n-1) splitting
+    lineages, uniform over the k alive at event k. With one row this is the
+    stream of a single tree."""
+    u = rng.random((rows, n))
     while not u.all():
         zero = u == 0.0
         u[zero] = rng.random(int(zero.sum()))
-    if n > 1:
-        splits = rng.integers(0, np.arange(1, n), dtype=np.int64)
-    else:
-        splits = np.empty(0, dtype=np.int64)
+    splits = rng.integers(0, np.arange(1, n), size=(rows, n - 1), dtype=np.int64)
     return u, splits
 
 
@@ -163,9 +162,14 @@ def sample_tree(n: int, rng: np.random.Generator) -> YuleTree:
     """Sample an n-tip pure-birth tree (the draws of `draw_tree`)."""
     if n < 1 or int(n) != n:
         raise ValueError(f"sample_tree requires an integer n >= 1, got {n}")
-    u, splits = draw_tree(int(n), rng)
-    block = tree_block(u[None], splits[None])
-    tree = YuleTree(times=block.times[0], splits=splits,
+    return yule_tree(*draw_tree(int(n), rng))
+
+
+def yule_tree(uniforms: np.ndarray, splits: np.ndarray) -> YuleTree:
+    """The read-only YuleTree of one row of draws: uniforms (1, n) and
+    splits (1, n-1)."""
+    block = tree_block(uniforms, splits)
+    tree = YuleTree(times=block.times[0], splits=splits[0],
                     daughter_counts=block.daughter_counts[0],
                     coalescence_ages=np.ascontiguousarray(block.coalescence_ages[0]))
     for arr in (tree.times, tree.splits, tree.daughter_counts, tree.coalescence_ages):
@@ -313,17 +317,6 @@ def jump_exposure_sums(tree: YuleTree, jumps: JumpRealization,
     block_jump_exposure_sums)."""
     single, pair = block_jump_exposure_sums(_as_block(tree), jumps.flags[None], alpha)
     return float(single[0]), float(pair[0])
-
-
-def sample_ybar(tree: YuleTree, params: YouParams, rng: np.random.Generator,
-                jumps: JumpRealization | None = None) -> float:
-    """One draw of the normalized tip average from its exact conditional
-    normal distribution."""
-    if jumps is None:
-        m = conditional_moments_you(tree, params)
-    else:
-        m = conditional_moments_youj(tree, jumps, params)
-    return float(rng.normal(m.cond_mean, math.sqrt(m.cond_var)))
 
 
 def dump_tree(tree: YuleTree, jumps: JumpRealization | None = None) -> str:

@@ -101,6 +101,18 @@ def kappa_second_derivative(x: float, sigma2: float) -> float:
 # ---------------------------------------------------------------------------
 # tree oracles via ancestor chains
 
+def single_tree_draws(n: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """The draws of one n-tip tree, one stream call at a time: n period
+    uniforms with each exact zero redrawn, then one uniform integer in
+    [0, k) for each event k = 1..n-1."""
+    u = rng.random(n)
+    while not u.all():
+        zero = u == 0.0
+        u[zero] = rng.random(int(zero.sum()))
+    splits = np.array([rng.integers(0, k) for k in range(1, n)], dtype=np.int64)
+    return u, splits
+
+
 def _replay(tree) -> tuple[list[int], dict[int, int], dict[int, int]]:
     """Returns (final alive ids, parent id map, id -> event where it split)."""
     n = tree.n

@@ -550,6 +550,33 @@ class TestBoundPoint:
             stein.KOLMOGOROV, 1000)
         assert "non-convergent regime" in rep.notes
 
+    @pytest.mark.parametrize("model,alpha,schedule", [
+        ("YOU", 0.9, None),
+        ("YOU", 1.0, None),
+        ("YOU", 2.0, None),
+        ("YOUj", 1.2, JumpSchedule.constant(0.0, 1.0)),
+        ("YOUj", 1.0, JumpSchedule.constant(1.0, 1.0)),
+        ("YOUj", 0.6, JumpSchedule.constant(1.0, 0.5)),
+    ])
+    def test_vv_known_too_small_is_noted(self, model, alpha, schedule):
+        for distance in (stein.KOLMOGOROV, stein.WASSERSTEIN):
+            rep = analytic.bound_point(model, YouParams(alpha), schedule, distance, 1000)
+            assert analytic.VV_TOO_SMALL_NOTE in rep.notes
+            assert "vv leading-order" in rep.notes
+
+    @pytest.mark.parametrize("model,alpha,schedule", [
+        ("YOU", 0.5, None),
+        ("YOU", 0.6, None),
+        ("YOU", 0.75, None),
+        ("YOU", 0.75 + 1e-10, None),
+        ("YOUj", 1.0, JumpSchedule.constant(0.5, 1.0)),
+        ("YOUj", 2.0, JumpSchedule.constant(0.999, 1.0)),
+        ("YOUj", 0.6, JumpSchedule.constant(0.1, 1.0)),
+    ])
+    def test_vv_not_known_too_small_is_not_noted(self, model, alpha, schedule):
+        rep = analytic.bound_point(model, YouParams(alpha), schedule, stein.KOLMOGOROV, 1000)
+        assert analytic.VV_TOO_SMALL_NOTE not in rep.notes
+
     def test_distance_validation(self):
         with pytest.raises(ValueError):
             analytic.bound_point("YOU", YouParams(1.0), None, "hellinger", 100)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from youbounds import cli, harness, trees
-from youbounds.analytic import UNSUPPORTED_REGIME_MSG
+from youbounds.analytic import UNSUPPORTED_REGIME_MSG, JumpSchedule, YouParams
 
 
 def _write(path, text):
@@ -332,9 +332,43 @@ dump_tree = {dump_path}
         doc = json.loads(json_path.read_text(encoding="utf-8"))
         assert doc["n"] == 12
         assert csv_path.read_text(encoding="utf-8").startswith("quantity,")
-        rng = harness.replicate_rng(5, 0)
-        expected = trees.dump_tree(trees.sample_tree(12, rng))
+        # replicate 0 is row 0 of block 0's draws
+        uniforms, splits = trees.draw_tree(12, harness.replicate_rng(5, 0),
+                                           harness._block_size(12))
+        expected = trees.dump_tree(trees.yule_tree(uniforms[:1], splits[:1]))
         assert dump_path.read_text(encoding="utf-8") == expected
+
+    @pytest.mark.parametrize("jump_flags", [[], ["--model", "YOUj", "--p", "0.5",
+                                                  "--sigma-c2", "1"]])
+    def test_dump_tree_is_the_engines_replicate_zero(self, tmp_path, jump_flags):
+        # rebuild the tree from the dump alone and compare it with the
+        # engine's oracle columns of replicate 0
+        dump_path = tmp_path / "tree.txt"
+        argv = ["simulate", "--n", "40", "--alpha", "1.0", "--x0", "0.5",
+                "--replicates", "30", "--seed", "17", "--json", str(tmp_path / "run.json"),
+                "--dump-tree", str(dump_path)] + jump_flags
+        assert cli.main(argv) == 0
+        rows = [line.split("\t") for line in dump_path.read_text(encoding="utf-8").splitlines()]
+        times = np.array([float(row[1]) for row in rows])
+        splits = np.array([[int(row[2]) - 1 for row in rows[:-1]]])
+        block = trees.TreeBlock(times=times[None], daughter_counts=trees.daughter_counts(splits),
+                                coalescence_ages=np.cumsum(times[:0:-1])[None, ::-1],
+                                heights=np.array([math.fsum(times)]))
+        config = harness.ExperimentConfig(
+            model="YOUj" if jump_flags else "YOU", n=40,
+            params=YouParams(alpha=1.0, x0=0.5),
+            schedule=JumpSchedule.constant(0.5, 1.0) if jump_flags else JumpSchedule.none(),
+            replicates=30, seed=17)
+        oracle = harness.run_replicates(config, collect_oracle=True).oracle
+        assert oracle["exp_height_1"][0] == pytest.approx(math.exp(-block.heights[0]),
+                                                          rel=1e-14, abs=0.0)
+        assert oracle["pair_1"][0] == pytest.approx(
+            trees.block_pair_mean_exp(block, 1.0)[0], rel=1e-14, abs=0.0)
+        if jump_flags:
+            flags = np.array([[[c == "1" for c in row[3]] for row in rows[:-1]]])
+            single, pair = trees.block_jump_exposure_sums(block, flags, 1.0)
+            assert oracle["jump_single"][0] == pytest.approx(single[0], rel=1e-14, abs=0.0)
+            assert oracle["jump_pair"][0] == pytest.approx(pair[0], rel=1e-14, abs=0.0)
 
     def test_slow_rate_runs_without_sandwich(self, tmp_path):
         path = tmp_path / "run.json"

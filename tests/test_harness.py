@@ -103,40 +103,49 @@ class TestReplicateStreams:
         ("YOUj", JumpSchedule.per_event([(0.1 * (k % 10), 0.5 + k % 3) for k in range(36)])),
     ])
     def test_blocks_match_per_tree_path(self, model, schedule):
-        # replicate i of the block engine is the single-tree API driven by
-        # replicate_rng(seed, i); R is not a multiple of the block size
+        # replicate i of the engine is the single-tree API applied to row
+        # i mod B of block i // B, whose stream is replayed in its documented
+        # order; R is not a multiple of the block size
         n = 37
         params = YouParams(alpha=0.8, sigma_a2=1.2, x0=0.6)
-        r = harness._block_size(n) + 17
+        b = harness._block_size(n)
+        r = b + 17
         config = ExperimentConfig(model=model, n=n, params=params, schedule=schedule,
                                   replicates=r, seed=SEED)
         data = harness.run_replicates(config, collect_oracle=True)
-        for i in range(r):
-            rng = harness.replicate_rng(SEED, i)
-            tree = trees.sample_tree(n, rng)
-            jumps = trees.sample_jumps(tree, schedule, rng) if model == "YOUj" else None
-            if jumps is None:
-                m = trees.conditional_moments_you(tree, params)
-            else:
-                m = trees.conditional_moments_youj(tree, jumps, params)
-            expected = {
-                "cond_mean": (data.cond_mean, m.cond_mean),
-                "cond_var": (data.cond_var, m.cond_var),
-                "exp_height_1": (data.oracle["exp_height_1"], math.exp(-tree.height)),
-                "exp_height_2a": (data.oracle["exp_height_2a"],
-                                  math.exp(-2.0 * params.alpha * tree.height)),
-                "pair_1": (data.oracle["pair_1"], trees.pair_mean_exp(tree, 1.0)),
-                "pair_2a": (data.oracle["pair_2a"],
-                            trees.pair_mean_exp(tree, 2.0 * params.alpha)),
-            }
-            if jumps is not None:
-                single, pair = trees.jump_exposure_sums(tree, jumps, params.alpha)
-                expected["jump_single"] = (data.oracle["jump_single"], single)
-                expected["jump_pair"] = (data.oracle["jump_pair"], pair)
-            for key, (column, value) in expected.items():
-                assert column[i] == pytest.approx(value, rel=1e-14, abs=0.0), (key, i)
-            ybar = trees.sample_ybar(tree, params, rng, jumps)
-            assert abs(data.ybar[i] - ybar) <= 1e-14, i
+        ps, variances = trees.jump_event_arrays(schedule, n) if model == "YOUj" else (None, None)
+        for block in range(-(-r // b)):
+            rng = harness.replicate_rng(SEED, block)
+            uniforms, splits = trees.draw_tree(n, rng, b)
+            flags = rng.random((b, n - 1, 2)) < ps[:, None] if model == "YOUj" else None
+            for row in range(min(b, r - block * b)):
+                i = block * b + row
+                tree = trees.yule_tree(uniforms[row:row + 1], splits[row:row + 1])
+                if flags is None:
+                    jumps = None
+                    m = trees.conditional_moments_you(tree, params)
+                else:
+                    jumps = trees.JumpRealization(flags=flags[row], variances=variances)
+                    m = trees.conditional_moments_youj(tree, jumps, params)
+                expected = {
+                    "cond_mean": (data.cond_mean, m.cond_mean),
+                    "cond_var": (data.cond_var, m.cond_var),
+                    "exp_height_1": (data.oracle["exp_height_1"], math.exp(-tree.height)),
+                    "exp_height_2a": (data.oracle["exp_height_2a"],
+                                      math.exp(-2.0 * params.alpha * tree.height)),
+                    "pair_1": (data.oracle["pair_1"], trees.pair_mean_exp(tree, 1.0)),
+                    "pair_2a": (data.oracle["pair_2a"],
+                                trees.pair_mean_exp(tree, 2.0 * params.alpha)),
+                }
+                if jumps is not None:
+                    single, pair = trees.jump_exposure_sums(tree, jumps, params.alpha)
+                    expected["jump_single"] = (data.oracle["jump_single"], single)
+                    expected["jump_pair"] = (data.oracle["jump_pair"], pair)
+                for key, (column, value) in expected.items():
+                    assert column[i] == pytest.approx(value, rel=1e-14, abs=0.0), (key, i)
+                # the block's normals follow its jump uniforms, one per row
+                ybar = rng.normal(m.cond_mean, math.sqrt(m.cond_var))
+                assert abs(data.ybar[i] - ybar) <= 1e-14, i
 
     def test_worker_splits_align_to_blocks(self):
         n = 200
@@ -154,6 +163,24 @@ class TestReplicateStreams:
             for key, column in base.oracle.items():
                 assert np.array_equal(column, split.oracle[key])
 
+    @pytest.mark.parametrize("workers", [1, 2, 3, 4])
+    def test_first_replicates_are_a_shorter_run(self, workers):
+        # the last block draws B full rows, so a replicate depends only on
+        # the seed, its index and n
+        n = 200
+        b = harness._block_size(n)
+        kwargs = dict(model="YOUj", n=n, params=YouParams(alpha=1.0, x0=0.7),
+                      schedule=JumpSchedule.constant(0.5, 1.0), seed=SEED)
+        full = harness.run_replicates(ExperimentConfig(replicates=3 * b + 5, **kwargs),
+                                      collect_oracle=True)
+        short = harness.run_replicates(
+            ExperimentConfig(replicates=b + 2, workers=workers, **kwargs), collect_oracle=True)
+        assert np.array_equal(short.cond_mean, full.cond_mean[:b + 2])
+        assert np.array_equal(short.cond_var, full.cond_var[:b + 2])
+        assert np.array_equal(short.ybar, full.ybar[:b + 2])
+        for key, column in short.oracle.items():
+            assert np.array_equal(column, full.oracle[key][:b + 2])
+
     def test_oracle_keys_by_model(self):
         you = harness.run_replicates(_you_config(n=5, replicates=4),
                                      collect_oracle=True)
@@ -170,6 +197,33 @@ class TestReplicateStreams:
     def test_no_oracle_columns_by_default(self):
         data = harness.run_replicates(_you_config(n=5, replicates=4))
         assert data.oracle is None
+
+
+class TestTipAverageDraws:
+    def test_inactive_jumps_leave_the_moments_unchanged(self):
+        # the jump model draws the same trees first; with p = 0 no slot
+        # jumps, so its conditional moments are the jump-free ones
+        kwargs = dict(n=30, params=YouParams(alpha=1.0, x0=0.5), replicates=100, seed=SEED)
+        you = harness.run_replicates(ExperimentConfig(model="YOU", schedule=JumpSchedule.none(),
+                                                      **kwargs))
+        config = ExperimentConfig(model="YOUj", schedule=JumpSchedule.constant(0.0, 2.0),
+                                  **kwargs)
+        youj = harness.run_replicates(config)
+        assert np.array_equal(you.cond_mean, youj.cond_mean)
+        assert np.array_equal(you.cond_var, youj.cond_var)
+        assert np.array_equal(youj.ybar, harness.run_replicates(config).ybar)
+
+    def test_standardized_draws_are_standard_normal(self):
+        # ybar = cond_mean + sqrt(cond_var) z on the block arrays: given its
+        # tree, each draw standardizes to a standard normal
+        r = 1_000_000
+        params = YouParams(alpha=0.8, x0=0.9)
+        config = ExperimentConfig(model="YOU", n=10, params=params,
+                                  schedule=JumpSchedule.none(), replicates=r, seed=29)
+        data = harness.run_replicates(config)
+        z = (data.ybar - data.cond_mean) / np.sqrt(data.cond_var)
+        assert abs(z.mean()) <= 4.0 * math.sqrt(1.0 / r)
+        assert abs(z.var(ddof=1) - 1.0) <= 4.0 * math.sqrt(2.0 / (r - 1))
 
 
 class TestMomentEstimates:
@@ -431,11 +485,26 @@ class TestDwSamplingBias:
         se = dws.std(ddof=1) / math.sqrt(len(dws))
         assert abs(dws.mean() - harness._dw_sampling_bias(1000)) <= 4.0 * se
 
+    @staticmethod
+    def _fixed_sample(config: ExperimentConfig) -> harness.ReplicateData:
+        # a fixed sample that no change of the engine's streams can move:
+        # replicate i drawn from its own stream (seed, i), one tree and then
+        # one normal, as the engine drew them before its streams were per
+        # block
+        columns = np.empty((3, config.replicates))
+        for i in range(config.replicates):
+            ss = np.random.SeedSequence(entropy=config.seed, spawn_key=(i,))
+            rng = np.random.Generator(np.random.PCG64(ss))
+            m = trees.conditional_moments_you(trees.sample_tree(config.n, rng), config.params)
+            columns[:, i] = m.cond_mean, m.cond_var, rng.normal(m.cond_mean,
+                                                                 math.sqrt(m.cond_var))
+        return harness.ReplicateData(*columns)
+
     def _sandwich(self, shift: float) -> harness.SandwichReport:
         config = ExperimentConfig(model="YOU", n=5000,
                                   params=YouParams(alpha=1.0, x0=1.0 / math.sqrt(2.0)),
                                   schedule=JumpSchedule.none(), replicates=1000, seed=11)
-        data = harness.run_replicates(config)
+        data = self._fixed_sample(config)
         sd = math.sqrt(analytic.var_ybar_you(config.n, config.params))
         data.ybar = data.ybar + shift * sd
         return harness.run_sandwich(config, data)

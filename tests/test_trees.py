@@ -19,12 +19,11 @@ from youbounds.analytic import JumpSchedule, YouParams
 from youbounds.trees import JumpRealization, YuleTree
 
 R_TREES = 100_000
-R_YBAR = 1_000_000
 
 
 class _StubRNG:
     """Deterministic stand-in for a Generator: hands out queued uniform
-    blocks and one fixed integer block."""
+    blocks and one fixed integer block, each in the shape asked for."""
 
     def __init__(self, blocks, ints=()):
         self._blocks = [np.asarray(b, dtype=np.float64) for b in blocks]
@@ -32,11 +31,12 @@ class _StubRNG:
 
     def random(self, size=None):
         block = self._blocks.pop(0)
-        assert block.size == size
-        return block.copy()
+        assert block.size == np.prod(size)
+        return block.reshape(size).copy()
 
-    def integers(self, low, high, dtype=None):
-        return self._ints.copy()
+    def integers(self, low, high, size=None, dtype=None):
+        assert self._ints.size == np.prod(size)
+        return self._ints.reshape(size).copy()
 
 
 def _two_tip_tree(t1: float, t2: float) -> YuleTree:
@@ -166,6 +166,13 @@ class TestSampleTree:
         assert tree.times[2] == -math.log1p(-0.25) / 3.0
         assert np.all(tree.times > 0.0)
 
+    def test_zero_uniforms_of_a_block_are_redrawn_in_row_order(self):
+        rng = _StubRNG(blocks=[[0.5, 0.0, 0.25, 0.0, 0.125, 0.375], [0.75, 0.625]],
+                       ints=[0, 1, 0, 0])
+        u, splits = trees.draw_tree(3, rng, 2)
+        assert u.tolist() == [[0.5, 0.75, 0.25], [0.625, 0.125, 0.375]]
+        assert splits.tolist() == [[0, 1], [0, 0]]
+
     def test_caterpillar_counts(self):
         # Splitting the newest lineage every time nests the clades, so the
         # daughter counts walk down (1, n-1), (1, n-2), ..., (1, 1).
@@ -193,6 +200,33 @@ class TestSampleTree:
         for x in (1.0, 2.0):
             _assert_within_4se(np.exp(-x * stats_single_edge), 1.0 / (1.0 + x))
         _assert_within_4se(stats_single_edge, 1.0)
+
+
+class TestDrawTree:
+    @pytest.mark.parametrize("n", [1, 2, 3, 37, 200])
+    def test_one_row_is_the_single_tree_stream(self, n):
+        # the per-tree draws in their documented order: n uniforms (zeros
+        # redrawn), then the n-1 splits, one integer draw per event
+        for seed in range(5):
+            rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
+            u, splits = trees.draw_tree(n, rng, 1)
+            expected_u, expected_splits = oracles.single_tree_draws(n, replay)
+            assert u.shape == (1, n) and splits.shape == (1, n - 1)
+            assert np.array_equal(u[0], expected_u)
+            assert np.array_equal(splits[0], expected_splits)
+            assert rng.random() == replay.random()
+            tree = trees.sample_tree(n, np.random.default_rng(seed))
+            assert np.array_equal(tree.times, -np.log1p(-expected_u) / np.arange(1, n + 1))
+            assert np.array_equal(tree.splits, expected_splits)
+
+    def test_rows_follow_one_stream(self):
+        rng = np.random.default_rng(40)
+        u, splits = trees.draw_tree(6, rng, 4)
+        replay = np.random.default_rng(40)
+        assert np.array_equal(u, replay.random((4, 6)))
+        for row in splits:
+            assert np.array_equal(row, replay.integers(0, np.arange(1, 6)))
+        assert np.all(splits < np.arange(1, 6))
 
 
 class TestDaughterCountKernel:
@@ -462,45 +496,6 @@ class TestJumpExposureSums:
                            analytic.jump_single_lineage_mean(50, 1.0, 0.5))
         _assert_within_4se(stats_50["pair_sum"],
                            analytic.jump_pair_shared_mean(50, 1.0, 0.5))
-
-
-class TestSampleYbar:
-    def test_deterministic_and_jump_free_aliases(self):
-        tree = trees.sample_tree(8, np.random.default_rng(24))
-        params = YouParams(alpha=1.0, x0=0.5)
-        off = JumpRealization(flags=np.zeros((7, 2), dtype=bool),
-                              variances=np.zeros(7))
-        a = [trees.sample_ybar(tree, params, np.random.default_rng(25))
-             for _ in range(5)]
-        b = [trees.sample_ybar(tree, params, np.random.default_rng(25))
-             for _ in range(5)]
-        assert a == b
-        rng1 = np.random.default_rng(26)
-        rng2 = np.random.default_rng(26)
-        for _ in range(5):
-            assert trees.sample_ybar(tree, params, rng1) == \
-                trees.sample_ybar(tree, params, rng2, jumps=off)
-
-    def test_tiny_variance_collapses_to_mean(self):
-        tree = _two_tip_tree(1e-9, 1e-9)
-        params = YouParams(alpha=1.0, x0=2.0)
-        m = trees.conditional_moments_you(tree, params)
-        draw = trees.sample_ybar(tree, params, np.random.default_rng(27))
-        assert m.cond_var < 1e-8
-        assert draw == pytest.approx(m.cond_mean, abs=1e-3)
-
-    def test_mc_moments_on_fixed_tree(self):
-        tree = trees.sample_tree(10, np.random.default_rng(28))
-        params = YouParams(alpha=0.8, x0=0.9)
-        m = trees.conditional_moments_you(tree, params)
-        rng = np.random.default_rng(29)
-        draws = np.fromiter(
-            (trees.sample_ybar(tree, params, rng) for _ in range(R_YBAR)),
-            dtype=np.float64, count=R_YBAR)
-        mean_se = math.sqrt(m.cond_var / R_YBAR)
-        assert abs(draws.mean() - m.cond_mean) <= 4.0 * mean_se
-        var_se = m.cond_var * math.sqrt(2.0 / (R_YBAR - 1))
-        assert abs(draws.var(ddof=1) - m.cond_var) <= 4.0 * var_se
 
 
 class TestDumpTree:
