@@ -220,17 +220,6 @@ def var_cond_mean_exact(n: int, params: YouParams) -> float:
     return d * d * laplace_height_variance(n, params.alpha)
 
 
-def var_cond_mean_asymptotic(n: int, params: YouParams) -> float:
-    """Leading-order variant of var_cond_mean_exact:
-    delta^2 (Gamma(2 alpha + 1) - Gamma(alpha + 1)^2) n^(-2 alpha)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    a = params.alpha
-    d = params.delta
-    constant = math.gamma(2.0 * a + 1.0) - math.gamma(a + 1.0) ** 2
-    return d * d * constant * float(n) ** (-2.0 * a)
-
-
 def _vv_you_constant(alpha: float, regime: Regime) -> tuple[float, float, int]:
     """(constant, n exponent, log exponent) of the leading conditional-
     variance-spread term for the jump-free model."""

@@ -332,13 +332,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if "dump_tree" in settings:
         # replicate 0 of the run: row 0 of block 0's draws
         draws = harness.draw_block(config, 0)
-        tree = trees.yule_tree(draws.uniforms[:1], draws.splits[:1])
-        jumps = None
-        if draws.flags is not None:
-            variances = trees.jump_event_arrays(schedule, n)[1]
-            jumps = trees.JumpRealization(flags=draws.flags[0], variances=variances)
         with open(settings["dump_tree"], "w", encoding="utf-8") as fh:
-            fh.write(trees.dump_tree(tree, jumps))
+            fh.write(trees.dump_tree(draws.tree, draws.flags))
 
     note = None
     if schedule.kind == "per_event":

@@ -132,12 +132,11 @@ def replicate_rng(seed: int, block: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class BlockDraws:
-    """Every draw of one block of B replicates, row i for the block's i-th
-    replicate: period uniforms (B, n), splits (B, n-1), jump flags
-    (B, n-1, 2) (None for the jump-free model) and standard normals (B,)."""
+    """One block of B replicates, row i for the block's i-th replicate: the
+    trees, the jump flags (B, n-1, 2) (None for the jump-free model) and the
+    standard normals (B,)."""
 
-    uniforms: np.ndarray
-    splits: np.ndarray
+    tree: trees.TreeBlock
     flags: np.ndarray | None
     normals: np.ndarray
 
@@ -145,20 +144,20 @@ class BlockDraws:
 def draw_block(config: ExperimentConfig, block: int,
                jump_ps: np.ndarray | None = None) -> BlockDraws:
     """The draws of block `block` of a run, as whole arrays from the block's
-    stream, in stream order: uniforms (zeros redrawn), splits, for the jump
-    model the jump uniforms (compared with the per-event probabilities
-    jump_ps), then the normals. A block always draws B full rows, so a
-    replicate's draws depend only on the seed, its index and n."""
+    stream, in stream order: the trees (uniforms with zeros redrawn, then
+    splits), for the jump model the jump flags (with the per-event
+    probabilities jump_ps), then the normals. A block always draws B full
+    rows, so a replicate's draws depend only on the seed, its index and n."""
     n = config.n
     rows = _block_size(n)
     rng = replicate_rng(config.seed, block)
-    uniforms, splits = trees.draw_tree(n, rng, rows)
+    tree = trees.sample_tree(n, rng, rows)
     flags = None
     if config.model == MODEL_YOUJ:
         if jump_ps is None:
             jump_ps = trees.jump_event_arrays(config.schedule, n)[0]
-        flags = rng.random((rows, n - 1, 2)) < jump_ps[:, None]
-    return BlockDraws(uniforms, splits, flags, rng.standard_normal(rows))
+        flags = trees.sample_jumps(jump_ps, rng, rows)
+    return BlockDraws(tree, flags, rng.standard_normal(rows))
 
 
 def _oracle_keys(config: ExperimentConfig) -> list[str]:
@@ -179,22 +178,21 @@ def _run_block(config: ExperimentConfig, index: int, size: int, jump_arrays,
     params = config.params
     ps, variances = jump_arrays if jump_arrays is not None else (None, None)
     draws = draw_block(config, index, ps)
-    block = trees.tree_block(draws.uniforms[:size], draws.splits[:size])
-    cond_mean, cond_var = trees.block_moments_you(block, params)
-    if draws.flags is not None:
-        flags = draws.flags[:size]
-        cond_var = cond_var + trees.block_jump_variance(block, flags, variances, params)
+    block, flags = draws.tree, draws.flags
+    if flags is None:
+        cond_mean, cond_var = trees.conditional_moments_you(block, params)
+    else:
+        cond_mean, cond_var = trees.conditional_moments_youj(block, flags, variances, params)
     # bit-for-bit what normal(cond_mean, sqrt(cond_var)) would draw
-    ybar = cond_mean + np.sqrt(cond_var) * draws.normals[:size]
+    ybar = cond_mean + np.sqrt(cond_var) * draws.normals
     columns = [cond_mean, cond_var, ybar]
     if collect_oracle:
         two_alpha = 2.0 * params.alpha
         columns += [np.exp(-block.heights), np.exp(-two_alpha * block.heights),
-                    trees.block_pair_mean_exp(block, 1.0),
-                    trees.block_pair_mean_exp(block, two_alpha)]
-        if draws.flags is not None:
-            columns += trees.block_jump_exposure_sums(block, flags, params.alpha)
-    return columns
+                    trees.pair_mean_exp(block, 1.0), trees.pair_mean_exp(block, two_alpha)]
+        if flags is not None:
+            columns += trees.jump_exposure_sums(block, flags, params.alpha)
+    return [column[:size] for column in columns]
 
 
 def _run_chunk(args) -> list[np.ndarray]:

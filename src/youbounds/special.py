@@ -24,13 +24,6 @@ _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def log_gamma(x: float) -> float:
-    """Natural log of the gamma function for x > 0."""
-    if x <= 0.0:
-        raise ValueError(f"log_gamma requires x > 0, got {x}")
-    return math.lgamma(x)
-
-
 def pochhammer_ratio(n: int, x: float) -> float:
     """The factorial-over-rising-factorial ratio n! / ((x+1)(x+2)...(x+n)).
 
@@ -50,7 +43,7 @@ def pochhammer_ratio(n: int, x: float) -> float:
         for k in range(1, n + 1):
             out *= k / (k + x)
         return out
-    return math.exp(log_gamma(n + 1.0) + log_gamma(x + 1.0) - log_gamma(n + x + 1.0))
+    return math.exp(math.lgamma(n + 1.0) + math.lgamma(x + 1.0) - math.lgamma(n + x + 1.0))
 
 
 def harmonic(n: int) -> float:

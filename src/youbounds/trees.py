@@ -7,14 +7,12 @@ is enough to answer every aggregate query the bounds need: tree height, the
 per-event daughter tip counts, and the age of each event measured back from
 the present.
 
-Every quantity is computed by a block kernel: arrays whose leading axis runs
-over B trees with the same tip count (a `TreeBlock`), with no Python loop over
-trees or events (only over the levels of the slot tree below). The draws
-come from one routine, `draw_tree`, which makes a block's tree draws as
-whole arrays; the Monte Carlo harness calls it once per block. The
-single-tree API (`sample_tree`, `pair_mean_exp`,
-`conditional_moments_you`, `conditional_moments_youj`, `jump_exposure_sums`)
-is the same draws and kernels with B = 1.
+There is one API, and it works on blocks: arrays whose leading axis runs
+over B trees with the same tip count (a `TreeBlock`), with no Python loop
+over trees or events (only over the levels of the slot tree below).
+`sample_tree` draws and builds a block, `sample_jumps` draws its jump flags,
+and each conditional quantity has one kernel. The Monte Carlo harness calls
+them once per block of replicates; a single tree is a block with B = 1.
 
 Daughter counts come from the slot tree. Event k keeps the split lineage in
 its slot splits[k-1] and puts the new lineage in slot k, so slot k hangs below
@@ -38,38 +36,21 @@ from .analytic import JumpSchedule, YouParams
 
 
 @dataclass(frozen=True)
-class YuleTree:
-    """Event-indexed pure-birth tree.
+class TreeBlock:
+    """B event-indexed pure-birth trees with n tips each, row b for tree b.
 
-    times[k-1] is the duration of the period with k alive lineages; the tree
-    height is the full sum (the final period, with n lineages, counts).
-    splits[k-1] is the 0-based index, among the k alive lineages, of the one
-    that split at event k. daughter_counts[k-1] holds the number of tips that
-    descend through each of event k's two daughter edges, and
-    coalescence_ages[k-1] the time from the present back to event k.
+    times[b, k-1] is the duration of the period with k alive lineages; the
+    height heights[b] is the full sum (the final period, with n lineages,
+    counts). splits[b, k-1] is the 0-based index, among the k alive
+    lineages, of the one that split at event k. daughter_counts[b, k-1]
+    holds the number of tips that descend through each of event k's two
+    daughter edges, and coalescence_ages[b, k-1] the time from the present
+    back to event k. Shapes: times (B, n), splits and coalescence_ages
+    (B, n-1), daughter_counts (B, n-1, 2), heights (B,).
     """
 
     times: np.ndarray
     splits: np.ndarray
-    daughter_counts: np.ndarray
-    coalescence_ages: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.times)
-
-    @property
-    def height(self) -> float:
-        return float(np.sum(self.times))
-
-
-@dataclass(frozen=True)
-class TreeBlock:
-    """B trees with n tips each: the YuleTree arrays stacked along a leading
-    axis (times (B, n), daughter_counts (B, n-1, 2), coalescence_ages
-    (B, n-1)), plus the heights (B,)."""
-
-    times: np.ndarray
     daughter_counts: np.ndarray
     coalescence_ages: np.ndarray
     heights: np.ndarray
@@ -123,61 +104,52 @@ def daughter_counts(splits: np.ndarray) -> np.ndarray:
     return counts.reshape(b, m, 2)
 
 
-def tree_block(uniforms: np.ndarray, splits: np.ndarray) -> TreeBlock:
-    """Build B trees from their period uniforms (B, n) and splits (B, n-1).
+def sample_tree(n: int, rng: np.random.Generator, rows: int = 1) -> TreeBlock:
+    """Sample `rows` n-tip pure-birth trees as one block.
 
-    The k-th period is the inverse-CDF Exp(k) duration -log1p(-u)/k; event
-    ages are the reverse cumulative sums of the later periods.
+    The draws, in stream order: the (rows, n) period uniforms (re-drawing
+    the measure-zero u = 0 cases, in row-major order, so every duration is
+    strictly positive), then the (rows, n-1) splitting lineages, uniform over
+    the k alive at event k. The k-th period is the inverse-CDF Exp(k)
+    duration -log1p(-u)/k; event ages are the reverse cumulative sums of the
+    later periods.
     """
-    n = uniforms.shape[1]
-    times = np.negative(uniforms)
-    np.log1p(times, out=times)
-    times /= -np.arange(1, n + 1, dtype=np.float64)
-    ages = np.cumsum(times[:, :0:-1], axis=1)[:, ::-1]
-    return TreeBlock(times=times, daughter_counts=daughter_counts(splits),
-                     coalescence_ages=ages, heights=times.sum(axis=1))
-
-
-def draw_tree(n: int, rng: np.random.Generator, rows: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """The draws of `rows` n-tip trees, in stream order: the (rows, n) period
-    uniforms (re-drawing the measure-zero u = 0 cases, in row-major order,
-    so every duration is strictly positive), then the (rows, n-1) splitting
-    lineages, uniform over the k alive at event k. With one row this is the
-    stream of a single tree."""
+    if n < 1 or int(n) != n:
+        raise ValueError(f"sample_tree requires an integer n >= 1, got {n}")
+    n = int(n)
     u = rng.random((rows, n))
     while not u.all():
         zero = u == 0.0
         u[zero] = rng.random(int(zero.sum()))
     splits = rng.integers(0, np.arange(1, n), size=(rows, n - 1), dtype=np.int64)
-    return u, splits
+    times = np.negative(u)
+    np.log1p(times, out=times)
+    times /= -np.arange(1, n + 1, dtype=np.float64)
+    ages = np.cumsum(times[:, :0:-1], axis=1)[:, ::-1]
+    return TreeBlock(times=times, splits=splits, daughter_counts=daughter_counts(splits),
+                     coalescence_ages=ages, heights=times.sum(axis=1))
 
 
-def _as_block(tree: YuleTree) -> TreeBlock:
-    return TreeBlock(times=tree.times[None], daughter_counts=tree.daughter_counts[None],
-                     coalescence_ages=tree.coalescence_ages[None],
-                     heights=np.array([tree.height]))
+def jump_event_arrays(schedule: JumpSchedule, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The schedule's jump probabilities and jump variances for events
+    1..n-1, as two arrays. A schedule that does not cover all n-1 events is
+    a configuration error."""
+    ps, variances = np.array(schedule.event_params(n), dtype=np.float64).reshape(n - 1, 2).T
+    return ps, variances
 
 
-def sample_tree(n: int, rng: np.random.Generator) -> YuleTree:
-    """Sample an n-tip pure-birth tree (the draws of `draw_tree`)."""
-    if n < 1 or int(n) != n:
-        raise ValueError(f"sample_tree requires an integer n >= 1, got {n}")
-    return yule_tree(*draw_tree(int(n), rng))
+def sample_jumps(jump_ps: np.ndarray, rng: np.random.Generator, rows: int = 1) -> np.ndarray:
+    """Jump flags of `rows` trees, (rows, n-1, 2): an independent Bernoulli
+    draw for each of the two daughter slots of every event, with the
+    per-event probabilities jump_ps (n-1,).
+
+    Always consumes exactly 2(n-1) uniforms per row, so downstream draws stay
+    aligned across schedules.
+    """
+    return rng.random((rows, len(jump_ps), 2)) < jump_ps[:, None]
 
 
-def yule_tree(uniforms: np.ndarray, splits: np.ndarray) -> YuleTree:
-    """The read-only YuleTree of one row of draws: uniforms (1, n) and
-    splits (1, n-1)."""
-    block = tree_block(uniforms, splits)
-    tree = YuleTree(times=block.times[0], splits=splits[0],
-                    daughter_counts=block.daughter_counts[0],
-                    coalescence_ages=np.ascontiguousarray(block.coalescence_ages[0]))
-    for arr in (tree.times, tree.splits, tree.daughter_counts, tree.coalescence_ages):
-        arr.setflags(write=False)
-    return tree
-
-
-def block_pair_mean_exp(block: TreeBlock, y: float) -> np.ndarray:
+def pair_mean_exp(block: TreeBlock, y: float) -> np.ndarray:
     """Per tree, the average of exp(-y * coalescence time) over all tip pairs.
 
     Pairs whose most recent common ancestor is event k contribute with the
@@ -185,29 +157,16 @@ def block_pair_mean_exp(block: TreeBlock, y: float) -> np.ndarray:
     one sum over events.
     """
     n = block.n
+    if n < 2:
+        raise ValueError(f"pair_mean_exp requires n >= 2, got {n}")
     counts = block.daughter_counts
     pairs = counts[..., 0] * counts[..., 1]
     weighted = pairs * np.exp(-y * block.coalescence_ages)
     return weighted.sum(axis=1) / (n * (n - 1) / 2.0)
 
 
-def pair_mean_exp(tree: YuleTree, y: float) -> float:
-    """Average of exp(-y * coalescence time) over all tip pairs of the tree."""
-    if tree.n < 2:
-        raise ValueError(f"pair_mean_exp requires n >= 2, got {tree.n}")
-    return float(block_pair_mean_exp(_as_block(tree), y)[0])
-
-
-@dataclass(frozen=True)
-class ConditionalMoments:
-    """Exact mean and variance of the normalized tip average given the tree
-    (and, for the jump model, given the jump placements)."""
-
-    cond_mean: float
-    cond_var: float
-
-
-def block_moments_you(block: TreeBlock, params: YouParams) -> tuple[np.ndarray, np.ndarray]:
+def conditional_moments_you(block: TreeBlock,
+                            params: YouParams) -> tuple[np.ndarray, np.ndarray]:
     """Per-tree conditional mean and variance for the jump-free model.
 
     mean: delta * exp(-alpha * height). variance: 1/n + (1 - 1/n) * pair
@@ -219,79 +178,33 @@ def block_moments_you(block: TreeBlock, params: YouParams) -> tuple[np.ndarray, 
     a = params.alpha
     cond_mean = params.delta * np.exp(-a * block.heights)
     tip_term = np.exp(-2.0 * a * block.heights)
-    pair = block_pair_mean_exp(block, 2.0 * a) if n > 1 else 0.0
+    pair = pair_mean_exp(block, 2.0 * a) if n > 1 else 0.0
     cond_var = 1.0 / n + (1.0 - 1.0 / n) * pair - tip_term
     return cond_mean, cond_var
 
 
-def conditional_moments_you(tree: YuleTree, params: YouParams) -> ConditionalMoments:
-    """Conditional moments for the jump-free model (see block_moments_you)."""
-    cond_mean, cond_var = block_moments_you(_as_block(tree), params)
-    return ConditionalMoments(float(cond_mean[0]), float(cond_var[0]))
-
-
-@dataclass(frozen=True)
-class JumpRealization:
-    """Jump placements for one tree: a boolean flag per daughter slot (two
-    per speciation event) and the jump variance attached to each event."""
-
-    flags: np.ndarray
-    variances: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.flags.shape != (len(self.variances), 2):
-            raise ValueError("flags must have shape (events, 2) matching variances")
-
-
-def jump_event_arrays(schedule: JumpSchedule, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The schedule's jump probabilities and jump variances for events
-    1..n-1, as two arrays. A schedule that does not cover all n-1 events is
-    a configuration error."""
-    ps, variances = np.array(schedule.event_params(n), dtype=np.float64).reshape(n - 1, 2).T
-    return ps, variances
-
-
-def sample_jumps(tree: YuleTree, schedule: JumpSchedule,
-                 rng: np.random.Generator) -> JumpRealization:
-    """Independent Bernoulli draws for every daughter slot of the tree.
-
-    Always consumes exactly 2(n-1) uniforms, so downstream draws stay aligned
-    across schedules with the same tree.
-    """
-    ps, variances = jump_event_arrays(schedule, tree.n)
-    flags = rng.random((tree.n - 1, 2)) < ps[:, None]
-    return JumpRealization(flags=flags, variances=variances)
-
-
-def block_jump_variance(block: TreeBlock, flags: np.ndarray, variances: np.ndarray,
-                        params: YouParams) -> np.ndarray:
-    """Per tree, what jumps add to the conditional variance; flags is
+def conditional_moments_youj(block: TreeBlock, flags: np.ndarray, variances: np.ndarray,
+                             params: YouParams) -> tuple[np.ndarray, np.ndarray]:
+    """Per-tree conditional mean and variance with jumps; flags is
     (B, n-1, 2) and variances (n-1,).
 
-    Jumps are mean zero, so the conditional mean is unchanged. Each jumping
-    daughter slot adds (2 alpha / sigma_a2) sigma_c2 exp(-2 alpha age) d^2 /
-    n^2 to the conditional variance, d being the number of tips descending
-    through that slot (d^2 merges the d diagonal and d(d-1) off-diagonal
-    covariance entries the jump feeds).
+    Jumps are mean zero, so the conditional mean is the jump-free one. Each
+    jumping daughter slot adds (2 alpha / sigma_a2) sigma_c2 exp(-2 alpha
+    age) d^2 / n^2 to the conditional variance, d being the number of tips
+    descending through that slot (d^2 merges the d diagonal and d(d-1)
+    off-diagonal covariance entries the jump feeds).
     """
     n = block.n
+    cond_mean, cond_var = conditional_moments_you(block, params)
     counts = block.daughter_counts
     flagged = flags[..., 0] * counts[..., 0] ** 2 + flags[..., 1] * counts[..., 1] ** 2
     weight = variances * np.exp(-2.0 * params.alpha * block.coalescence_ages)
     slot_sum = (flagged * weight).sum(axis=1)
-    return (2.0 * params.alpha / params.sigma_a2) * slot_sum / (n * n)
+    return cond_mean, cond_var + (2.0 * params.alpha / params.sigma_a2) * slot_sum / (n * n)
 
 
-def conditional_moments_youj(tree: YuleTree, jumps: JumpRealization,
-                             params: YouParams) -> ConditionalMoments:
-    """Conditional moments with jumps (see block_jump_variance)."""
-    base = conditional_moments_you(tree, params)
-    add = block_jump_variance(_as_block(tree), jumps.flags[None], jumps.variances, params)
-    return ConditionalMoments(base.cond_mean, base.cond_var + float(add[0]))
-
-
-def block_jump_exposure_sums(block: TreeBlock, flags: np.ndarray,
-                             alpha: float) -> tuple[np.ndarray, np.ndarray]:
+def jump_exposure_sums(block: TreeBlock, flags: np.ndarray,
+                       alpha: float) -> tuple[np.ndarray, np.ndarray]:
     """Per-tree single-lineage and shared-pair jump exposure sums.
 
     single: sum over jumping slots of exp(-2 alpha age) d / n.
@@ -311,29 +224,25 @@ def block_jump_exposure_sums(block: TreeBlock, flags: np.ndarray,
     return single, pair
 
 
-def jump_exposure_sums(tree: YuleTree, jumps: JumpRealization,
-                       alpha: float) -> tuple[float, float]:
-    """Single-lineage and shared-pair jump exposure sums of one tree (see
-    block_jump_exposure_sums)."""
-    single, pair = block_jump_exposure_sums(_as_block(tree), jumps.flags[None], alpha)
-    return float(single[0]), float(pair[0])
-
-
-def dump_tree(tree: YuleTree, jumps: JumpRealization | None = None) -> str:
-    """Debug dump, one line per period: `index  duration  split  jumpflags`.
+def dump_tree(block: TreeBlock, flags: np.ndarray | None = None) -> str:
+    """Debug dump of the block's first tree, one line per period:
+    `index  duration  split  jumpflags`.
 
     Lines 1..n-1 describe speciation events (split is the 1-based index of
     the splitting lineage; jumpflags is a two-character 0/1 mask for the two
-    daughter slots, or `-` when no jump realization is given). Line n is the
-    final, eventless period and carries `-` placeholders.
+    daughter slots, from row 0 of the (B, n-1, 2) flags, or `-` when no
+    flags are given). Line n is the final, eventless period and carries `-`
+    placeholders.
     """
+    n = block.n
+    times, splits = block.times[0], block.splits[0]
     lines = []
-    for k in range(1, tree.n):
-        if jumps is None:
+    for k in range(1, n):
+        if flags is None:
             flag_text = "-"
         else:
-            f = jumps.flags[k - 1]
+            f = flags[0, k - 1]
             flag_text = f"{int(f[0])}{int(f[1])}"
-        lines.append(f"{k}\t{tree.times[k - 1]:.17g}\t{int(tree.splits[k - 1]) + 1}\t{flag_text}")
-    lines.append(f"{tree.n}\t{tree.times[-1]:.17g}\t-\t-")
+        lines.append(f"{k}\t{times[k - 1]:.17g}\t{int(splits[k - 1]) + 1}\t{flag_text}")
+    lines.append(f"{n}\t{times[-1]:.17g}\t-\t-")
     return "\n".join(lines) + "\n"

@@ -68,8 +68,7 @@ def criterion_1() -> CriterionResult:
         for n in range(1, 10_001):
             running *= n / (n + x)
             gamma_form = math.exp(
-                special.log_gamma(n + 1.0) + special.log_gamma(x + 1.0)
-                - special.log_gamma(n + x + 1.0))
+                math.lgamma(n + 1.0) + math.lgamma(x + 1.0) - math.lgamma(n + x + 1.0))
             shipped = special.pochhammer_ratio(n, x)
             worst = max(worst, abs(shipped - running) / running,
                         abs(shipped - gamma_form) / gamma_form)
@@ -88,14 +87,14 @@ def criterion_1() -> CriterionResult:
 # ---------------------------------------------------------------------------
 # criterion 2: brute-force oracles (independent set-based tree replay)
 
-def _replay_daughter_tip_sets(tree: trees.YuleTree) -> list[tuple[set[int], set[int]]]:
+def _replay_daughter_tip_sets(splits: np.ndarray) -> list[tuple[set[int], set[int]]]:
     """Per-event daughter tip-index sets, rebuilt from the raw split list
     with an explicit set union pass (independent of the count-based path)."""
-    n = tree.n
+    n = len(splits) + 1
     alive = [0] * n
     parent = [0] * (n - 1)
     for k in range(1, n):
-        j = int(tree.splits[k - 1])
+        j = int(splits[k - 1])
         parent[k - 1] = alive[j]
         alive[j] = 2 * k - 1
         alive[k] = 2 * k
@@ -105,44 +104,46 @@ def _replay_daughter_tip_sets(tree: trees.YuleTree) -> list[tuple[set[int], set[
     return [(sets[2 * k - 1], sets[2 * k]) for k in range(1, n)]
 
 
-def brute_pair_ages(tree: trees.YuleTree) -> np.ndarray:
-    """Dense matrix of pairwise coalescence ages, filled pair by pair."""
-    n = tree.n
+def brute_pair_ages(block: trees.TreeBlock) -> np.ndarray:
+    """Dense matrix of pairwise coalescence ages of the block's first tree,
+    filled pair by pair."""
+    n = block.n
     ages = np.full((n, n), np.nan)
     np.fill_diagonal(ages, 0.0)
-    for k, (left, right) in enumerate(_replay_daughter_tip_sets(tree)):
+    for k, (left, right) in enumerate(_replay_daughter_tip_sets(block.splits[0])):
         for a in left:
             for b in right:
-                ages[a, b] = ages[b, a] = tree.coalescence_ages[k]
+                ages[a, b] = ages[b, a] = block.coalescence_ages[0, k]
     if np.isnan(ages).any():
         raise AssertionError("some tip pair was never assigned a coalescence age")
     return ages
 
 
-def brute_pair_mean_exp(tree: trees.YuleTree, y: float) -> float:
-    ages = brute_pair_ages(tree)
-    n = tree.n
-    ix = np.triu_indices(n, k=1)
+def brute_pair_mean_exp(block: trees.TreeBlock, y: float) -> float:
+    ages = brute_pair_ages(block)
+    ix = np.triu_indices(block.n, k=1)
     return float(np.mean(np.exp(-y * ages[ix])))
 
 
-def brute_cond_var(tree: trees.YuleTree, params: YouParams,
-                   jumps: trees.JumpRealization | None = None) -> float:
-    """Conditional variance via the full covariance matrix of the normalized
-    tips: exp(-2 alpha age) - exp(-2 alpha height) off the diagonal,
-    1 - exp(-2 alpha height) on it, plus a block constant per jumping slot."""
-    n = tree.n
+def brute_cond_var(block: trees.TreeBlock, params: YouParams,
+                   flags: np.ndarray | None = None,
+                   variances: np.ndarray | None = None) -> float:
+    """Conditional variance of the block's first tree via the full
+    covariance matrix of the normalized tips: exp(-2 alpha age) -
+    exp(-2 alpha height) off the diagonal, 1 - exp(-2 alpha height) on it,
+    plus a block constant per jumping slot (flags (1, n-1, 2))."""
+    n = block.n
     a = params.alpha
-    tip_term = math.exp(-2.0 * a * tree.height)
-    cov = np.exp(-2.0 * a * brute_pair_ages(tree)) - tip_term
+    tip_term = math.exp(-2.0 * a * float(block.times[0].sum()))
+    cov = np.exp(-2.0 * a * brute_pair_ages(block)) - tip_term
     np.fill_diagonal(cov, 1.0 - tip_term)
-    if jumps is not None:
-        daughters = _replay_daughter_tip_sets(tree)
+    if flags is not None:
+        daughters = _replay_daughter_tip_sets(block.splits[0])
         for k, (left, right) in enumerate(daughters):
-            decayed = (2.0 * a / params.sigma_a2) * jumps.variances[k] \
-                * math.exp(-2.0 * a * tree.coalescence_ages[k])
+            decayed = (2.0 * a / params.sigma_a2) * variances[k] \
+                * math.exp(-2.0 * a * block.coalescence_ages[0, k])
             for slot, tips in enumerate((left, right)):
-                if jumps.flags[k, slot]:
+                if flags[0, k, slot]:
                     idx = np.fromiter(tips, dtype=np.int64)
                     cov[np.ix_(idx, idx)] += decayed
     return float(cov.sum()) / (n * n)
@@ -154,9 +155,10 @@ def criterion_2() -> CriterionResult:
 
     worst = 0.0
     for n in (2, 3, 5, 8, 16, 33, 64):
-        tree = trees.sample_tree(n, rng)
+        block = trees.sample_tree(n, rng)
         for y in (0.7, 1.0, 2.0):
-            worst = max(worst, abs(trees.pair_mean_exp(tree, y) - brute_pair_mean_exp(tree, y)))
+            got = float(trees.pair_mean_exp(block, y)[0])
+            worst = max(worst, abs(got - brute_pair_mean_exp(block, y)))
     res.add(worst <= 1e-12,
             f"pair average, event-count form vs all-pairs matrix form, n <= 64 "
             f"(worst abs dev {worst:.3e})")
@@ -167,13 +169,14 @@ def criterion_2() -> CriterionResult:
     schedule = JumpSchedule.constant(0.5, 1.3)
     for i in range(100):
         n = int(rng.integers(2, 33))
-        tree = trees.sample_tree(n, rng)
+        block = trees.sample_tree(n, rng)
         params = YouParams(alpha=alphas[i % 3], sigma_a2=1.0, x0=1.0)
-        got = trees.conditional_moments_you(tree, params).cond_var
-        worst_you = max(worst_you, abs(got - brute_cond_var(tree, params)))
-        jumps = trees.sample_jumps(tree, schedule, rng)
-        got_j = trees.conditional_moments_youj(tree, jumps, params).cond_var
-        worst_jump = max(worst_jump, abs(got_j - brute_cond_var(tree, params, jumps)))
+        got = float(trees.conditional_moments_you(block, params)[1][0])
+        worst_you = max(worst_you, abs(got - brute_cond_var(block, params)))
+        ps, variances = trees.jump_event_arrays(schedule, n)
+        flags = trees.sample_jumps(ps, rng)
+        got_j = float(trees.conditional_moments_youj(block, flags, variances, params)[1][0])
+        worst_jump = max(worst_jump, abs(got_j - brute_cond_var(block, params, flags, variances)))
     res.add(worst_you <= 1e-10,
             f"conditional variance vs covariance-matrix aggregation, 100 trees "
             f"n <= 32 (worst abs dev {worst_you:.3e})")

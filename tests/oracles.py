@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -113,14 +112,14 @@ def single_tree_draws(n: int, rng) -> tuple[np.ndarray, np.ndarray]:
     return u, splits
 
 
-def _replay(tree) -> tuple[list[int], dict[int, int], dict[int, int]]:
+def _replay(splits) -> tuple[list[int], dict[int, int], dict[int, int]]:
     """Returns (final alive ids, parent id map, id -> event where it split)."""
-    n = tree.n
+    n = len(splits) + 1
     alive = [0] * n
     parent: dict[int, int] = {}
     split_event: dict[int, int] = {}
     for k in range(1, n):
-        j = int(tree.splits[k - 1])
+        j = int(splits[k - 1])
         pid = alive[j]
         split_event[pid] = k
         parent[2 * k - 1] = pid
@@ -130,8 +129,8 @@ def _replay(tree) -> tuple[list[int], dict[int, int], dict[int, int]]:
     return alive, parent, split_event
 
 
-def _ancestor_chains(tree) -> tuple[list[list[int]], dict[int, int]]:
-    alive, parent, split_event = _replay(tree)
+def _ancestor_chains(splits) -> tuple[list[list[int]], dict[int, int]]:
+    alive, parent, split_event = _replay(splits)
     chains = []
     for lineage in alive:
         chain = [lineage]
@@ -145,16 +144,17 @@ def daughter_counts_by_chains(splits) -> np.ndarray:
     """Daughter tip counts of one tree from its splits: every lineage id is
     counted once per tip whose ancestor chain passes through it."""
     n = len(splits) + 1
-    chains, _ = _ancestor_chains(SimpleNamespace(n=n, splits=splits))
+    chains, _ = _ancestor_chains(splits)
     hits = Counter(node for chain in chains for node in chain)
     return np.array([[hits[2 * k - 1], hits[2 * k]] for k in range(1, n)],
                     dtype=np.int64).reshape(n - 1, 2)
 
 
-def mrca_pair_ages(tree) -> np.ndarray:
-    """Pairwise coalescence ages found by walking ancestor chains upward."""
-    n = tree.n
-    chains, split_event = _ancestor_chains(tree)
+def mrca_pair_ages(block) -> np.ndarray:
+    """Pairwise coalescence ages of the block's first tree, found by walking
+    ancestor chains upward."""
+    n = block.n
+    chains, split_event = _ancestor_chains(block.splits[0])
     chain_sets = [set(c) for c in chains]
     ages = np.zeros((n, n))
     for i in range(n):
@@ -162,30 +162,31 @@ def mrca_pair_ages(tree) -> np.ndarray:
             for node in chains[j]:
                 if node in chain_sets[i]:
                     k = split_event[node]
-                    ages[i, j] = ages[j, i] = tree.coalescence_ages[k - 1]
+                    ages[i, j] = ages[j, i] = block.coalescence_ages[0, k - 1]
                     break
             else:
                 raise AssertionError("no common ancestor found")
     return ages
 
 
-def cov_matrix_cond_var(tree, params, jumps=None) -> float:
-    """Conditional variance of the tip average via the dense conditional
-    covariance matrix of the normalized tips."""
-    n = tree.n
+def cov_matrix_cond_var(block, params, flags=None, variances=None) -> float:
+    """Conditional variance of the tip average of the block's first tree via
+    the dense conditional covariance matrix of the normalized tips; flags
+    (1, n-1, 2) and variances (n-1,) fold in jumps."""
+    n = block.n
     a = params.alpha
-    height_term = math.exp(-2.0 * a * tree.height)
-    cov = np.exp(-2.0 * a * mrca_pair_ages(tree)) - height_term
+    height_term = math.exp(-2.0 * a * float(block.times[0].sum()))
+    cov = np.exp(-2.0 * a * mrca_pair_ages(block)) - height_term
     np.fill_diagonal(cov, 1.0 - height_term)
-    if jumps is not None:
-        chains, split_event = _ancestor_chains(tree)
+    if flags is not None:
+        chains, split_event = _ancestor_chains(block.splits[0])
         for k in range(1, n):
             for slot, daughter in enumerate((2 * k - 1, 2 * k)):
-                if not jumps.flags[k - 1, slot]:
+                if not flags[0, k - 1, slot]:
                     continue
                 tips = [i for i, chain in enumerate(chains) if daughter in chain]
-                add = (2.0 * a / params.sigma_a2) * jumps.variances[k - 1] \
-                    * math.exp(-2.0 * a * tree.coalescence_ages[k - 1])
+                add = (2.0 * a / params.sigma_a2) * variances[k - 1] \
+                    * math.exp(-2.0 * a * block.coalescence_ages[0, k - 1])
                 for i in tips:
                     for j in tips:
                         cov[i, j] += add

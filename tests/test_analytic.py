@@ -288,8 +288,6 @@ class TestVarCondMean:
                   * float(n) ** (2.0 * alpha) / p.delta ** 2)
         target = math.gamma(2.0 * alpha + 1.0) - math.gamma(alpha + 1.0) ** 2
         assert scaled == pytest.approx(target, rel=0.02)
-        assert analytic.var_cond_mean_asymptotic(n, p) == pytest.approx(
-            analytic.var_cond_mean_exact(n, p), rel=0.02)
 
 
 class TestVarCondVarYou:

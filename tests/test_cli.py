@@ -333,9 +333,8 @@ dump_tree = {dump_path}
         assert doc["n"] == 12
         assert csv_path.read_text(encoding="utf-8").startswith("quantity,")
         # replicate 0 is row 0 of block 0's draws
-        uniforms, splits = trees.draw_tree(12, harness.replicate_rng(5, 0),
-                                           harness._block_size(12))
-        expected = trees.dump_tree(trees.yule_tree(uniforms[:1], splits[:1]))
+        block = trees.sample_tree(12, harness.replicate_rng(5, 0), harness._block_size(12))
+        expected = trees.dump_tree(block)
         assert dump_path.read_text(encoding="utf-8") == expected
 
     @pytest.mark.parametrize("jump_flags", [[], ["--model", "YOUj", "--p", "0.5",
@@ -351,7 +350,8 @@ dump_tree = {dump_path}
         rows = [line.split("\t") for line in dump_path.read_text(encoding="utf-8").splitlines()]
         times = np.array([float(row[1]) for row in rows])
         splits = np.array([[int(row[2]) - 1 for row in rows[:-1]]])
-        block = trees.TreeBlock(times=times[None], daughter_counts=trees.daughter_counts(splits),
+        block = trees.TreeBlock(times=times[None], splits=splits,
+                                daughter_counts=trees.daughter_counts(splits),
                                 coalescence_ages=np.cumsum(times[:0:-1])[None, ::-1],
                                 heights=np.array([math.fsum(times)]))
         config = harness.ExperimentConfig(
@@ -363,10 +363,10 @@ dump_tree = {dump_path}
         assert oracle["exp_height_1"][0] == pytest.approx(math.exp(-block.heights[0]),
                                                           rel=1e-14, abs=0.0)
         assert oracle["pair_1"][0] == pytest.approx(
-            trees.block_pair_mean_exp(block, 1.0)[0], rel=1e-14, abs=0.0)
+            trees.pair_mean_exp(block, 1.0)[0], rel=1e-14, abs=0.0)
         if jump_flags:
             flags = np.array([[[c == "1" for c in row[3]] for row in rows[:-1]]])
-            single, pair = trees.block_jump_exposure_sums(block, flags, 1.0)
+            single, pair = trees.jump_exposure_sums(block, flags, 1.0)
             assert oracle["jump_single"][0] == pytest.approx(single[0], rel=1e-14, abs=0.0)
             assert oracle["jump_pair"][0] == pytest.approx(pair[0], rel=1e-14, abs=0.0)
 

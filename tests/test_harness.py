@@ -6,6 +6,7 @@ Kolmogorov and Wasserstein statistics against independent references, and the
 sandwich reports that compare empirical distances with the analytic bounds.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -103,9 +104,10 @@ class TestReplicateStreams:
         ("YOUj", JumpSchedule.per_event([(0.1 * (k % 10), 0.5 + k % 3) for k in range(36)])),
     ])
     def test_blocks_match_per_tree_path(self, model, schedule):
-        # replicate i of the engine is the single-tree API applied to row
-        # i mod B of block i // B, whose stream is replayed in its documented
-        # order; R is not a multiple of the block size
+        # replicate i of the engine is the trees kernels applied to row
+        # i mod B of block i // B alone, as a one-row block, whose stream is
+        # replayed in its documented order; R is not a multiple of the block
+        # size
         n = 37
         params = YouParams(alpha=0.8, sigma_a2=1.2, x0=0.6)
         b = harness._block_size(n)
@@ -116,35 +118,37 @@ class TestReplicateStreams:
         ps, variances = trees.jump_event_arrays(schedule, n) if model == "YOUj" else (None, None)
         for block in range(-(-r // b)):
             rng = harness.replicate_rng(SEED, block)
-            uniforms, splits = trees.draw_tree(n, rng, b)
-            flags = rng.random((b, n - 1, 2)) < ps[:, None] if model == "YOUj" else None
+            rows = trees.sample_tree(n, rng, b)
+            flags = trees.sample_jumps(ps, rng, b) if model == "YOUj" else None
             for row in range(min(b, r - block * b)):
                 i = block * b + row
-                tree = trees.yule_tree(uniforms[row:row + 1], splits[row:row + 1])
+                tree = trees.TreeBlock(**{f.name: getattr(rows, f.name)[row:row + 1]
+                                          for f in dataclasses.fields(rows)})
                 if flags is None:
-                    jumps = None
-                    m = trees.conditional_moments_you(tree, params)
+                    mean, var = trees.conditional_moments_you(tree, params)
                 else:
-                    jumps = trees.JumpRealization(flags=flags[row], variances=variances)
-                    m = trees.conditional_moments_youj(tree, jumps, params)
+                    tree_flags = flags[row:row + 1]
+                    mean, var = trees.conditional_moments_youj(tree, tree_flags, variances,
+                                                               params)
+                height = tree.heights[0]
                 expected = {
-                    "cond_mean": (data.cond_mean, m.cond_mean),
-                    "cond_var": (data.cond_var, m.cond_var),
-                    "exp_height_1": (data.oracle["exp_height_1"], math.exp(-tree.height)),
+                    "cond_mean": (data.cond_mean, mean[0]),
+                    "cond_var": (data.cond_var, var[0]),
+                    "exp_height_1": (data.oracle["exp_height_1"], math.exp(-height)),
                     "exp_height_2a": (data.oracle["exp_height_2a"],
-                                      math.exp(-2.0 * params.alpha * tree.height)),
-                    "pair_1": (data.oracle["pair_1"], trees.pair_mean_exp(tree, 1.0)),
+                                      math.exp(-2.0 * params.alpha * height)),
+                    "pair_1": (data.oracle["pair_1"], trees.pair_mean_exp(tree, 1.0)[0]),
                     "pair_2a": (data.oracle["pair_2a"],
-                                trees.pair_mean_exp(tree, 2.0 * params.alpha)),
+                                trees.pair_mean_exp(tree, 2.0 * params.alpha)[0]),
                 }
-                if jumps is not None:
-                    single, pair = trees.jump_exposure_sums(tree, jumps, params.alpha)
-                    expected["jump_single"] = (data.oracle["jump_single"], single)
-                    expected["jump_pair"] = (data.oracle["jump_pair"], pair)
+                if flags is not None:
+                    single, pair = trees.jump_exposure_sums(tree, tree_flags, params.alpha)
+                    expected["jump_single"] = (data.oracle["jump_single"], single[0])
+                    expected["jump_pair"] = (data.oracle["jump_pair"], pair[0])
                 for key, (column, value) in expected.items():
                     assert column[i] == pytest.approx(value, rel=1e-14, abs=0.0), (key, i)
                 # the block's normals follow its jump uniforms, one per row
-                ybar = rng.normal(m.cond_mean, math.sqrt(m.cond_var))
+                ybar = rng.normal(mean[0], math.sqrt(var[0]))
                 assert abs(data.ybar[i] - ybar) <= 1e-14, i
 
     def test_worker_splits_align_to_blocks(self):
@@ -495,9 +499,9 @@ class TestDwSamplingBias:
         for i in range(config.replicates):
             ss = np.random.SeedSequence(entropy=config.seed, spawn_key=(i,))
             rng = np.random.Generator(np.random.PCG64(ss))
-            m = trees.conditional_moments_you(trees.sample_tree(config.n, rng), config.params)
-            columns[:, i] = m.cond_mean, m.cond_var, rng.normal(m.cond_mean,
-                                                                 math.sqrt(m.cond_var))
+            mean, var = trees.conditional_moments_you(trees.sample_tree(config.n, rng),
+                                                      config.params)
+            columns[:, i] = mean[0], var[0], rng.normal(mean[0], math.sqrt(var[0]))
         return harness.ReplicateData(*columns)
 
     def _sandwich(self, shift: float) -> harness.SandwichReport:

@@ -18,34 +18,6 @@ import oracles
 ZETA_3_2 = 2.612375348685488
 
 
-class TestLogGamma:
-    def test_trivial_values(self):
-        assert special.log_gamma(1.0) == 0.0
-        assert special.log_gamma(2.0) == 0.0
-        assert special.log_gamma(5.0) == pytest.approx(math.log(24.0), abs=1e-14)
-
-    def test_factorials(self):
-        for k in range(2, 21):
-            assert special.log_gamma(float(k)) == pytest.approx(
-                math.log(math.factorial(k - 1)), rel=1e-13)
-
-    def test_against_scipy_small_arguments(self):
-        for x in np.linspace(0.5, 30.0, 200):
-            assert special.log_gamma(float(x)) == pytest.approx(
-                float(scipy.special.gammaln(x)), abs=1e-12)
-
-    def test_against_scipy_large_arguments(self):
-        # absolute error grows with the value itself; relative stays tight
-        for x in np.geomspace(30.0, 1e5, 60):
-            assert special.log_gamma(float(x)) == pytest.approx(
-                float(scipy.special.gammaln(x)), rel=1e-14)
-
-    def test_domain(self):
-        for bad in (0.0, -1.0, -0.5):
-            with pytest.raises(ValueError):
-                special.log_gamma(bad)
-
-
 class TestPochhammerRatio:
     def test_trivial_values(self):
         assert special.pochhammer_ratio(1, 1.0) == pytest.approx(0.5, abs=1e-16)
@@ -61,8 +33,7 @@ class TestPochhammerRatio:
                 for k in range(1, n + 1):
                     product *= k / (k + x)
                 gamma_form = math.exp(
-                    special.log_gamma(n + 1.0) + special.log_gamma(x + 1.0)
-                    - special.log_gamma(n + x + 1.0))
+                    math.lgamma(n + 1.0) + math.lgamma(x + 1.0) - math.lgamma(n + x + 1.0))
                 got = special.pochhammer_ratio(n, x)
                 assert got == pytest.approx(product, rel=1e-10)
                 assert got == pytest.approx(gamma_form, rel=1e-10)

@@ -1,5 +1,7 @@
 """Tests for the pure-birth tree sampler and exact per-tree moments.
 
+Single trees are one-row blocks.
+
 Monte Carlo checks draw fresh trees and compare sample means against the
 closed forms from the analytic module at 4 standard errors; the structural
 checks compare the O(n) aggregate routes against independent brute-force
@@ -16,7 +18,6 @@ from hypothesis import strategies as st
 import oracles
 from youbounds import analytic, trees
 from youbounds.analytic import JumpSchedule, YouParams
-from youbounds.trees import JumpRealization, YuleTree
 
 R_TREES = 100_000
 
@@ -39,13 +40,21 @@ class _StubRNG:
         return self._ints.reshape(size).copy()
 
 
-def _two_tip_tree(t1: float, t2: float) -> YuleTree:
-    return YuleTree(
-        times=np.array([t1, t2]),
-        splits=np.array([0], dtype=np.int64),
-        daughter_counts=np.array([[1, 1]], dtype=np.int64),
-        coalescence_ages=np.array([t2]),
+def _two_tip_tree(t1: float, t2: float) -> trees.TreeBlock:
+    return trees.TreeBlock(
+        times=np.array([[t1, t2]]),
+        splits=np.array([[0]], dtype=np.int64),
+        daughter_counts=np.array([[[1, 1]]], dtype=np.int64),
+        coalescence_ages=np.array([[t2]]),
+        heights=np.array([t1 + t2]),
     )
+
+
+def _jump_flags(schedule: JumpSchedule, n: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """One tree's (1, n-1, 2) jump flags under the schedule, and the
+    schedule's per-event jump variances."""
+    ps, variances = trees.jump_event_arrays(schedule, n)
+    return trees.sample_jumps(ps, rng), variances
 
 
 def _assert_within_4se(samples: np.ndarray, target: float) -> None:
@@ -55,9 +64,10 @@ def _assert_within_4se(samples: np.ndarray, target: float) -> None:
 
 def _tree_blocks(n: int, rng: np.random.Generator, jump_ps=None):
     """R_TREES n-tip trees, drawn one after another from rng exactly as
-    sample_tree (then, with jump_ps, sample_jumps) draws them, handed out in
-    blocks of up to 4096 with their (B, n-1, 2) jump flags (None without
-    jump_ps)."""
+    sample_tree(n, rng) (then, with jump_ps, sample_jumps(jump_ps, rng))
+    draws them, handed out in blocks of up to 4096 with their (B, n-1, 2)
+    jump flags (None without jump_ps). Each block is built by sample_tree
+    from the collected draws."""
     chunk = 4096
     for lo in range(0, R_TREES, chunk):
         size = min(chunk, R_TREES - lo)
@@ -65,10 +75,14 @@ def _tree_blocks(n: int, rng: np.random.Generator, jump_ps=None):
         splits = np.empty((size, n - 1), dtype=np.int64)
         flags = None if jump_ps is None else np.empty((size, n - 1, 2), dtype=bool)
         for i in range(size):
-            uniforms[i], splits[i] = trees.draw_tree(n, rng)
+            u = rng.random(n)
+            while not u.all():
+                zero = u == 0.0
+                u[zero] = rng.random(int(zero.sum()))
+            uniforms[i], splits[i] = u, rng.integers(0, np.arange(1, n))
             if flags is not None:
-                flags[i] = rng.random((n - 1, 2)) < jump_ps[:, None]
-        yield trees.tree_block(uniforms, splits), flags
+                flags[i] = trees.sample_jumps(jump_ps, rng)[0]
+        yield trees.sample_tree(n, _StubRNG([uniforms], splits), size), flags
 
 
 @pytest.fixture(scope="module")
@@ -83,11 +97,13 @@ def stats_50():
     out = {name: [] for name in names}
     for block, flags in _tree_blocks(50, rng, ps):
         out["exp_height"].append(np.exp(-block.heights))
-        out["pair_y1"].append(trees.block_pair_mean_exp(block, 1.0))
-        out["pair_y2"].append(trees.block_pair_mean_exp(block, 2.0))
-        out["cond_var"].append(trees.block_moments_you(block, params)[1])
-        out["jump_part"].append(trees.block_jump_variance(block, flags, variances, params))
-        single, pair = trees.block_jump_exposure_sums(block, flags, params.alpha)
+        out["pair_y1"].append(trees.pair_mean_exp(block, 1.0))
+        out["pair_y2"].append(trees.pair_mean_exp(block, 2.0))
+        cond_var = trees.conditional_moments_you(block, params)[1]
+        out["cond_var"].append(cond_var)
+        out["jump_part"].append(
+            trees.conditional_moments_youj(block, flags, variances, params)[1] - cond_var)
+        single, pair = trees.jump_exposure_sums(block, flags, params.alpha)
         out["single_sum"].append(single)
         out["pair_sum"].append(pair)
     return {name: np.concatenate(parts) for name, parts in out.items()}
@@ -117,31 +133,35 @@ class TestSampleTree:
     def test_single_edge(self):
         tree = trees.sample_tree(1, np.random.default_rng(7))
         assert tree.n == 1
-        assert tree.times.shape == (1,)
-        assert tree.times[0] > 0.0
-        assert tree.splits.shape == (0,)
-        assert tree.daughter_counts.shape == (0, 2)
-        assert tree.coalescence_ages.shape == (0,)
-        assert tree.height == tree.times[0]
+        assert tree.times.shape == (1, 1)
+        assert tree.times[0, 0] > 0.0
+        assert tree.splits.shape == (1, 0)
+        assert tree.daughter_counts.shape == (1, 0, 2)
+        assert tree.coalescence_ages.shape == (1, 0)
+        assert tree.heights.tolist() == [tree.times[0, 0]]
 
     def test_shapes_and_ranges(self):
         n = 40
         tree = trees.sample_tree(n, np.random.default_rng(11))
         assert tree.n == n
-        assert tree.times.shape == (n,)
-        assert np.all(tree.times > 0.0)
-        assert tree.splits.shape == (n - 1,)
-        assert np.issubdtype(tree.splits.dtype, np.integer)
-        assert np.all(tree.splits >= 0)
-        assert np.all(tree.splits < np.arange(1, n))
-        assert tree.daughter_counts.shape == (n - 1, 2)
-        assert np.all(tree.daughter_counts >= 1)
-        assert tree.daughter_counts[0].sum() == n
-        assert tree.coalescence_ages.shape == (n - 1,)
-        assert np.all(np.diff(tree.coalescence_ages) < 0.0)
-        assert tree.coalescence_ages[-1] == tree.times[-1]
-        assert tree.coalescence_ages[0] + tree.times[0] == pytest.approx(
-            tree.height, rel=1e-15)
+        assert tree.times.shape == (1, n)
+        times = tree.times[0]
+        assert np.all(times > 0.0)
+        assert tree.splits.shape == (1, n - 1)
+        splits = tree.splits[0]
+        assert np.issubdtype(splits.dtype, np.integer)
+        assert np.all(splits >= 0)
+        assert np.all(splits < np.arange(1, n))
+        assert tree.daughter_counts.shape == (1, n - 1, 2)
+        counts = tree.daughter_counts[0]
+        assert np.all(counts >= 1)
+        assert counts[0].sum() == n
+        assert tree.coalescence_ages.shape == (1, n - 1)
+        ages = tree.coalescence_ages[0]
+        assert np.all(np.diff(ages) < 0.0)
+        assert ages[-1] == times[-1]
+        assert tree.heights.shape == (1,)
+        assert ages[0] + times[0] == pytest.approx(tree.heights[0], rel=1e-15)
 
     def test_deterministic_given_seed(self):
         a = trees.sample_tree(30, np.random.default_rng(404))
@@ -150,49 +170,44 @@ class TestSampleTree:
         assert np.array_equal(a.splits, b.splits)
         assert np.array_equal(a.daughter_counts, b.daughter_counts)
 
-    def test_arrays_are_read_only(self):
-        tree = trees.sample_tree(12, np.random.default_rng(3))
-        for arr in (tree.times, tree.splits, tree.daughter_counts,
-                    tree.coalescence_ages):
-            assert not arr.flags.writeable
-
     def test_zero_uniform_is_redrawn(self):
         # A literal u = 0 would give a zero-length period; the sampler
         # replaces it and keeps the other draws.
         rng = _StubRNG(blocks=[[0.5, 0.0, 0.25], [0.75]], ints=[0, 1])
-        tree = trees.sample_tree(3, rng)
-        assert tree.times[0] == -math.log1p(-0.5)
-        assert tree.times[1] == -math.log1p(-0.75) / 2.0
-        assert tree.times[2] == -math.log1p(-0.25) / 3.0
-        assert np.all(tree.times > 0.0)
+        times = trees.sample_tree(3, rng).times[0]
+        assert times[0] == -math.log1p(-0.5)
+        assert times[1] == -math.log1p(-0.75) / 2.0
+        assert times[2] == -math.log1p(-0.25) / 3.0
+        assert np.all(times > 0.0)
 
     def test_zero_uniforms_of_a_block_are_redrawn_in_row_order(self):
         rng = _StubRNG(blocks=[[0.5, 0.0, 0.25, 0.0, 0.125, 0.375], [0.75, 0.625]],
                        ints=[0, 1, 0, 0])
-        u, splits = trees.draw_tree(3, rng, 2)
-        assert u.tolist() == [[0.5, 0.75, 0.25], [0.625, 0.125, 0.375]]
-        assert splits.tolist() == [[0, 1], [0, 0]]
+        block = trees.sample_tree(3, rng, 2)
+        u = np.array([[0.5, 0.75, 0.25], [0.625, 0.125, 0.375]])
+        assert np.array_equal(block.times, -np.log1p(-u) / np.arange(1, 4))
+        assert block.splits.tolist() == [[0, 1], [0, 0]]
 
     def test_caterpillar_counts(self):
         # Splitting the newest lineage every time nests the clades, so the
         # daughter counts walk down (1, n-1), (1, n-2), ..., (1, 1).
         rng = _StubRNG(blocks=[[0.5, 0.5, 0.5, 0.5]], ints=[0, 1, 2])
         tree = trees.sample_tree(4, rng)
-        assert tree.daughter_counts.tolist() == [[1, 3], [1, 2], [1, 1]]
+        assert tree.daughter_counts[0].tolist() == [[1, 3], [1, 2], [1, 1]]
 
     def test_balanced_counts(self):
         # Events 2 and 3 split the two root daughters (the second sits at
         # slot 1 after event 2), leaving both sides of the root with 2 tips.
         rng = _StubRNG(blocks=[[0.5, 0.5, 0.5, 0.5]], ints=[0, 0, 1])
         tree = trees.sample_tree(4, rng)
-        assert tree.daughter_counts.tolist() == [[2, 2], [1, 1], [1, 1]]
+        assert tree.daughter_counts[0].tolist() == [[2, 2], [1, 1], [1, 1]]
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(min_value=2, max_value=120),
            seed=st.integers(min_value=0, max_value=2**32 - 1))
     def test_pair_count_identity(self, n, seed):
         tree = trees.sample_tree(n, np.random.default_rng(seed))
-        counts = tree.daughter_counts
+        counts = tree.daughter_counts[0]
         assert int((counts[:, 0] * counts[:, 1]).sum()) == n * (n - 1) // 2
 
     def test_single_edge_is_unit_exponential(self, stats_single_edge):
@@ -203,30 +218,31 @@ class TestSampleTree:
 
 
 class TestDrawTree:
+    """The draws of sample_tree, replayed from the stream."""
+
     @pytest.mark.parametrize("n", [1, 2, 3, 37, 200])
     def test_one_row_is_the_single_tree_stream(self, n):
         # the per-tree draws in their documented order: n uniforms (zeros
         # redrawn), then the n-1 splits, one integer draw per event
         for seed in range(5):
             rng, replay = np.random.default_rng(seed), np.random.default_rng(seed)
-            u, splits = trees.draw_tree(n, rng, 1)
+            tree = trees.sample_tree(n, rng)
             expected_u, expected_splits = oracles.single_tree_draws(n, replay)
-            assert u.shape == (1, n) and splits.shape == (1, n - 1)
-            assert np.array_equal(u[0], expected_u)
-            assert np.array_equal(splits[0], expected_splits)
+            assert tree.times.shape == (1, n) and tree.splits.shape == (1, n - 1)
+            assert np.array_equal(tree.times[0],
+                                  -np.log1p(-expected_u) / np.arange(1, n + 1))
+            assert np.array_equal(tree.splits[0], expected_splits)
             assert rng.random() == replay.random()
-            tree = trees.sample_tree(n, np.random.default_rng(seed))
-            assert np.array_equal(tree.times, -np.log1p(-expected_u) / np.arange(1, n + 1))
-            assert np.array_equal(tree.splits, expected_splits)
 
     def test_rows_follow_one_stream(self):
         rng = np.random.default_rng(40)
-        u, splits = trees.draw_tree(6, rng, 4)
+        block = trees.sample_tree(6, rng, 4)
         replay = np.random.default_rng(40)
-        assert np.array_equal(u, replay.random((4, 6)))
-        for row in splits:
+        assert np.array_equal(block.times, -np.log1p(-replay.random((4, 6))) / np.arange(1, 7))
+        for row in block.splits:
             assert np.array_equal(row, replay.integers(0, np.arange(1, 6)))
-        assert np.all(splits < np.arange(1, 6))
+        assert np.all(block.splits < np.arange(1, 6))
+        assert rng.random() == replay.random()
 
 
 class TestDaughterCountKernel:
@@ -255,20 +271,20 @@ class TestPairMeanExp:
     def test_two_tips_closed_form(self):
         tree = _two_tip_tree(0.8, 0.6)
         for y in (0.3, 1.0, 2.0):
-            assert trees.pair_mean_exp(tree, y) == pytest.approx(
+            assert trees.pair_mean_exp(tree, y)[0] == pytest.approx(
                 math.exp(-y * 0.6), rel=1e-15)
 
     def test_tiny_rate_limit(self):
         rng = np.random.default_rng(5)
         for n in (2, 17, 60):
             tree = trees.sample_tree(n, rng)
-            assert trees.pair_mean_exp(tree, 1e-12) == pytest.approx(1.0, abs=1e-9)
+            assert trees.pair_mean_exp(tree, 1e-12)[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_values_in_unit_interval(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
             tree = trees.sample_tree(int(rng.integers(2, 80)), rng)
-            v = trees.pair_mean_exp(tree, float(rng.uniform(0.1, 3.0)))
+            v = trees.pair_mean_exp(tree, float(rng.uniform(0.1, 3.0)))[0]
             assert 0.0 < v < 1.0
 
     def test_matches_all_pairs_route(self):
@@ -282,35 +298,35 @@ class TestPairMeanExp:
             iu = np.triu_indices(n, 1)
             for y in (0.7, 2.0):
                 brute = float(np.exp(-y * ages[iu]).mean())
-                assert abs(trees.pair_mean_exp(tree, y) - brute) <= 1e-12
+                assert abs(trees.pair_mean_exp(tree, y)[0] - brute) <= 1e-12
 
 
 class TestConditionalMomentsYou:
     def test_centered_start_means_zero(self):
         tree = trees.sample_tree(25, np.random.default_rng(1))
-        m = trees.conditional_moments_you(tree, YouParams(alpha=1.3))
-        assert m.cond_mean == 0.0
+        cond_mean, _ = trees.conditional_moments_you(tree, YouParams(alpha=1.3))
+        assert cond_mean.tolist() == [0.0]
 
     def test_mean_decays_with_height(self):
         tree = trees.sample_tree(25, np.random.default_rng(2))
         params = YouParams(alpha=0.7, sigma_a2=2.0, x0=1.3)
-        m = trees.conditional_moments_you(tree, params)
-        assert m.cond_mean == pytest.approx(
-            params.delta * math.exp(-0.7 * tree.height), rel=1e-15)
+        cond_mean, _ = trees.conditional_moments_you(tree, params)
+        assert cond_mean[0] == pytest.approx(
+            params.delta * math.exp(-0.7 * tree.heights[0]), rel=1e-15)
 
     def test_single_tip_variance(self):
         tree = trees.sample_tree(1, np.random.default_rng(3))
-        m = trees.conditional_moments_you(tree, YouParams(alpha=0.9))
-        assert m.cond_var == pytest.approx(
-            1.0 - math.exp(-1.8 * tree.height), rel=1e-15)
+        _, cond_var = trees.conditional_moments_you(tree, YouParams(alpha=0.9))
+        assert cond_var[0] == pytest.approx(
+            1.0 - math.exp(-1.8 * tree.heights[0]), rel=1e-15)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0])
     def test_two_tip_closed_form(self, alpha):
         tree = _two_tip_tree(0.9, 0.4)
-        m = trees.conditional_moments_you(tree, YouParams(alpha=alpha))
+        _, cond_var = trees.conditional_moments_you(tree, YouParams(alpha=alpha))
         expected = (0.5 + 0.5 * math.exp(-2.0 * alpha * 0.4)
                     - math.exp(-2.0 * alpha * 1.3))
-        assert m.cond_var == pytest.approx(expected, rel=1e-14)
+        assert cond_var[0] == pytest.approx(expected, rel=1e-14)
 
     def test_matches_covariance_matrix_route(self):
         rng = np.random.default_rng(88)
@@ -318,7 +334,7 @@ class TestConditionalMomentsYou:
             n = int(rng.integers(2, 33))
             tree = trees.sample_tree(n, rng)
             params = YouParams(alpha=float(rng.uniform(0.4, 2.2)))
-            fast = trees.conditional_moments_you(tree, params).cond_var
+            fast = trees.conditional_moments_you(tree, params)[1][0]
             brute = oracles.cov_matrix_cond_var(tree, params)
             assert abs(fast - brute) <= 1e-10
 
@@ -328,10 +344,10 @@ class TestConditionalMomentsYou:
            alpha=st.floats(min_value=0.2, max_value=3.0))
     def test_variance_envelopes(self, n, seed, alpha):
         tree = trees.sample_tree(n, np.random.default_rng(seed))
-        m = trees.conditional_moments_you(tree, YouParams(alpha=alpha))
-        tip_share = 1.0 - math.exp(-2.0 * alpha * tree.height)
-        assert m.cond_var >= tip_share / n - 1e-15
-        assert m.cond_var <= tip_share + 1e-15
+        cond_var = trees.conditional_moments_you(tree, YouParams(alpha=alpha))[1][0]
+        tip_share = 1.0 - math.exp(-2.0 * alpha * tree.heights[0])
+        assert cond_var >= tip_share / n - 1e-15
+        assert cond_var <= tip_share + 1e-15
 
     def test_mc_mean_exp_height(self, stats_50, stats_100):
         _assert_within_4se(stats_50["exp_height"], analytic.laplace_height(50, 1.0))
@@ -358,92 +374,83 @@ class TestSampleJumps:
     def test_consumes_fixed_uniform_budget(self):
         # Identical streams must stay aligned after sampling under different
         # schedules, so the draw count cannot depend on the probabilities.
-        tree = trees.sample_tree(10, np.random.default_rng(9))
         follow = {}
         for p in (0.0, 0.35, 1.0):
             rng = np.random.default_rng(123)
-            trees.sample_jumps(tree, JumpSchedule.constant(p, 1.0), rng)
+            _jump_flags(JumpSchedule.constant(p, 1.0), 10, rng)
             follow[p] = rng.random()
         assert follow[0.0] == follow[0.35] == follow[1.0]
 
     def test_probability_extremes(self):
-        tree = trees.sample_tree(15, np.random.default_rng(10))
         rng = np.random.default_rng(1)
-        none = trees.sample_jumps(tree, JumpSchedule.constant(0.0, 2.0), rng)
-        assert not none.flags.any()
-        assert np.all(none.variances == 2.0)
-        every = trees.sample_jumps(tree, JumpSchedule.constant(1.0, 3.0), rng)
-        assert every.flags.all()
-        assert every.flags.shape == (14, 2)
+        none, variances = _jump_flags(JumpSchedule.constant(0.0, 2.0), 15, rng)
+        assert not none.any()
+        assert np.all(variances == 2.0)
+        every, _ = _jump_flags(JumpSchedule.constant(1.0, 3.0), 15, rng)
+        assert every.all()
+        assert every.shape == (1, 14, 2)
+        rows = trees.sample_jumps(np.full(14, 0.5), rng, 3)
+        assert rows.shape == (3, 14, 2)
 
     def test_flag_fraction_tracks_probability(self):
-        tree = trees.sample_tree(10_000, np.random.default_rng(12))
-        jumps = trees.sample_jumps(tree, JumpSchedule.constant(0.5, 1.0),
-                                   np.random.default_rng(13))
-        slots = 2 * (tree.n - 1)
+        n = 10_000
+        flags, _ = _jump_flags(JumpSchedule.constant(0.5, 1.0), n, np.random.default_rng(13))
+        slots = 2 * (n - 1)
         se = math.sqrt(0.25 / slots)
-        assert abs(jumps.flags.mean() - 0.5) <= 4.0 * se
+        assert abs(flags.mean() - 0.5) <= 4.0 * se
 
     def test_per_event_expansion(self):
-        tree = trees.sample_tree(4, np.random.default_rng(14))
         schedule = JumpSchedule.per_event([(0.0, 5.0), (1.0, 7.0), (0.0, 9.0)])
-        jumps = trees.sample_jumps(tree, schedule, np.random.default_rng(15))
-        assert jumps.variances.tolist() == [5.0, 7.0, 9.0]
-        assert jumps.flags.tolist() == [[False, False], [True, True],
-                                        [False, False]]
+        flags, variances = _jump_flags(schedule, 4, np.random.default_rng(15))
+        assert variances.tolist() == [5.0, 7.0, 9.0]
+        assert flags.tolist() == [[[False, False], [True, True], [False, False]]]
 
     def test_short_schedule_rejected(self):
-        tree = trees.sample_tree(4, np.random.default_rng(16))
         schedule = JumpSchedule.per_event([(0.5, 1.0), (0.5, 1.0)])
         with pytest.raises(ValueError, match="entries"):
-            trees.sample_jumps(tree, schedule, np.random.default_rng(17))
-
-    def test_realization_shape_validated(self):
-        with pytest.raises(ValueError, match="shape"):
-            JumpRealization(flags=np.zeros((3, 2), dtype=bool),
-                            variances=np.zeros(2))
+            trees.jump_event_arrays(schedule, 4)
 
 
 class TestConditionalMomentsYouj:
     def test_no_flags_equals_jump_free(self):
         tree = trees.sample_tree(20, np.random.default_rng(18))
         params = YouParams(alpha=1.1)
-        jumps = JumpRealization(flags=np.zeros((19, 2), dtype=bool),
-                                variances=np.full(19, 4.0))
-        assert trees.conditional_moments_youj(tree, jumps, params) == \
-            trees.conditional_moments_you(tree, params)
+        flags = np.zeros((1, 19, 2), dtype=bool)
+        withj = trees.conditional_moments_youj(tree, flags, np.full(19, 4.0), params)
+        base = trees.conditional_moments_you(tree, params)
+        assert np.array_equal(withj[0], base[0]) and np.array_equal(withj[1], base[1])
 
     def test_mean_unchanged_by_jumps(self):
         tree = trees.sample_tree(20, np.random.default_rng(19))
         params = YouParams(alpha=1.1, x0=0.7)
-        jumps = trees.sample_jumps(tree, JumpSchedule.constant(0.6, 1.5),
-                                   np.random.default_rng(20))
-        base = trees.conditional_moments_you(tree, params)
-        withj = trees.conditional_moments_youj(tree, jumps, params)
-        assert withj.cond_mean == base.cond_mean
+        flags, variances = _jump_flags(JumpSchedule.constant(0.6, 1.5), 20,
+                                       np.random.default_rng(20))
+        base_mean, _ = trees.conditional_moments_you(tree, params)
+        withj_mean, _ = trees.conditional_moments_youj(tree, flags, variances, params)
+        assert np.array_equal(withj_mean, base_mean)
 
     def test_two_tip_hand_value(self):
         tree = _two_tip_tree(0.9, 0.4)
         params = YouParams(alpha=0.9, sigma_a2=1.5)
-        base = trees.conditional_moments_you(tree, params).cond_var
-        one = JumpRealization(flags=np.array([[True, False]]),
-                              variances=np.array([0.8]))
+        base = trees.conditional_moments_you(tree, params)[1][0]
+        variances = np.array([0.8])
+        one = np.array([[[True, False]]])
         add = (2.0 * 0.9 / 1.5) * 0.8 * math.exp(-1.8 * 0.4) / 4.0
-        got = trees.conditional_moments_youj(tree, one, params).cond_var
+        got = trees.conditional_moments_youj(tree, one, variances, params)[1][0]
         assert got == pytest.approx(base + add, rel=1e-14)
-        both = JumpRealization(flags=np.array([[True, True]]),
-                               variances=np.array([0.8]))
-        got2 = trees.conditional_moments_youj(tree, both, params).cond_var
+        both = np.array([[[True, True]]])
+        got2 = trees.conditional_moments_youj(tree, both, variances, params)[1][0]
         assert got2 == pytest.approx(base + 2.0 * add, rel=1e-14)
 
     def test_jumps_inflate_variance(self):
         rng = np.random.default_rng(21)
         params = YouParams(alpha=0.8)
         for _ in range(10):
-            tree = trees.sample_tree(int(rng.integers(2, 40)), rng)
-            jumps = trees.sample_jumps(tree, JumpSchedule.constant(1.0, 0.5), rng)
-            base = trees.conditional_moments_you(tree, params).cond_var
-            withj = trees.conditional_moments_youj(tree, jumps, params).cond_var
+            n = int(rng.integers(2, 40))
+            tree = trees.sample_tree(n, rng)
+            flags, variances = _jump_flags(JumpSchedule.constant(1.0, 0.5), n, rng)
+            base = trees.conditional_moments_you(tree, params)[1][0]
+            withj = trees.conditional_moments_youj(tree, flags, variances, params)[1][0]
             assert withj > base
 
     def test_matches_covariance_matrix_route(self):
@@ -453,9 +460,9 @@ class TestConditionalMomentsYouj:
             n = int(rng.integers(2, 33))
             tree = trees.sample_tree(n, rng)
             params = YouParams(alpha=float(rng.uniform(0.4, 2.2)))
-            jumps = trees.sample_jumps(tree, schedule, rng)
-            fast = trees.conditional_moments_youj(tree, jumps, params).cond_var
-            brute = oracles.cov_matrix_cond_var(tree, params, jumps)
+            flags, variances = _jump_flags(schedule, n, rng)
+            fast = trees.conditional_moments_youj(tree, flags, variances, params)[1][0]
+            brute = oracles.cov_matrix_cond_var(tree, params, flags, variances)
             assert abs(fast - brute) <= 1e-10
 
     def test_mc_jump_variance_part(self, stats_50):
@@ -469,27 +476,21 @@ class TestConditionalMomentsYouj:
 class TestJumpExposureSums:
     def test_single_tip_zero(self):
         tree = trees.sample_tree(1, np.random.default_rng(22))
-        jumps = JumpRealization(flags=np.zeros((0, 2), dtype=bool),
-                                variances=np.zeros(0))
-        assert trees.jump_exposure_sums(tree, jumps, 1.0) == (0.0, 0.0)
+        single, pair = trees.jump_exposure_sums(tree, np.zeros((1, 0, 2), dtype=bool), 1.0)
+        assert single.tolist() == [0.0] and pair.tolist() == [0.0]
 
     def test_no_flags_zero(self):
         tree = trees.sample_tree(12, np.random.default_rng(23))
-        jumps = JumpRealization(flags=np.zeros((11, 2), dtype=bool),
-                                variances=np.ones(11))
-        assert trees.jump_exposure_sums(tree, jumps, 0.7) == (0.0, 0.0)
+        single, pair = trees.jump_exposure_sums(tree, np.zeros((1, 11, 2), dtype=bool), 0.7)
+        assert single.tolist() == [0.0] and pair.tolist() == [0.0]
 
     def test_two_tip_hand_values(self):
         tree = _two_tip_tree(0.5, 0.3)
-        one = JumpRealization(flags=np.array([[True, False]]),
-                              variances=np.array([1.0]))
-        single, pair = trees.jump_exposure_sums(tree, one, 1.2)
-        assert single == pytest.approx(math.exp(-2.4 * 0.3) / 2.0, rel=1e-15)
-        assert pair == 0.0
-        both = JumpRealization(flags=np.array([[True, True]]),
-                               variances=np.array([1.0]))
-        single2, _ = trees.jump_exposure_sums(tree, both, 1.2)
-        assert single2 == pytest.approx(math.exp(-2.4 * 0.3), rel=1e-15)
+        single, pair = trees.jump_exposure_sums(tree, np.array([[[True, False]]]), 1.2)
+        assert single[0] == pytest.approx(math.exp(-2.4 * 0.3) / 2.0, rel=1e-15)
+        assert pair[0] == 0.0
+        single2, _ = trees.jump_exposure_sums(tree, np.array([[[True, True]]]), 1.2)
+        assert single2[0] == pytest.approx(math.exp(-2.4 * 0.3), rel=1e-15)
 
     def test_mc_means_match_closed_forms(self, stats_50):
         _assert_within_4se(stats_50["single_sum"],
@@ -500,22 +501,20 @@ class TestJumpExposureSums:
 
 class TestDumpTree:
     def test_exact_format(self):
-        tree = YuleTree(
-            times=np.array([0.5, 0.25, 0.125]),
-            splits=np.array([0, 1], dtype=np.int64),
-            daughter_counts=np.array([[1, 2], [1, 1]], dtype=np.int64),
-            coalescence_ages=np.array([0.375, 0.125]),
+        tree = trees.TreeBlock(
+            times=np.array([[0.5, 0.25, 0.125]]),
+            splits=np.array([[0, 1]], dtype=np.int64),
+            daughter_counts=np.array([[[1, 2], [1, 1]]], dtype=np.int64),
+            coalescence_ages=np.array([[0.375, 0.125]]),
+            heights=np.array([0.875]),
         )
         assert trees.dump_tree(tree) == (
             "1\t0.5\t1\t-\n"
             "2\t0.25\t2\t-\n"
             "3\t0.125\t-\t-\n"
         )
-        jumps = JumpRealization(
-            flags=np.array([[True, False], [False, True]]),
-            variances=np.array([1.0, 1.0]),
-        )
-        assert trees.dump_tree(tree, jumps) == (
+        flags = np.array([[[True, False], [False, True]]])
+        assert trees.dump_tree(tree, flags) == (
             "1\t0.5\t1\t10\n"
             "2\t0.25\t2\t01\n"
             "3\t0.125\t-\t-\n"
@@ -537,6 +536,6 @@ class TestDumpTree:
             fields = line.split("\t")
             assert len(fields) == 4
             assert fields[0] == str(k + 1)
-            assert float(fields[1]) == tree.times[k]
+            assert float(fields[1]) == tree.times[0, k]
         splits = [int(line.split("\t")[2]) for line in lines[:-1]]
-        assert splits == [int(s) + 1 for s in tree.splits]
+        assert splits == [int(s) + 1 for s in tree.splits[0]]
