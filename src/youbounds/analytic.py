@@ -7,8 +7,9 @@ normal jumps on each daughter lineage right after a split. The quantity of
 interest is the normalized tip average, whose conditional law given the tree
 (and jump locations) is normal. This module supplies the exact mean and
 mean-conditional-variance of that average, the exact variance of its
-conditional mean, leading-order expressions for the variance of its
-conditional variance, and assembled distance-bound curves.
+conditional mean, one rate table of the leading-order constants (the only
+source for the variance of its conditional variance, the limit variance and
+the plateau rule), and assembled distance-bound curves.
 
 Everything below the critical rate alpha = 1/2 is rejected: no normal limit
 is expected there, so emitting bounds would be misleading.
@@ -220,37 +221,6 @@ def var_cond_mean_exact(n: int, params: YouParams) -> float:
     return d * d * laplace_height_variance(n, params.alpha)
 
 
-def _vv_you_constant(alpha: float, regime: Regime) -> tuple[float, float, int]:
-    """(constant, n exponent, log exponent) of the leading conditional-
-    variance-spread term for the jump-free model."""
-    if regime.band == "half":
-        c = 8.0 * special.zeta(2.0) + (math.gamma(3.0) - math.gamma(2.0)) ** 2
-        return c, -2.0, 0
-    if regime.band == "half_to_three_quarters":
-        c = (32.0 * alpha * alpha / (2.0 - 2.0 * alpha)) * special.zeta(4.0 - 4.0 * alpha) \
-            + (math.gamma(4.0 * alpha + 1.0) - math.gamma(2.0 * alpha + 1.0)) ** 2
-        return c, -4.0 * alpha, 0
-    if regime.band == "three_quarters":
-        return 36.0, -3.0, 1
-    c = 32.0 * alpha * alpha / ((2.0 * alpha - 1.0) * (4.0 * alpha - 3.0) * (4.0 * alpha - 2.0))
-    return c, -3.0, 0
-
-
-def var_cond_var_you_asymptotic(n: int, params: YouParams) -> float:
-    """Leading-order variance of the conditional variance, jump-free model.
-
-    Six rate bands: constant * n^-2 at alpha = 1/2, a zeta-weighted constant
-    * n^(-4 alpha) for 1/2 < alpha < 3/4, 36 n^-3 ln n exactly at 3/4, and a
-    single rational constant * n^-3 everywhere above 3/4 (it evaluates to
-    16 at alpha = 1).
-    """
-    if n < 2:
-        raise ValueError(f"var_cond_var_you_asymptotic requires n >= 2, got {n}")
-    regime = _require_supported(params.alpha)
-    c, n_pow, log_pow = _vv_you_constant(params.alpha, regime)
-    return c * float(n) ** n_pow * math.log(n) ** log_pow
-
-
 def jump_single_lineage_mean(n: int, alpha: float, p: float) -> float:
     """Mean total single-lineage jump exposure.
 
@@ -313,31 +283,6 @@ def var_ybar_youj(n: int, params: YouParams, schedule: JumpSchedule) -> float:
     return base + scale * (single / n + (1.0 - 1.0 / n) * pair)
 
 
-def var_cond_var_youj_upper(n: int, params: YouParams, schedule: JumpSchedule) -> float:
-    """Leading-order upper bound on the conditional-variance spread with
-    jumps, constant schedules only.
-
-    4 (2 alpha / sigma_a2)^2 sigma_c2^2 * 16 p(1-p) n^-2 ln n at the critical
-    rate, and * 32 p(1-p) / ((4a)(4a-1)(4a-2)) n^-2 above it. The p(1-p)
-    factor kills the term at p = 0 or p = 1, in which case the jump-free
-    rate expression is returned instead (order-correct there; its constant
-    understates the p = 1 truth, which carries an extra same-order
-    contribution from the jump-count fluctuations).
-    """
-    if n < 2:
-        raise ValueError(f"var_cond_var_youj_upper requires n >= 2, got {n}")
-    _require_closed_form_schedule(schedule)
-    regime = _require_supported(params.alpha)
-    p, s = schedule.p, schedule.sigma_c2
-    if schedule.is_inactive or p == 1.0:
-        return var_cond_var_you_asymptotic(n, params)
-    lead = 4.0 * (2.0 * params.alpha / params.sigma_a2) ** 2 * s * s
-    if regime.band == "half":
-        return lead * 16.0 * p * (1.0 - p) / (n * n) * math.log(n)
-    a4 = 4.0 * params.alpha
-    return lead * 32.0 * p * (1.0 - p) / (a4 * (a4 - 1.0) * (a4 - 2.0)) / (n * n)
-
-
 @dataclass(frozen=True)
 class RatedConstant:
     """A leading coefficient with its rate: value * n^n_power * (ln n)^log_power."""
@@ -350,95 +295,134 @@ class RatedConstant:
         return self.value * float(n) ** self.n_power * math.log(n) ** self.log_power
 
 
+# Where the leading-order vv is known to be too small at finite n (Monte
+# Carlo vv over the table's one, n = 200 to 5000): 1.15-1.30 for the
+# jump-free model above alpha = 3/4, about 30 for jumps with p = 1 (alpha = 1).
+_VV_BELOW_MONTE_CARLO_BANDS = ("three_quarters_to_one", "one", "above_one")
+VV_TOO_SMALL_NOTE = "vv below Monte Carlo: upper bound may be too small"
+
+
 @dataclass(frozen=True)
 class AsymptoticConstants:
-    """Leading coefficients of the three bound ingredients, with rates."""
+    """Leading coefficients of the three bound ingredients, with rates.
+
+    vv_too_small records that Monte Carlo shows the vv entry to fall below
+    the true variance of the conditional variance at finite n.
+    """
 
     ev: RatedConstant
     ve: RatedConstant
     vv: RatedConstant
     regime: Regime
+    vv_too_small: bool
+
+    @property
+    def nonconvergent(self) -> bool:
+        """True when the leading upper-bound term sqrt(vv)/ev does not vanish:
+        vv decays no faster than ev^2."""
+        return ((self.vv.n_power, self.vv.log_power)
+                >= (2.0 * self.ev.n_power, 2 * self.ev.log_power))
 
 
 def asymptotic_constants(model: str, params: YouParams,
                          schedule: JumpSchedule | None = None) -> AsymptoticConstants:
-    """Leading constants and rates of ev, ve and vv for the requested model."""
+    """The rate table: leading constants and rates of ev, ve and vv.
+
+    ev is the mean conditional variance: (2a+1)/(2a-1) n^-1 above the
+    critical rate and 2 n^-1 ln n at it, times the jump lift
+    1 + 2 p sigma_c2 / sigma_a2. ve is the variance of the conditional mean,
+    delta^2 (Gamma(2a+1) - Gamma(a+1)^2) n^(-2a).
+
+    vv, the variance of the conditional variance, for the jump-free model
+    has six rate bands: a constant * n^-2 at a = 1/2, a zeta-weighted
+    constant * n^(-4a) for 1/2 < a < 3/4, 36 n^-3 ln n exactly at 3/4, and a
+    single rational constant * n^-3 everywhere above 3/4 (16 at a = 1).
+    With jumps of partial probability 0 < p < 1 it is the upper bound
+    4 (2a / sigma_a2)^2 sigma_c2^2 times 16 p(1-p) n^-2 ln n at the critical
+    rate and 32 p(1-p) / ((4a)(4a-1)(4a-2)) n^-2 above it. At p = 1 the
+    jump-free entry is used: order-correct, but its constant understates
+    the truth, which carries an extra same-order contribution from the
+    jump-count fluctuations.
+    """
     schedule = _normalize_schedule(model, schedule)
     _require_closed_form_schedule(schedule)
     regime = _require_supported(params.alpha)
-    a = params.alpha
+    alpha = params.alpha
     jump_lift = 1.0 + 2.0 * schedule.p * schedule.sigma_c2 / params.sigma_a2
     if regime.band == "half":
         ev = RatedConstant(2.0 * jump_lift, -1.0, 1)
     else:
-        ev = RatedConstant((2.0 * a + 1.0) / (2.0 * a - 1.0) * jump_lift, -1.0, 0)
-    ve_const = params.delta ** 2 * (math.gamma(2.0 * a + 1.0) - math.gamma(a + 1.0) ** 2)
-    ve = RatedConstant(ve_const, -2.0 * a, 0)
+        ev = RatedConstant((2.0 * alpha + 1.0) / (2.0 * alpha - 1.0) * jump_lift, -1.0, 0)
+    ve_gamma = math.gamma(2.0 * alpha + 1.0) - math.gamma(alpha + 1.0) ** 2
+    ve = RatedConstant(params.delta ** 2 * ve_gamma, -2.0 * alpha, 0)
     p, s = schedule.p, schedule.sigma_c2
-    if model == MODEL_YOUJ and p * (1.0 - p) * s > 0.0:
-        lead = 4.0 * (2.0 * a / params.sigma_a2) ** 2 * s * s
+    if p * (1.0 - p) * s > 0.0:
+        vv_too_small = False
+        lead = 4.0 * (2.0 * alpha / params.sigma_a2) ** 2 * s * s
         if regime.band == "half":
             vv = RatedConstant(lead * 16.0 * p * (1.0 - p), -2.0, 1)
         else:
-            a4 = 4.0 * a
+            a4 = 4.0 * alpha
             vv = RatedConstant(lead * 32.0 * p * (1.0 - p) / (a4 * (a4 - 1.0) * (a4 - 2.0)), -2.0, 0)
     else:
-        c, n_pow, log_pow = _vv_you_constant(a, regime)
-        vv = RatedConstant(c, n_pow, log_pow)
-    return AsymptoticConstants(ev=ev, ve=ve, vv=vv, regime=regime)
+        vv_too_small = p == 1.0 or regime.band in _VV_BELOW_MONTE_CARLO_BANDS
+        if regime.band == "half":
+            c = 8.0 * special.zeta(2.0) + (math.gamma(3.0) - math.gamma(2.0)) ** 2
+            vv = RatedConstant(c, -2.0, 0)
+        elif regime.band == "three_quarters":
+            vv = RatedConstant(36.0, -3.0, 1)
+        else:
+            c = 32.0 * alpha * alpha
+            if regime.band == "half_to_three_quarters":
+                zeta_term = (c / (2.0 - 2.0 * alpha)) * special.zeta(4.0 - 4.0 * alpha)
+                gamma_term = (math.gamma(4.0 * alpha + 1.0) - math.gamma(2.0 * alpha + 1.0)) ** 2
+                vv = RatedConstant(zeta_term + gamma_term, -4.0 * alpha, 0)
+            else:
+                rational = (2.0 * alpha - 1.0) * (4.0 * alpha - 3.0) * (4.0 * alpha - 2.0)
+                vv = RatedConstant(c / rational, -3.0, 0)
+    return AsymptoticConstants(ev=ev, ve=ve, vv=vv, regime=regime, vv_too_small=vv_too_small)
 
 
 def _normalize_schedule(model: str, schedule: JumpSchedule | None) -> JumpSchedule:
+    """Validate the model and its schedule; an inactive schedule becomes none."""
     if model not in (MODEL_YOU, MODEL_YOUJ):
         raise ValueError(f"unknown model: {model!r}")
-    if model == MODEL_YOU:
-        if schedule is not None and not schedule.is_inactive:
-            raise ValueError("the jump-free model takes no jump schedule")
+    if schedule is None or schedule.is_inactive:
         return JumpSchedule.none()
-    return schedule if schedule is not None else JumpSchedule.none()
+    if model == MODEL_YOU:
+        raise ValueError("the jump-free model takes no jump schedule")
+    return schedule
 
 
 def is_nonconvergent(model: str, params: YouParams, schedule: JumpSchedule | None) -> bool:
-    """True when the upper-bound curve provably plateaus instead of vanishing:
-    jumps with partial probability and positive variance above the critical
-    rate."""
+    """True when the upper-bound curve provably plateaus instead of vanishing,
+    read off the rate table (jumps with partial probability and positive
+    variance above the critical rate). False where there is no table: per-event
+    schedules and rates below the critical one."""
     schedule = _normalize_schedule(model, schedule)
-    if model != MODEL_YOUJ or schedule.kind != "constant":
+    if schedule.kind == "per_event" or classify_regime(params.alpha).kind == "slow":
         return False
-    regime = classify_regime(params.alpha)
-    return (regime.kind == "fast"
-            and 0.0 < schedule.p < 1.0
-            and schedule.sigma_c2 > 0.0)
-
-
-# Where the leading-order vv is known to be too small at finite n (Monte
-# Carlo vv over the shipped one, n = 200 to 5000): 1.15-1.30 for the
-# jump-free model above alpha = 3/4, about 30 for jumps with p = 1 (alpha = 1).
-_VV_BELOW_MONTE_CARLO_BANDS = ("three_quarters_to_one", "one", "above_one")
-VV_TOO_SMALL_NOTE = "vv below Monte Carlo: upper bound may be too small"
+    return asymptotic_constants(model, params, schedule).nonconvergent
 
 
 def bound_point(model: str, params: YouParams, schedule: JumpSchedule | None,
                 distance: str, n: int) -> BoundReport:
     """Upper bound at a single tip count, hybrid assembly.
 
-    ev and ve enter exactly; vv enters at leading order (no exact closed form
-    exists for it). The report notes record the regime, which ingredients are
-    exact, a warning where that vv is known to fall below its Monte Carlo
-    value, and a plateau warning in the non-convergent jump regime.
+    ev and ve enter exactly; vv enters at leading order from the rate table
+    (no exact closed form exists for it). The report notes record the
+    regime, which ingredients are exact, a warning where that vv is known to
+    fall below its Monte Carlo value, and a plateau warning in the
+    non-convergent jump regime.
     """
+    table = asymptotic_constants(model, params, schedule)
     schedule = _normalize_schedule(model, schedule)
-    regime = _require_supported(params.alpha)
-    if model == MODEL_YOU or schedule.is_inactive:
+    if schedule.is_inactive:
         ev = var_ybar_you(n, params)
-        vv = var_cond_var_you_asymptotic(n, params)
-        vv_too_small = regime.band in _VV_BELOW_MONTE_CARLO_BANDS
     else:
         ev = var_ybar_youj(n, params, schedule)
-        vv = var_cond_var_youj_upper(n, params, schedule)
-        vv_too_small = schedule.p == 1.0
-    ve = var_cond_mean_exact(n, params)
-    ms = MomentSummary(mean=mean_ybar(n, params), ev=ev, vv=vv, ve=ve)
+    ms = MomentSummary(mean=mean_ybar(n, params), ev=ev, vv=table.vv.at(n),
+                       ve=var_cond_mean_exact(n, params))
     if distance == stein.KOLMOGOROV:
         report = stein.kolmogorov_upper(ms)
     elif distance == stein.WASSERSTEIN:
@@ -446,14 +430,14 @@ def bound_point(model: str, params: YouParams, schedule: JumpSchedule | None,
     else:
         raise ValueError(f"unknown distance kind: {distance!r}")
     notes = (
-        f"regime={regime.kind}/{regime.band}",
+        f"regime={table.regime.kind}/{table.regime.band}",
         "ev exact",
         "ve exact",
         "vv leading-order",
     )
-    if vv_too_small:
+    if table.vv_too_small:
         notes = notes + (VV_TOO_SMALL_NOTE,)
-    if is_nonconvergent(model, params, schedule):
+    if table.nonconvergent:
         notes = notes + ("non-convergent regime",)
     return dataclasses.replace(report, notes=report.notes + notes)
 
@@ -480,23 +464,19 @@ class LimitDistribution:
 
 def limit_distribution(model: str, params: YouParams,
                        schedule: JumpSchedule | None = None) -> LimitDistribution:
-    """Scaling and limit variance in the regimes where a normal limit holds.
+    """Scaling and limit variance in the regimes where a normal limit holds,
+    read off the ev entry of the rate table.
 
     Critical rate: sqrt(n / ln n) scaling. Fast rates: sqrt(n) scaling; with
     jumps this requires an all-or-nothing jump probability (partial
     probability puts the bound in the non-convergent regime, where no normal
     limit statement is available).
     """
-    schedule = _normalize_schedule(model, schedule)
-    _require_closed_form_schedule(schedule)
-    regime = _require_supported(params.alpha)
-    a = params.alpha
-    lift = 1.0 + 2.0 * schedule.p * schedule.sigma_c2 / params.sigma_a2
-    if regime.kind == "critical":
-        return LimitDistribution("sqrt(n/log n)", 2.0 * lift)
-    if is_nonconvergent(model, params, schedule):
+    table = asymptotic_constants(model, params, schedule)
+    if table.nonconvergent:
         raise ValueError(
             "no normal limit statement is available for a partial jump "
             "probability above the critical rate (non-convergent regime)"
         )
-    return LimitDistribution("sqrt(n)", (2.0 * a + 1.0) / (2.0 * a - 1.0) * lift)
+    scaling = "sqrt(n/log n)" if table.ev.log_power == 1 else "sqrt(n)"
+    return LimitDistribution(scaling, table.ev.value)

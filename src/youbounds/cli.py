@@ -337,15 +337,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     note = None
     if schedule.kind == "per_event":
-        include_sandwich = False
         note = "sandwich omitted: per-event schedules have no closed-form bounds"
     elif analytic.classify_regime(params.alpha).kind == "slow":
-        include_sandwich = False
         note = "sandwich omitted: no normal limit expected below the critical rate"
-    else:
-        include_sandwich = True
 
-    result = harness.run_experiment(config, include_sandwich=include_sandwich)
+    result = harness.run_experiment(config)
     text = render_result_json(result, note)
     if "json" in settings:
         with open(settings["json"], "w", encoding="utf-8") as fh:

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic, special, stein, trees
-from .analytic import JumpSchedule, YouParams, MODEL_YOU, MODEL_YOUJ
+from .analytic import JumpSchedule, YouParams, MODEL_YOUJ
 from .stein import BoundReport, LowerBoundInputs
 
 # 99% two-sided empirical-CDF band: sqrt(ln(2/0.01) / (2R))
@@ -68,10 +68,8 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.model not in (MODEL_YOU, MODEL_YOUJ):
-            raise ValueError(f"unknown model: {self.model!r}")
-        if self.model == MODEL_YOU and not self.schedule.is_inactive:
-            raise ValueError("the jump-free model takes no jump schedule")
+        # the model and schedule checks of the closed forms
+        analytic._normalize_schedule(self.model, self.schedule)
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
         if self.replicates < 2:
@@ -471,13 +469,15 @@ def run_sandwich(config: ExperimentConfig, data: ReplicateData | None = None) ->
     )
 
 
-def run_experiment(config: ExperimentConfig, include_sandwich: bool = True) -> ExperimentResult:
-    """One full run: moment estimates plus (optionally) the sandwich check,
-    both computed from a single pass of replicates."""
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    """One full run: moment estimates plus the sandwich check, both computed
+    from a single pass of replicates. The sandwich is skipped (None) where
+    there are no bounds to check: per-event schedules and rates below 1/2."""
     data = run_replicates(config)
     estimates = estimate_moment_summary(config, data)
     sandwich = None
-    if include_sandwich and config.schedule.kind != "per_event":
+    if (config.schedule.kind != "per_event"
+            and analytic.classify_regime(config.params.alpha).kind != "slow"):
         sandwich = run_sandwich(config, data)
     return ExperimentResult(config=config, estimates=estimates, sandwich=sandwich)
 

@@ -23,7 +23,6 @@ KOLMOGOROV = "kolmogorov"
 WASSERSTEIN = "wasserstein"
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def _check_distance(distance: str) -> str:
@@ -131,31 +130,6 @@ def wasserstein_upper(ms: MomentSummary) -> BoundReport:
         ("sqrt(2/pi) sqrt(ve) vv^1/4 / ev", t4),
     )
     return BoundReport(WASSERSTEIN, "upper", terms, t1 + t2 + t3 + t4)
-
-
-def kolmogorov_two_normals(m: float, tau2: float, mu: float, sigma2: float) -> float:
-    """Kolmogorov bound between N(m, tau2) and N(mu, sigma2).
-
-    |sigma2 - tau2| / sigma2 + sqrt(2 pi)/(4 sigma) * |mu - m|. Scale-free, so
-    it bounds the distance between the raw pair directly.
-    """
-    if tau2 <= 0.0 or sigma2 <= 0.0:
-        raise ValueError("variances must be > 0")
-    return abs(sigma2 - tau2) / sigma2 + _SQRT_2PI / (4.0 * math.sqrt(sigma2)) * abs(mu - m)
-
-
-def wasserstein_two_normals(m: float, tau2: float, mu: float, sigma2: float) -> float:
-    """Wasserstein bound between N(m, tau2) and N(mu, sigma2), in sigma units.
-
-    4 |sigma2 - tau2| / sigma2 + (2/sigma) |mu - m|. The expression is
-    dimensionless, so it bounds the Wasserstein distance of the pair rescaled
-    by sqrt(sigma2) (equivalently, the raw distance divided by sigma). In the
-    standardized comparisons this package performs, sigma is 1 and the
-    distinction disappears.
-    """
-    if tau2 <= 0.0 or sigma2 <= 0.0:
-        raise ValueError("variances must be > 0")
-    return 4.0 * abs(sigma2 - tau2) / sigma2 + 2.0 / math.sqrt(sigma2) * abs(mu - m)
 
 
 def variance_penalty(x, sigma2):

@@ -39,57 +39,6 @@ def harmonic_fraction(n: int) -> Fraction:
     return sum((Fraction(1, k) for k in range(1, n + 1)), Fraction(0))
 
 
-def _phi(z: float) -> float:
-    return math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-
-
-def _cdf(z: float) -> float:
-    return 0.5 * math.erfc(-z / math.sqrt(2.0))
-
-
-def true_two_normal_dk(m: float, tau2: float, mu: float, sigma2: float) -> float:
-    """Exact Kolmogorov distance between N(m, tau2) and N(mu, sigma2).
-
-    The CDF difference is extremal where the densities cross; the crossings
-    solve a quadratic. A dense grid scan backs up the root computation.
-    """
-    s, t = math.sqrt(sigma2), math.sqrt(tau2)
-
-    def gap(x: float) -> float:
-        return abs(_cdf((x - mu) / s) - _cdf((x - m) / t))
-
-    candidates = []
-    if abs(sigma2 - tau2) < 1e-14 * max(sigma2, tau2):
-        if m != mu:
-            candidates.append(0.5 * (m + mu))
-    else:
-        a = 1.0 / tau2 - 1.0 / sigma2
-        b = 2.0 * mu / sigma2 - 2.0 * m / tau2
-        c = m * m / tau2 - mu * mu / sigma2 - math.log(sigma2 / tau2)
-        disc = b * b - 4.0 * a * c
-        if disc >= 0.0:
-            root = math.sqrt(disc)
-            candidates.extend([(-b - root) / (2.0 * a), (-b + root) / (2.0 * a)])
-    lo = min(m - 8.0 * t, mu - 8.0 * s)
-    hi = max(m + 8.0 * t, mu + 8.0 * s)
-    grid = np.linspace(lo, hi, 4001)
-    best = max(gap(x) for x in grid)
-    for x in candidates:
-        best = max(best, gap(x))
-    return best
-
-
-def true_two_normal_dw(m: float, tau2: float, mu: float, sigma2: float) -> float:
-    """Exact Wasserstein distance between two one-dimensional normals:
-    the comonotone coupling gives E|c + dZ| with c = mu - m, d = sigma - tau."""
-    c = mu - m
-    d = math.sqrt(sigma2) - math.sqrt(tau2)
-    if d == 0.0:
-        return abs(c)
-    r = c / abs(d)
-    return c * (2.0 * _cdf(r) - 1.0) + 2.0 * abs(d) * _phi(r)
-
-
 def kappa_second_derivative(x: float, sigma2: float) -> float:
     """Closed-form second derivative of the variance penalty in x,
     derived by hand: (3/4) sigma^3 (sigma2 + x)^(-7/2) (9 sigma2 - x)."""

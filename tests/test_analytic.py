@@ -290,45 +290,43 @@ class TestVarCondMean:
         assert scaled == pytest.approx(target, rel=0.02)
 
 
+def _vv_at(model, alpha, n, schedule=None):
+    return analytic.asymptotic_constants(model, YouParams(alpha), schedule).vv.at(n)
+
+
 class TestVarCondVarYou:
     def test_critical_constant(self):
         n = 1000
         expected = (8.0 * math.pi ** 2 / 6.0 + 1.0) / n ** 2
-        assert analytic.var_cond_var_you_asymptotic(n, YouParams(0.5)) == \
-            pytest.approx(expected, rel=1e-12)
+        assert _vv_at("YOU", 0.5, n) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("n", [100, 10**4])
     def test_alpha_one(self, n):
-        assert analytic.var_cond_var_you_asymptotic(n, YouParams(1.0)) == \
-            pytest.approx(16.0 * float(n) ** -3.0, rel=1e-15)
+        assert _vv_at("YOU", 1.0, n) == pytest.approx(16.0 * float(n) ** -3.0, rel=1e-15)
 
     def test_alpha_two(self):
         n = 500
-        assert analytic.var_cond_var_you_asymptotic(n, YouParams(2.0)) == \
+        assert _vv_at("YOU", 2.0, n) == \
             pytest.approx((128.0 / 90.0) * float(n) ** -3.0, rel=1e-14)
 
     def test_three_quarters_log_branch(self):
         n = 2000
         expected = 36.0 * float(n) ** -3.0 * math.log(n)
-        assert analytic.var_cond_var_you_asymptotic(n, YouParams(0.75)) == \
-            pytest.approx(expected, rel=1e-14)
+        assert _vv_at("YOU", 0.75, n) == pytest.approx(expected, rel=1e-14)
         # the relative window around 3/4 keeps nearby arguments on the branch
-        assert analytic.var_cond_var_you_asymptotic(n, YouParams(0.75 + 1e-10)) == \
-            pytest.approx(expected, rel=1e-14)
+        assert _vv_at("YOU", 0.75 + 1e-10, n) == pytest.approx(expected, rel=1e-14)
 
     def test_zeta_band_constant(self):
         alpha, n = 0.6, 1000
         c = (32.0 * alpha * alpha / (2.0 - 2.0 * alpha)) \
             * special.zeta(4.0 - 4.0 * alpha) \
             + (math.gamma(4.0 * alpha + 1.0) - math.gamma(2.0 * alpha + 1.0)) ** 2
-        assert analytic.var_cond_var_you_asymptotic(n, YouParams(alpha)) == \
+        assert _vv_at("YOU", alpha, n) == \
             pytest.approx(c * float(n) ** (-4.0 * alpha), rel=1e-12)
 
     def test_errors(self):
         with pytest.raises(UnsupportedRegimeError):
-            analytic.var_cond_var_you_asymptotic(100, YouParams(0.4))
-        with pytest.raises(ValueError):
-            analytic.var_cond_var_you_asymptotic(1, YouParams(1.0))
+            analytic.asymptotic_constants("YOU", YouParams(0.4))
 
 
 class TestJumpMeans:
@@ -432,28 +430,24 @@ class TestVarYbarYouj:
 class TestVarCondVarYouj:
     @pytest.mark.parametrize("p", [0.0, 1.0])
     def test_all_or_nothing_falls_back_to_jump_free_rate(self, p):
-        params = YouParams(1.0)
         sch = JumpSchedule.constant(p, 1.0)
-        assert analytic.var_cond_var_youj_upper(100, params, sch) == \
-            analytic.var_cond_var_you_asymptotic(100, params)
+        assert _vv_at("YOUj", 1.0, 100, sch) == _vv_at("YOU", 1.0, 100)
 
     def test_fast_plug_in_value(self):
         n = 200
         sch = JumpSchedule.constant(0.5, 1.0)
-        assert analytic.var_cond_var_youj_upper(n, YouParams(1.0), sch) == \
-            pytest.approx((16.0 / 3.0) / (n * n), rel=1e-14)
+        assert _vv_at("YOUj", 1.0, n, sch) == pytest.approx((16.0 / 3.0) / (n * n), rel=1e-14)
 
     def test_critical_log_rate(self):
         n = 500
         sch = JumpSchedule.constant(0.5, 1.0)
         expected = 4.0 * 1.0 * 16.0 * 0.25 * math.log(n) / (n * n)
-        assert analytic.var_cond_var_youj_upper(n, YouParams(0.5), sch) == \
-            pytest.approx(expected, rel=1e-14)
+        assert _vv_at("YOUj", 0.5, n, sch) == pytest.approx(expected, rel=1e-14)
 
     def test_per_event_schedule_rejected(self):
         sch = JumpSchedule.per_event([(0.5, 1.0)] * 99)
         with pytest.raises(ValueError, match="Monte Carlo"):
-            analytic.var_cond_var_youj_upper(100, YouParams(1.0), sch)
+            analytic.asymptotic_constants("YOUj", YouParams(1.0), sch)
 
 
 class TestAsymptoticConstants:
@@ -491,6 +485,12 @@ class TestAsymptoticConstants:
         ac = analytic.asymptotic_constants("YOUj", YouParams(1.0), sch)
         assert ac.ev.value == pytest.approx(9.0, rel=1e-14)
         assert (ac.vv.value, ac.vv.n_power) == (16.0, -3.0)
+
+    def test_inactive_schedule_is_no_schedule(self):
+        base = analytic.asymptotic_constants("YOU", YouParams(1.0))
+        for sch in (JumpSchedule.constant(0.5, 0.0),
+                    JumpSchedule.per_event([(0.0, 1.0), (0.5, 0.0)])):
+            assert analytic.asymptotic_constants("YOUj", YouParams(1.0), sch) == base
 
     def test_rated_constant_evaluation(self):
         rc = analytic.RatedConstant(2.0, -1.0, 1)
@@ -574,6 +574,32 @@ class TestBoundPoint:
     def test_vv_not_known_too_small_is_not_noted(self, model, alpha, schedule):
         rep = analytic.bound_point(model, YouParams(alpha), schedule, stein.KOLMOGOROV, 1000)
         assert analytic.VV_TOO_SMALL_NOTE not in rep.notes
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.6, 0.75, 0.9, 1.0, 2.0])
+    @pytest.mark.parametrize("model,schedule", [
+        ("YOU", None),
+        ("YOUj", JumpSchedule.constant(0.0, 1.0)),
+        ("YOUj", JumpSchedule.constant(0.5, 1.0)),
+        ("YOUj", JumpSchedule.constant(1.0, 1.0)),
+    ])
+    def test_reads_the_rate_table(self, alpha, model, schedule):
+        n = 1000
+        params = YouParams(alpha, 1.0, 0.5)
+        table = analytic.asymptotic_constants(model, params, schedule)
+        if model == "YOU":
+            ev = analytic.var_ybar_you(n, params)
+        else:
+            ev = analytic.var_ybar_youj(n, params, schedule)
+        rep = analytic.bound_point(model, params, schedule, stein.KOLMOGOROV, n)
+        assert rep.terms[0] == ("sqrt(vv)/ev", math.sqrt(table.vv.at(n)) / ev)
+        assert (analytic.VV_TOO_SMALL_NOTE in rep.notes) == table.vv_too_small
+        assert ("non-convergent regime" in rep.notes) == table.nonconvergent
+        if table.nonconvergent:
+            with pytest.raises(ValueError, match="non-convergent"):
+                analytic.limit_distribution(model, params, schedule)
+        else:
+            assert analytic.limit_distribution(model, params, schedule).variance \
+                == table.ev.value
 
     def test_distance_validation(self):
         with pytest.raises(ValueError):

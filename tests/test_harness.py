@@ -572,6 +572,14 @@ class TestSandwich:
         assert result.sandwich is None
         assert result.estimates.ev.r_used == 50
 
+    def test_run_experiment_skips_sandwich_below_critical_rate(self):
+        config = ExperimentConfig(
+            model="YOU", n=5, params=YouParams(alpha=0.3),
+            schedule=JumpSchedule.none(), replicates=50, seed=SEED)
+        result = harness.run_experiment(config)
+        assert result.sandwich is None
+        assert result.estimates.ev.r_used == 50
+
     def test_run_experiment_includes_sandwich_by_default(self):
         result = harness.run_experiment(_you_config(n=20, replicates=200))
         assert result.sandwich is not None

@@ -1,6 +1,5 @@
 """Distance-bound kernels: frozen examples, envelopes, and domination oracles."""
 
-import itertools
 import math
 
 import numpy as np
@@ -95,61 +94,6 @@ class TestWassersteinUpper:
         assert rep.kind == "upper"
         assert len(rep.terms) == 4
         assert rep.total == sum(rep.term_values())
-
-
-class TestTwoNormalBounds:
-    @pytest.mark.parametrize("m,s2", [(0.0, 1.0), (-1.3, 0.4), (2.0, 3.7)])
-    def test_identical_normals(self, m, s2):
-        assert stein.kolmogorov_two_normals(m, s2, m, s2) == 0.0
-        assert stein.wasserstein_two_normals(m, s2, m, s2) == 0.0
-
-    def test_kolmogorov_examples(self):
-        assert stein.kolmogorov_two_normals(0.0, 1.0, 0.0, 2.0) == 0.5
-        assert stein.kolmogorov_two_normals(1.0, 1.0, 0.0, 1.0) == pytest.approx(
-            math.sqrt(2.0 * math.pi) / 4.0, rel=1e-15)
-
-    def test_wasserstein_examples(self):
-        assert stein.wasserstein_two_normals(0.0, 2.0, 0.0, 1.0) == 4.0
-        assert stein.wasserstein_two_normals(3.0, 1.0, 0.0, 1.0) == 6.0
-
-    @pytest.mark.parametrize("fn", [stein.kolmogorov_two_normals,
-                                    stein.wasserstein_two_normals])
-    def test_domain_errors(self, fn):
-        with pytest.raises(ValueError):
-            fn(0.0, 0.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            fn(0.0, 1.0, 0.0, -2.0)
-
-    def test_kolmogorov_dominates_true_distance(self):
-        grid = itertools.product(
-            [-1.0, -0.3, 0.0, 0.4, 1.0],
-            [0.5, 0.8, 1.0, 1.3, 2.5],
-            [0.0, 0.7],
-            [0.7, 1.0, 1.9],
-        )
-        for m, tau2, mu, sigma2 in grid:
-            bound = stein.kolmogorov_two_normals(m, tau2, mu, sigma2)
-            truth = oracles.true_two_normal_dk(m, tau2, mu, sigma2)
-            assert bound + 1e-12 >= truth
-
-    def test_wasserstein_dominates_true_distance_in_sigma_units(self):
-        grid = itertools.product(
-            [-1.0, 0.0, 0.4, 1.0],
-            [0.5, 1.0, 1.3, 2.5],
-            [0.0, 0.7],
-            [0.7, 1.0, 1.9],
-        )
-        for m, tau2, mu, sigma2 in grid:
-            bound = stein.wasserstein_two_normals(m, tau2, mu, sigma2)
-            truth = oracles.true_two_normal_dw(m, tau2, mu, sigma2)
-            assert bound + 1e-12 >= truth / math.sqrt(sigma2)
-
-    @settings(max_examples=30, deadline=None)
-    @given(m=st.floats(-2.0, 2.0), tau2=st.floats(0.3, 4.0),
-           mu=st.floats(-2.0, 2.0), sigma2=st.floats(0.3, 4.0))
-    def test_kolmogorov_domination_property(self, m, tau2, mu, sigma2):
-        bound = stein.kolmogorov_two_normals(m, tau2, mu, sigma2)
-        assert bound + 1e-12 >= oracles.true_two_normal_dk(m, tau2, mu, sigma2)
 
 
 class TestVariancePenalty:
