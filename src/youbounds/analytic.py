@@ -3,16 +3,19 @@
 The model: a linear mean-reverting diffusion with rate alpha and diffusion
 variance sigma_a2 runs along a pure-birth tree, splitting into independent
 copies at every speciation; an optional variant adds independent mean-zero
-normal jumps on each daughter lineage right after a split. The quantity of
-interest is the normalized tip average, whose conditional law given the tree
-(and jump locations) is normal. This module supplies the exact mean and
-mean-conditional-variance of that average, the exact variance of its
-conditional mean, one rate table of the leading-order constants (the only
-source for the variance of its conditional variance, the limit variance and
-the plateau rule), and assembled distance-bound curves.
+normal jumps on each daughter lineage right after a split, and the jump
+schedule alone selects it (an absent or inactive schedule means no jumps).
+The quantity of interest is the normalized tip average, whose conditional
+law given the tree (and jump locations) is normal. This module supplies the
+exact mean and mean-conditional-variance of that average, the exact
+variance of its conditional mean, one rate table of the leading-order
+constants (the only source for the variance of its conditional variance,
+the limit variance and the plateau rule), and assembled distance-bound
+curves.
 
-Everything below the critical rate alpha = 1/2 is rejected: no normal limit
-is expected there, so emitting bounds would be misleading.
+`closed_form_gap` is the one rule for where bounds exist: not below the
+critical rate alpha = 1/2, where no normal limit is expected, and not for
+active per-event jump schedules.
 """
 
 from __future__ import annotations
@@ -38,6 +41,14 @@ _ONE_WINDOW = 1e-12
 
 class UnsupportedRegimeError(ValueError):
     """Raised for rate parameters outside the normal-limit regime."""
+
+    reason = "no normal limit expected below the critical rate"
+
+
+class PerEventScheduleError(ValueError):
+    """Raised where a closed form would need an active per-event schedule."""
+
+    reason = "per-event schedules have no closed-form bounds"
 
 
 @dataclass(frozen=True)
@@ -148,13 +159,6 @@ def classify_regime(alpha: float) -> Regime:
     return Regime("fast", "above_one")
 
 
-def _require_supported(alpha: float) -> Regime:
-    regime = classify_regime(alpha)
-    if regime.kind == "slow":
-        raise UnsupportedRegimeError(UNSUPPORTED_REGIME_MSG)
-    return regime
-
-
 def laplace_height(n: int, x: float) -> float:
     """Laplace transform of the n-tip tree height at argument x."""
     return special.pochhammer_ratio(n, x)
@@ -203,7 +207,8 @@ def var_ybar_you(n: int, params: YouParams) -> float:
     """
     if n < 2:
         raise ValueError(f"var_ybar_you requires n >= 2, got {n}")
-    regime = _require_supported(params.alpha)
+    _require_closed_form(params, None)
+    regime = classify_regime(params.alpha)
     # inside the critical window, route the pair transform through its exact
     # y = 1 branch rather than the cancellation-prone rational form
     two_alpha = 1.0 if regime.kind == "critical" else 2.0 * params.alpha
@@ -259,23 +264,45 @@ def _check_jump_args(n: int, alpha: float, p: float) -> None:
         raise UnsupportedRegimeError(UNSUPPORTED_REGIME_MSG)
 
 
-def _require_closed_form_schedule(schedule: JumpSchedule) -> None:
-    if schedule.kind == "per_event":
-        raise ValueError(
+def _normalize_schedule(schedule: JumpSchedule | None) -> JumpSchedule:
+    """An absent or inactive schedule is no schedule: no jumps."""
+    if schedule is None or schedule.is_inactive:
+        return JumpSchedule.none()
+    return schedule
+
+
+def closed_form_gap(params: YouParams, schedule: JumpSchedule | None) -> ValueError | None:
+    """None where the closed-form bounds exist, else the error refusing them,
+    whose `reason` says why: an active per-event schedule (named first) or a
+    rate below the critical one."""
+    if _normalize_schedule(schedule).kind == "per_event":
+        return PerEventScheduleError(
             "per-event jump schedules have no closed form; run them through "
             "the Monte Carlo harness instead"
         )
+    if classify_regime(params.alpha).kind == "slow":
+        return UnsupportedRegimeError(UNSUPPORTED_REGIME_MSG)
+    return None
 
 
-def var_ybar_youj(n: int, params: YouParams, schedule: JumpSchedule) -> float:
-    """Mean conditional variance for the jump model, constant schedules only.
+def _require_closed_form(params: YouParams, schedule: JumpSchedule | None) -> JumpSchedule:
+    """The normalized schedule, or the closed-form gap raised."""
+    gap = closed_form_gap(params, schedule)
+    if gap is not None:
+        raise gap
+    return _normalize_schedule(schedule)
+
+
+def var_ybar_youj(n: int, params: YouParams, schedule: JumpSchedule | None) -> float:
+    """Mean conditional variance for any schedule with a closed form; an
+    absent or inactive schedule gives the jump-free value.
 
     Jump-free value plus (1/n) scale jsm_single + (1 - 1/n) scale jsm_pair,
     where scale = (2 alpha / sigma_a2) sigma_c2.
     """
-    _require_closed_form_schedule(schedule)
+    schedule = _require_closed_form(params, schedule)
     base = var_ybar_you(n, params)
-    if schedule.is_inactive:
+    if schedule.kind == "none":
         return base
     scale = (2.0 * params.alpha / params.sigma_a2) * schedule.sigma_c2
     single = jump_single_lineage_mean(n, params.alpha, schedule.p)
@@ -324,7 +351,7 @@ class AsymptoticConstants:
                 >= (2.0 * self.ev.n_power, 2 * self.ev.log_power))
 
 
-def asymptotic_constants(model: str, params: YouParams,
+def asymptotic_constants(params: YouParams,
                          schedule: JumpSchedule | None = None) -> AsymptoticConstants:
     """The rate table: leading constants and rates of ev, ve and vv.
 
@@ -344,9 +371,8 @@ def asymptotic_constants(model: str, params: YouParams,
     the truth, which carries an extra same-order contribution from the
     jump-count fluctuations.
     """
-    schedule = _normalize_schedule(model, schedule)
-    _require_closed_form_schedule(schedule)
-    regime = _require_supported(params.alpha)
+    schedule = _require_closed_form(params, schedule)
+    regime = classify_regime(params.alpha)
     alpha = params.alpha
     jump_lift = 1.0 + 2.0 * schedule.p * schedule.sigma_c2 / params.sigma_a2
     if regime.band == "half":
@@ -383,29 +409,7 @@ def asymptotic_constants(model: str, params: YouParams,
     return AsymptoticConstants(ev=ev, ve=ve, vv=vv, regime=regime, vv_too_small=vv_too_small)
 
 
-def _normalize_schedule(model: str, schedule: JumpSchedule | None) -> JumpSchedule:
-    """Validate the model and its schedule; an inactive schedule becomes none."""
-    if model not in (MODEL_YOU, MODEL_YOUJ):
-        raise ValueError(f"unknown model: {model!r}")
-    if schedule is None or schedule.is_inactive:
-        return JumpSchedule.none()
-    if model == MODEL_YOU:
-        raise ValueError("the jump-free model takes no jump schedule")
-    return schedule
-
-
-def is_nonconvergent(model: str, params: YouParams, schedule: JumpSchedule | None) -> bool:
-    """True when the upper-bound curve provably plateaus instead of vanishing,
-    read off the rate table (jumps with partial probability and positive
-    variance above the critical rate). False where there is no table: per-event
-    schedules and rates below the critical one."""
-    schedule = _normalize_schedule(model, schedule)
-    if schedule.kind == "per_event" or classify_regime(params.alpha).kind == "slow":
-        return False
-    return asymptotic_constants(model, params, schedule).nonconvergent
-
-
-def bound_point(model: str, params: YouParams, schedule: JumpSchedule | None,
+def bound_point(params: YouParams, schedule: JumpSchedule | None,
                 distance: str, n: int) -> BoundReport:
     """Upper bound at a single tip count, hybrid assembly.
 
@@ -415,14 +419,11 @@ def bound_point(model: str, params: YouParams, schedule: JumpSchedule | None,
     fall below its Monte Carlo value, and a plateau warning in the
     non-convergent jump regime.
     """
-    table = asymptotic_constants(model, params, schedule)
-    schedule = _normalize_schedule(model, schedule)
-    if schedule.is_inactive:
-        ev = var_ybar_you(n, params)
-    else:
-        ev = var_ybar_youj(n, params, schedule)
-    ms = MomentSummary(mean=mean_ybar(n, params), ev=ev, vv=table.vv.at(n),
-                       ve=var_cond_mean_exact(n, params))
+    if n < 2:
+        raise ValueError(f"bounds need at least 2 tips, got n = {n}")
+    table = asymptotic_constants(params, schedule)
+    ms = MomentSummary(mean=mean_ybar(n, params), ev=var_ybar_youj(n, params, schedule),
+                       vv=table.vv.at(n), ve=var_cond_mean_exact(n, params))
     if distance == stein.KOLMOGOROV:
         report = stein.kolmogorov_upper(ms)
     elif distance == stein.WASSERSTEIN:
@@ -442,15 +443,13 @@ def bound_point(model: str, params: YouParams, schedule: JumpSchedule | None,
     return dataclasses.replace(report, notes=report.notes + notes)
 
 
-def bound_curve(model: str, params: YouParams, schedule: JumpSchedule | None,
+def bound_curve(params: YouParams, schedule: JumpSchedule | None,
                 distance: str, n_grid) -> list[BoundReport]:
     """Upper-bound reports along an ascending grid of tip counts."""
     grid = [int(n) for n in n_grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("n_grid must be strictly ascending")
-    if grid and grid[0] < 2:
-        raise ValueError("tip counts must be >= 2")
-    return [bound_point(model, params, schedule, distance, n) for n in grid]
+    return [bound_point(params, schedule, distance, n) for n in grid]
 
 
 @dataclass(frozen=True)
@@ -462,7 +461,7 @@ class LimitDistribution:
     variance: float
 
 
-def limit_distribution(model: str, params: YouParams,
+def limit_distribution(params: YouParams,
                        schedule: JumpSchedule | None = None) -> LimitDistribution:
     """Scaling and limit variance in the regimes where a normal limit holds,
     read off the ev entry of the rate table.
@@ -472,7 +471,7 @@ def limit_distribution(model: str, params: YouParams,
     probability puts the bound in the non-convergent regime, where no normal
     limit statement is available).
     """
-    table = asymptotic_constants(model, params, schedule)
+    table = asymptotic_constants(params, schedule)
     if table.nonconvergent:
         raise ValueError(
             "no normal limit statement is available for a partial jump "

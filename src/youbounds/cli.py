@@ -106,29 +106,32 @@ def parse_schedule_file(path: str, n: int) -> JumpSchedule:
     return JumpSchedule.per_event(tuple(pairs))
 
 
-def _build_schedule(model: str, settings: dict, n: int) -> JumpSchedule:
-    jump_keys = [k for k in ("p", "sigma_c2", "schedule_file") if k in settings]
+def _build_schedule(model: str, settings: dict, n: int, file_flag: bool) -> JumpSchedule:
+    """The settings' jump schedule; file_flag: the command takes --schedule-file."""
+    jump_flags = [f"--{k.replace('_', '-')}" for k in ("p", "sigma_c2", "schedule_file")
+                  if k in settings]
     if model == MODEL_YOU:
-        if jump_keys:
+        if jump_flags:
             raise ValueError(
-                f"jump settings {jump_keys} require model YOUj, not YOU")
+                f"jump settings {', '.join(jump_flags)} require model YOUj, not YOU")
         return JumpSchedule.none()
     if "schedule_file" in settings:
         if "p" in settings or "sigma_c2" in settings:
-            raise ValueError("schedule_file replaces the p / sigma_c2 settings")
+            raise ValueError("--schedule-file replaces --p and --sigma-c2")
         return parse_schedule_file(settings["schedule_file"], n)
     if "p" not in settings or "sigma_c2" not in settings:
-        raise ValueError("model YOUj requires p and sigma_c2 (or schedule_file)")
+        raise ValueError("model YOUj requires --p and --sigma-c2"
+                         + (" (or --schedule-file)" if file_flag else ""))
     return JumpSchedule.constant(settings["p"], settings["sigma_c2"])
 
 
 # ---------------------------------------------------------------------------
 # bounds
 
-def _regime_cell(model: str, params: YouParams, schedule: JumpSchedule | None) -> str:
-    regime = analytic.classify_regime(params.alpha)
-    cell = f"{regime.kind}/{regime.band}"
-    if analytic.is_nonconvergent(model, params, schedule):
+def _regime_cell(params: YouParams, schedule: JumpSchedule) -> str:
+    table = analytic.asymptotic_constants(params, schedule)
+    cell = f"{table.regime.kind}/{table.regime.band}"
+    if table.nonconvergent:
         cell += ";non-convergent"
     return cell
 
@@ -145,14 +148,14 @@ def _print_report(report: stein.BoundReport) -> None:
 def cmd_bounds(args: argparse.Namespace) -> int:
     params = YouParams(alpha=args.alpha, sigma_a2=args.sigma_a2, x0=args.x0)
     settings = {k: getattr(args, k) for k in ("p", "sigma_c2") if getattr(args, k) is not None}
-    schedule = _build_schedule(args.model, settings, args.n)
+    schedule = _build_schedule(args.model, settings, args.n, file_flag=False)
     distances = ([stein.KOLMOGOROV, stein.WASSERSTEIN]
                  if args.distance == "both" else [args.distance])
-    reports = [analytic.bound_point(args.model, params, schedule, distance, args.n)
+    reports = [analytic.bound_point(params, schedule, distance, args.n)
                for distance in distances]
     print(f"model {args.model}  n {args.n}  alpha {_fmt(args.alpha)}  "
           f"sigma_a2 {_fmt(args.sigma_a2)}  x0 {_fmt(args.x0)}  "
-          f"regime {_regime_cell(args.model, params, schedule)}")
+          f"regime {_regime_cell(params, schedule)}")
     for report in reports:
         _print_report(report)
     return 0
@@ -173,10 +176,9 @@ def _curve_rows(model: str, alphas: list[float], distances: list[str],
                            x0=(2.0 * alpha) ** -0.5 if x0 is None else x0)
         schedule = (JumpSchedule.constant(p, sigma_c2)
                     if model == MODEL_YOUJ else JumpSchedule.none())
-        cell = _regime_cell(model, params, schedule)
+        cell = _regime_cell(params, schedule)
         for distance in distances:
-            for n, report in zip(grid, analytic.bound_curve(model, params, schedule,
-                                                            distance, grid)):
+            for n, report in zip(grid, analytic.bound_curve(params, schedule, distance, grid)):
                 terms = list(report.term_values()) + [math.nan] * (4 - len(report.terms))
                 rows.append(",".join(
                     [model, _fmt(alpha), str(n), distance]
@@ -249,7 +251,7 @@ def _bound_doc(report: stein.BoundReport) -> dict:
     }
 
 
-def render_result_json(result: harness.ExperimentResult, note: str | None = None) -> str:
+def render_result_json(result: harness.ExperimentResult) -> str:
     """Deterministic JSON for an experiment; never includes the worker count."""
     config = result.config
     doc: dict = {
@@ -273,8 +275,8 @@ def render_result_json(result: harness.ExperimentResult, note: str | None = None
         "vv": _estimate_doc(est.vv),
         "ve": _estimate_doc(est.ve),
     }
-    if note:
-        doc["note"] = note
+    if result.sandwich_omitted:
+        doc["note"] = f"sandwich omitted: {result.sandwich_omitted}"
     sandwich = result.sandwich
     if sandwich is not None:
         doc["empirical"] = {
@@ -324,7 +326,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     params = YouParams(alpha=settings["alpha"],
                        sigma_a2=settings.get("sigma_a2", 1.0),
                        x0=settings.get("x0", 0.0))
-    schedule = _build_schedule(model, settings, n)
+    schedule = _build_schedule(model, settings, n, file_flag=True)
     config = ExperimentConfig(model=model, n=n, params=params, schedule=schedule,
                               replicates=settings["replicates"], seed=settings["seed"],
                               workers=harness.resolve_workers(settings.get("workers"), 1))
@@ -335,14 +337,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         with open(settings["dump_tree"], "w", encoding="utf-8") as fh:
             fh.write(trees.dump_tree(draws.tree, draws.flags))
 
-    note = None
-    if schedule.kind == "per_event":
-        note = "sandwich omitted: per-event schedules have no closed-form bounds"
-    elif analytic.classify_regime(params.alpha).kind == "slow":
-        note = "sandwich omitted: no normal limit expected below the critical rate"
-
     result = harness.run_experiment(config)
-    text = render_result_json(result, note)
+    text = render_result_json(result)
     if "json" in settings:
         with open(settings["json"], "w", encoding="utf-8") as fh:
             fh.write(text)

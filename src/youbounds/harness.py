@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytic, special, stein, trees
-from .analytic import JumpSchedule, YouParams, MODEL_YOUJ
+from .analytic import JumpSchedule, YouParams, MODEL_YOU, MODEL_YOUJ
 from .stein import BoundReport, LowerBoundInputs
 
 # 99% two-sided empirical-CDF band: sqrt(ln(2/0.01) / (2R))
@@ -68,8 +68,10 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        # the model and schedule checks of the closed forms
-        analytic._normalize_schedule(self.model, self.schedule)
+        if self.model not in (MODEL_YOU, MODEL_YOUJ):
+            raise ValueError(f"unknown model: {self.model!r}")
+        if self.model == MODEL_YOU and not self.schedule.is_inactive:
+            raise ValueError("the jump-free model takes no jump schedule")
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
         if self.replicates < 2:
@@ -401,9 +403,13 @@ class SandwichReport:
 
 @dataclass(frozen=True)
 class ExperimentResult:
+    """A run's estimates and sandwich; where the sandwich is None,
+    sandwich_omitted says why there are no closed-form bounds to check."""
+
     config: ExperimentConfig
     estimates: MomentEstimates
     sandwich: SandwichReport | None
+    sandwich_omitted: str | None = None
 
 
 def _verdict(empirical: float, upper: float, lower: float, slack: float, n: int) -> str:
@@ -424,17 +430,15 @@ def run_sandwich(config: ExperimentConfig, data: ReplicateData | None = None) ->
     lower bound feeds on the exact conditional-mean variance and the Monte
     Carlo mean of the variance penalty, evaluated on the same replicates.
     """
-    if config.schedule.kind == "per_event":
-        raise ValueError("per-event schedules have no closed-form bounds to sandwich against")
+    n, params, schedule = config.n, config.params, config.schedule
+    # refuses configurations without closed-form bounds before any replicate runs
+    sigma2 = analytic.var_ybar_youj(n, params, schedule)
     if data is None:
         data = run_replicates(config)
-    n, params, schedule = config.n, config.params, config.schedule
-    mu = analytic.mean_ybar(n, params)
-    if config.model == MODEL_YOUJ:
-        sigma2 = analytic.var_ybar_youj(n, params, schedule)
-    else:
-        sigma2 = analytic.var_ybar_you(n, params)
-    z = (data.ybar - mu) / math.sqrt(sigma2)
+    if len(data.ybar) != config.replicates:
+        raise ValueError(f"run_sandwich got {len(data.ybar)} replicates of data "
+                         f"for a configuration of {config.replicates}")
+    z = (data.ybar - analytic.mean_ybar(n, params)) / math.sqrt(sigma2)
 
     s = _sort_sample(z, "run_sandwich")
     dk = _dk_sorted(s)
@@ -442,8 +446,8 @@ def run_sandwich(config: ExperimentConfig, data: ReplicateData | None = None) ->
     band = dkw_band(config.replicates)
     dw_se = _bootstrap_dw_se(s, config.seed)
 
-    upper_dk = analytic.bound_point(config.model, params, schedule, stein.KOLMOGOROV, n)
-    upper_dw = analytic.bound_point(config.model, params, schedule, stein.WASSERSTEIN, n)
+    upper_dk = analytic.bound_point(params, schedule, stein.KOLMOGOROV, n)
+    upper_dw = analytic.bound_point(params, schedule, stein.WASSERSTEIN, n)
 
     t1 = analytic.var_cond_mean_exact(n, params)
     # the penalty is nonnegative in exact arithmetic; clamp the rounding fuzz
@@ -465,21 +469,20 @@ def run_sandwich(config: ExperimentConfig, data: ReplicateData | None = None) ->
         verdict_dk=_verdict(dk, upper_dk.total, lower_dk.total, band, n),
         # W1(F_R, N) is within W1(F_R, F) of W1(F, N), the quantity bounded
         verdict_dw=_verdict(dw, upper_dw.total, lower_dw.total,
-                            _dw_sampling_bias(len(z)) + 3.0 * dw_se, n),
+                            _dw_sampling_bias(config.replicates) + 3.0 * dw_se, n),
     )
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """One full run: moment estimates plus the sandwich check, both computed
-    from a single pass of replicates. The sandwich is skipped (None) where
-    there are no bounds to check: per-event schedules and rates below 1/2."""
+    from a single pass of replicates. Where `analytic.closed_form_gap` finds
+    no bounds to check, the sandwich is None and its reason is kept."""
     data = run_replicates(config)
     estimates = estimate_moment_summary(config, data)
-    sandwich = None
-    if (config.schedule.kind != "per_event"
-            and analytic.classify_regime(config.params.alpha).kind != "slow"):
-        sandwich = run_sandwich(config, data)
-    return ExperimentResult(config=config, estimates=estimates, sandwich=sandwich)
+    gap = analytic.closed_form_gap(config.params, config.schedule)
+    if gap is not None:
+        return ExperimentResult(config, estimates, None, gap.reason)
+    return ExperimentResult(config, estimates, run_sandwich(config, data))
 
 
 @dataclass(frozen=True)
@@ -518,16 +521,14 @@ def oracle_checks(config: ExperimentConfig) -> list[OracleCheck]:
          _mean_estimate(data.oracle["pair_2a"])),
     ]
     if config.model == MODEL_YOUJ:
-        sigma2 = analytic.var_ybar_youj(n, params, config.schedule)
         checks.append(("jump_single_mean",
                        analytic.jump_single_lineage_mean(n, params.alpha, config.schedule.p),
                        _mean_estimate(data.oracle["jump_single"])))
         checks.append(("jump_pair_mean",
                        analytic.jump_pair_shared_mean(n, params.alpha, config.schedule.p),
                        _mean_estimate(data.oracle["jump_pair"])))
-    else:
-        sigma2 = analytic.var_ybar_you(n, params)
-    checks.append(("cond_var_mean", sigma2, _mean_estimate(data.cond_var)))
+    checks.append(("cond_var_mean", analytic.var_ybar_youj(n, params, config.schedule),
+                   _mean_estimate(data.cond_var)))
     checks.append(("cond_mean_var", analytic.var_cond_mean_exact(n, params),
                    _variance_estimate(data.cond_mean)))
 

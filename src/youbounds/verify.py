@@ -285,7 +285,7 @@ def criterion_5() -> CriterionResult:
 
     def totals(alpha: float, distance: str) -> list[float]:
         params = YouParams(alpha, 1.0, 1.0 / math.sqrt(2.0 * alpha))
-        return [r.total for r in analytic.bound_curve(MODEL_YOU, params, None, distance, grid)]
+        return [r.total for r in analytic.bound_curve(params, None, distance, grid)]
 
     for alpha, distance, target in ((0.6, stein.KOLMOGOROV, -0.2),
                                     (1.0, stein.KOLMOGOROV, -0.5),

@@ -1,6 +1,7 @@
 """Closed forms, asymptotics, and bound curves for the OU-on-Yule models."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -290,43 +291,43 @@ class TestVarCondMean:
         assert scaled == pytest.approx(target, rel=0.02)
 
 
-def _vv_at(model, alpha, n, schedule=None):
-    return analytic.asymptotic_constants(model, YouParams(alpha), schedule).vv.at(n)
+def _vv_at(alpha, n, schedule=None):
+    return analytic.asymptotic_constants(YouParams(alpha), schedule).vv.at(n)
 
 
 class TestVarCondVarYou:
     def test_critical_constant(self):
         n = 1000
         expected = (8.0 * math.pi ** 2 / 6.0 + 1.0) / n ** 2
-        assert _vv_at("YOU", 0.5, n) == pytest.approx(expected, rel=1e-12)
+        assert _vv_at(0.5, n) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("n", [100, 10**4])
     def test_alpha_one(self, n):
-        assert _vv_at("YOU", 1.0, n) == pytest.approx(16.0 * float(n) ** -3.0, rel=1e-15)
+        assert _vv_at(1.0, n) == pytest.approx(16.0 * float(n) ** -3.0, rel=1e-15)
 
     def test_alpha_two(self):
         n = 500
-        assert _vv_at("YOU", 2.0, n) == \
+        assert _vv_at(2.0, n) == \
             pytest.approx((128.0 / 90.0) * float(n) ** -3.0, rel=1e-14)
 
     def test_three_quarters_log_branch(self):
         n = 2000
         expected = 36.0 * float(n) ** -3.0 * math.log(n)
-        assert _vv_at("YOU", 0.75, n) == pytest.approx(expected, rel=1e-14)
+        assert _vv_at(0.75, n) == pytest.approx(expected, rel=1e-14)
         # the relative window around 3/4 keeps nearby arguments on the branch
-        assert _vv_at("YOU", 0.75 + 1e-10, n) == pytest.approx(expected, rel=1e-14)
+        assert _vv_at(0.75 + 1e-10, n) == pytest.approx(expected, rel=1e-14)
 
     def test_zeta_band_constant(self):
         alpha, n = 0.6, 1000
         c = (32.0 * alpha * alpha / (2.0 - 2.0 * alpha)) \
             * special.zeta(4.0 - 4.0 * alpha) \
             + (math.gamma(4.0 * alpha + 1.0) - math.gamma(2.0 * alpha + 1.0)) ** 2
-        assert _vv_at("YOU", alpha, n) == \
+        assert _vv_at(alpha, n) == \
             pytest.approx(c * float(n) ** (-4.0 * alpha), rel=1e-12)
 
     def test_errors(self):
         with pytest.raises(UnsupportedRegimeError):
-            analytic.asymptotic_constants("YOU", YouParams(0.4))
+            analytic.asymptotic_constants(YouParams(0.4))
 
 
 class TestJumpMeans:
@@ -431,29 +432,29 @@ class TestVarCondVarYouj:
     @pytest.mark.parametrize("p", [0.0, 1.0])
     def test_all_or_nothing_falls_back_to_jump_free_rate(self, p):
         sch = JumpSchedule.constant(p, 1.0)
-        assert _vv_at("YOUj", 1.0, 100, sch) == _vv_at("YOU", 1.0, 100)
+        assert _vv_at(1.0, 100, sch) == _vv_at(1.0, 100)
 
     def test_fast_plug_in_value(self):
         n = 200
         sch = JumpSchedule.constant(0.5, 1.0)
-        assert _vv_at("YOUj", 1.0, n, sch) == pytest.approx((16.0 / 3.0) / (n * n), rel=1e-14)
+        assert _vv_at(1.0, n, sch) == pytest.approx((16.0 / 3.0) / (n * n), rel=1e-14)
 
     def test_critical_log_rate(self):
         n = 500
         sch = JumpSchedule.constant(0.5, 1.0)
         expected = 4.0 * 1.0 * 16.0 * 0.25 * math.log(n) / (n * n)
-        assert _vv_at("YOUj", 0.5, n, sch) == pytest.approx(expected, rel=1e-14)
+        assert _vv_at(0.5, n, sch) == pytest.approx(expected, rel=1e-14)
 
     def test_per_event_schedule_rejected(self):
         sch = JumpSchedule.per_event([(0.5, 1.0)] * 99)
         with pytest.raises(ValueError, match="Monte Carlo"):
-            analytic.asymptotic_constants("YOUj", YouParams(1.0), sch)
+            analytic.asymptotic_constants(YouParams(1.0), sch)
 
 
 class TestAsymptoticConstants:
     def test_you_fast(self):
         p = YouParams(1.0, 1.0, 2.0 ** -0.5)
-        ac = analytic.asymptotic_constants("YOU", p)
+        ac = analytic.asymptotic_constants(p)
         assert (ac.ev.value, ac.ev.n_power, ac.ev.log_power) == (3.0, -1.0, 0)
         assert ac.ve.value == pytest.approx(p.delta ** 2, rel=1e-12)
         assert (ac.ve.n_power, ac.ve.log_power) == (-2.0, 0)
@@ -461,7 +462,7 @@ class TestAsymptoticConstants:
         assert ac.regime.band == "one"
 
     def test_you_critical(self):
-        ac = analytic.asymptotic_constants("YOU", YouParams(0.5))
+        ac = analytic.asymptotic_constants(YouParams(0.5))
         assert (ac.ev.value, ac.ev.n_power, ac.ev.log_power) == (2.0, -1.0, 1)
         assert ac.vv.value == pytest.approx(8.0 * math.pi ** 2 / 6.0 + 1.0,
                                             rel=1e-12)
@@ -469,66 +470,99 @@ class TestAsymptoticConstants:
 
     def test_youj_partial_probability(self):
         sch = JumpSchedule.constant(0.5, 1.0)
-        ac = analytic.asymptotic_constants("YOUj", YouParams(1.0), sch)
+        ac = analytic.asymptotic_constants(YouParams(1.0), sch)
         assert ac.ev.value == pytest.approx(6.0, rel=1e-14)
         assert ac.vv.value == pytest.approx(16.0 / 3.0, rel=1e-14)
         assert (ac.vv.n_power, ac.vv.log_power) == (-2.0, 0)
 
     def test_youj_critical_partial_probability(self):
         sch = JumpSchedule.constant(0.5, 1.0)
-        ac = analytic.asymptotic_constants("YOUj", YouParams(0.5), sch)
+        ac = analytic.asymptotic_constants(YouParams(0.5), sch)
         assert ac.ev.value == pytest.approx(4.0, rel=1e-14)
         assert (ac.vv.value, ac.vv.n_power, ac.vv.log_power) == (16.0, -2.0, 1)
 
     def test_youj_certain_jumps_keep_jump_free_vv_rate(self):
         sch = JumpSchedule.constant(1.0, 1.0)
-        ac = analytic.asymptotic_constants("YOUj", YouParams(1.0), sch)
+        ac = analytic.asymptotic_constants(YouParams(1.0), sch)
         assert ac.ev.value == pytest.approx(9.0, rel=1e-14)
         assert (ac.vv.value, ac.vv.n_power) == (16.0, -3.0)
 
     def test_inactive_schedule_is_no_schedule(self):
-        base = analytic.asymptotic_constants("YOU", YouParams(1.0))
-        for sch in (JumpSchedule.constant(0.5, 0.0),
-                    JumpSchedule.per_event([(0.0, 1.0), (0.5, 0.0)])):
-            assert analytic.asymptotic_constants("YOUj", YouParams(1.0), sch) == base
+        inactive = (JumpSchedule.none(), JumpSchedule.constant(0.0, 1.0),
+                    JumpSchedule.constant(0.5, 0.0),
+                    JumpSchedule.per_event([(0.0, 1.0), (0.5, 0.0)]))
+        for alpha in (0.5, 0.75, 1.0, 2.0):
+            params = YouParams(alpha, 1.0, 0.5)
+            base = (analytic.asymptotic_constants(params),
+                    analytic.limit_distribution(params),
+                    [analytic.bound_point(params, None, d, 1000)
+                     for d in (stein.KOLMOGOROV, stein.WASSERSTEIN)])
+            for sch in inactive:
+                assert (analytic.asymptotic_constants(params, sch),
+                        analytic.limit_distribution(params, sch),
+                        [analytic.bound_point(params, sch, d, 1000)
+                         for d in (stein.KOLMOGOROV, stein.WASSERSTEIN)]) == base
 
     def test_rated_constant_evaluation(self):
         rc = analytic.RatedConstant(2.0, -1.0, 1)
         assert rc.at(100) == pytest.approx(0.02 * math.log(100.0), rel=1e-15)
 
-    def test_model_validation(self):
-        with pytest.raises(ValueError):
-            analytic.asymptotic_constants("BM", YouParams(1.0))
-        with pytest.raises(ValueError):
-            analytic.asymptotic_constants(
-                "YOU", YouParams(1.0), JumpSchedule.constant(0.5, 1.0))
-        analytic.asymptotic_constants(
-            "YOU", YouParams(1.0), JumpSchedule.constant(0.0, 1.0))
-
 
 class TestIsNonconvergent:
+    """The plateau rule, read as `asymptotic_constants(...).nonconvergent`."""
+
     def test_truth_table(self):
+        def nonconvergent(params, schedule):
+            return analytic.asymptotic_constants(params, schedule).nonconvergent
+
         p = YouParams(1.0)
-        assert analytic.is_nonconvergent(
-            "YOUj", p, JumpSchedule.constant(0.5, 1.0))
-        assert not analytic.is_nonconvergent("YOU", p, None)
-        assert not analytic.is_nonconvergent(
-            "YOUj", p, JumpSchedule.constant(1.0, 1.0))
-        assert not analytic.is_nonconvergent(
-            "YOUj", p, JumpSchedule.constant(0.0, 1.0))
-        assert not analytic.is_nonconvergent(
-            "YOUj", p, JumpSchedule.constant(0.5, 0.0))
-        assert not analytic.is_nonconvergent(
-            "YOUj", YouParams(0.5), JumpSchedule.constant(0.5, 1.0))
-        assert not analytic.is_nonconvergent(
-            "YOUj", p, JumpSchedule.per_event([(0.5, 1.0)] * 99))
-        assert not analytic.is_nonconvergent("YOUj", p, None)
+        assert nonconvergent(p, JumpSchedule.constant(0.5, 1.0))
+        assert not nonconvergent(p, None)
+        assert not nonconvergent(p, JumpSchedule.constant(1.0, 1.0))
+        assert not nonconvergent(p, JumpSchedule.constant(0.0, 1.0))
+        assert not nonconvergent(p, JumpSchedule.constant(0.5, 0.0))
+        assert not nonconvergent(YouParams(0.5), JumpSchedule.constant(0.5, 1.0))
+        # no rate table: refused, not read as convergent
+        with pytest.raises(analytic.PerEventScheduleError):
+            nonconvergent(p, JumpSchedule.per_event([(0.5, 1.0)] * 99))
+        with pytest.raises(UnsupportedRegimeError):
+            nonconvergent(YouParams(0.3), None)
+
+
+class TestClosedFormGap:
+    def test_rule(self):
+        per_event = JumpSchedule.per_event([(0.5, 1.0)] * 9)
+        assert analytic.closed_form_gap(YouParams(1.0), None) is None
+        assert analytic.closed_form_gap(YouParams(0.5), JumpSchedule.constant(0.5, 1.0)) is None
+        assert analytic.closed_form_gap(
+            YouParams(1.0), JumpSchedule.per_event([(0.0, 1.0)] * 9)) is None
+        gap = analytic.closed_form_gap(YouParams(1.0), per_event)
+        assert isinstance(gap, analytic.PerEventScheduleError)
+        assert gap.reason == "per-event schedules have no closed-form bounds"
+        gap = analytic.closed_form_gap(YouParams(0.3), None)
+        assert isinstance(gap, UnsupportedRegimeError)
+        assert str(gap) == analytic.UNSUPPORTED_REGIME_MSG
+        assert gap.reason == "no normal limit expected below the critical rate"
+        # a per-event schedule is named first
+        assert isinstance(analytic.closed_form_gap(YouParams(0.3), per_event),
+                          analytic.PerEventScheduleError)
+
+    def test_refusals_raise_the_gap(self):
+        per_event = JumpSchedule.per_event([(0.5, 1.0)] * 99)
+        for params, schedule in ((YouParams(1.0), per_event), (YouParams(0.3), None)):
+            gap = analytic.closed_form_gap(params, schedule)
+            for refusal in (lambda: analytic.asymptotic_constants(params, schedule),
+                            lambda: analytic.limit_distribution(params, schedule),
+                            lambda: analytic.var_ybar_youj(100, params, schedule),
+                            lambda: analytic.bound_point(params, schedule,
+                                                         stein.KOLMOGOROV, 100)):
+                with pytest.raises(type(gap), match=re.escape(str(gap))):
+                    refusal()
 
 
 class TestBoundPoint:
     def test_notes_record_assembly(self):
-        rep = analytic.bound_point(
-            "YOU", YouParams(1.0, 1.0, 0.5), None, stein.KOLMOGOROV, 1000)
+        rep = analytic.bound_point(YouParams(1.0, 1.0, 0.5), None, stein.KOLMOGOROV, 1000)
         assert "regime=fast/one" in rep.notes
         assert "ev exact" in rep.notes
         assert "ve exact" in rep.notes
@@ -538,99 +572,94 @@ class TestBoundPoint:
         assert rep.total > 0.0
 
     def test_wasserstein_has_four_terms(self):
-        rep = analytic.bound_point(
-            "YOU", YouParams(1.0), None, stein.WASSERSTEIN, 1000)
+        rep = analytic.bound_point(YouParams(1.0), None, stein.WASSERSTEIN, 1000)
         assert len(rep.terms) == 4
 
     def test_nonconvergent_flagged(self):
-        rep = analytic.bound_point(
-            "YOUj", YouParams(1.0), JumpSchedule.constant(0.5, 1.0),
+        rep = analytic.bound_point(YouParams(1.0), JumpSchedule.constant(0.5, 1.0),
             stein.KOLMOGOROV, 1000)
         assert "non-convergent regime" in rep.notes
 
-    @pytest.mark.parametrize("model,alpha,schedule", [
-        ("YOU", 0.9, None),
-        ("YOU", 1.0, None),
-        ("YOU", 2.0, None),
-        ("YOUj", 1.2, JumpSchedule.constant(0.0, 1.0)),
-        ("YOUj", 1.0, JumpSchedule.constant(1.0, 1.0)),
-        ("YOUj", 0.6, JumpSchedule.constant(1.0, 0.5)),
+    # the ids name the model each schedule belongs to
+    @pytest.mark.parametrize("alpha,schedule", [
+        pytest.param(0.9, None, id="YOU-0.9-None"),
+        pytest.param(1.0, None, id="YOU-1.0-None"),
+        pytest.param(2.0, None, id="YOU-2.0-None"),
+        pytest.param(1.2, JumpSchedule.constant(0.0, 1.0), id="YOUj-1.2-schedule3"),
+        pytest.param(1.0, JumpSchedule.constant(1.0, 1.0), id="YOUj-1.0-schedule4"),
+        pytest.param(0.6, JumpSchedule.constant(1.0, 0.5), id="YOUj-0.6-schedule5"),
     ])
-    def test_vv_known_too_small_is_noted(self, model, alpha, schedule):
+    def test_vv_known_too_small_is_noted(self, alpha, schedule):
         for distance in (stein.KOLMOGOROV, stein.WASSERSTEIN):
-            rep = analytic.bound_point(model, YouParams(alpha), schedule, distance, 1000)
+            rep = analytic.bound_point(YouParams(alpha), schedule, distance, 1000)
             assert analytic.VV_TOO_SMALL_NOTE in rep.notes
             assert "vv leading-order" in rep.notes
 
-    @pytest.mark.parametrize("model,alpha,schedule", [
-        ("YOU", 0.5, None),
-        ("YOU", 0.6, None),
-        ("YOU", 0.75, None),
-        ("YOU", 0.75 + 1e-10, None),
-        ("YOUj", 1.0, JumpSchedule.constant(0.5, 1.0)),
-        ("YOUj", 2.0, JumpSchedule.constant(0.999, 1.0)),
-        ("YOUj", 0.6, JumpSchedule.constant(0.1, 1.0)),
+    @pytest.mark.parametrize("alpha,schedule", [
+        pytest.param(0.5, None, id="YOU-0.5-None"),
+        pytest.param(0.6, None, id="YOU-0.6-None"),
+        pytest.param(0.75, None, id="YOU-0.75-None"),
+        pytest.param(0.75 + 1e-10, None, id="YOU-0.7500000001-None"),
+        pytest.param(1.0, JumpSchedule.constant(0.5, 1.0), id="YOUj-1.0-schedule4"),
+        pytest.param(2.0, JumpSchedule.constant(0.999, 1.0), id="YOUj-2.0-schedule5"),
+        pytest.param(0.6, JumpSchedule.constant(0.1, 1.0), id="YOUj-0.6-schedule6"),
     ])
-    def test_vv_not_known_too_small_is_not_noted(self, model, alpha, schedule):
-        rep = analytic.bound_point(model, YouParams(alpha), schedule, stein.KOLMOGOROV, 1000)
+    def test_vv_not_known_too_small_is_not_noted(self, alpha, schedule):
+        rep = analytic.bound_point(YouParams(alpha), schedule, stein.KOLMOGOROV, 1000)
         assert analytic.VV_TOO_SMALL_NOTE not in rep.notes
 
     @pytest.mark.parametrize("alpha", [0.5, 0.6, 0.75, 0.9, 1.0, 2.0])
-    @pytest.mark.parametrize("model,schedule", [
-        ("YOU", None),
-        ("YOUj", JumpSchedule.constant(0.0, 1.0)),
-        ("YOUj", JumpSchedule.constant(0.5, 1.0)),
-        ("YOUj", JumpSchedule.constant(1.0, 1.0)),
+    @pytest.mark.parametrize("schedule", [
+        pytest.param(None, id="YOU-None"),
+        pytest.param(JumpSchedule.constant(0.0, 1.0), id="YOUj-schedule1"),
+        pytest.param(JumpSchedule.constant(0.5, 1.0), id="YOUj-schedule2"),
+        pytest.param(JumpSchedule.constant(1.0, 1.0), id="YOUj-schedule3"),
     ])
-    def test_reads_the_rate_table(self, alpha, model, schedule):
+    def test_reads_the_rate_table(self, alpha, schedule):
         n = 1000
         params = YouParams(alpha, 1.0, 0.5)
-        table = analytic.asymptotic_constants(model, params, schedule)
-        if model == "YOU":
-            ev = analytic.var_ybar_you(n, params)
-        else:
-            ev = analytic.var_ybar_youj(n, params, schedule)
-        rep = analytic.bound_point(model, params, schedule, stein.KOLMOGOROV, n)
+        table = analytic.asymptotic_constants(params, schedule)
+        ev = analytic.var_ybar_youj(n, params, schedule)
+        rep = analytic.bound_point(params, schedule, stein.KOLMOGOROV, n)
         assert rep.terms[0] == ("sqrt(vv)/ev", math.sqrt(table.vv.at(n)) / ev)
         assert (analytic.VV_TOO_SMALL_NOTE in rep.notes) == table.vv_too_small
         assert ("non-convergent regime" in rep.notes) == table.nonconvergent
         if table.nonconvergent:
             with pytest.raises(ValueError, match="non-convergent"):
-                analytic.limit_distribution(model, params, schedule)
+                analytic.limit_distribution(params, schedule)
         else:
-            assert analytic.limit_distribution(model, params, schedule).variance \
+            assert analytic.limit_distribution(params, schedule).variance \
                 == table.ev.value
 
     def test_distance_validation(self):
         with pytest.raises(ValueError):
-            analytic.bound_point("YOU", YouParams(1.0), None, "hellinger", 100)
+            analytic.bound_point(YouParams(1.0), None, "hellinger", 100)
 
     def test_slow_regime_rejected(self):
         with pytest.raises(UnsupportedRegimeError):
-            analytic.bound_point("YOU", YouParams(0.4), None, stein.KOLMOGOROV, 100)
+            analytic.bound_point(YouParams(0.4), None, stein.KOLMOGOROV, 100)
 
     def test_active_per_event_schedule_rejected(self):
         sch = JumpSchedule.per_event([(0.5, 1.0)] * 99)
         with pytest.raises(ValueError, match="Monte Carlo"):
-            analytic.bound_point("YOUj", YouParams(1.0), sch,
+            analytic.bound_point(YouParams(1.0), sch,
                                  stein.KOLMOGOROV, 100)
 
-    def test_you_with_active_schedule_rejected(self):
-        with pytest.raises(ValueError, match="no jump schedule"):
-            analytic.bound_point("YOU", YouParams(1.0),
-                                 JumpSchedule.constant(0.5, 1.0),
-                                 stein.KOLMOGOROV, 100)
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_single_tip_rejected(self, n):
+        with pytest.raises(ValueError, match=f"at least 2 tips, got n = {n}"):
+            analytic.bound_point(YouParams(1.0), None, stein.KOLMOGOROV, n)
 
 
 class TestBoundCurve:
     def test_grid_validation(self):
         p = YouParams(1.0)
         with pytest.raises(ValueError):
-            analytic.bound_curve("YOU", p, None, stein.KOLMOGOROV, [100, 100])
+            analytic.bound_curve(p, None, stein.KOLMOGOROV, [100, 100])
         with pytest.raises(ValueError):
-            analytic.bound_curve("YOU", p, None, stein.KOLMOGOROV, [200, 100])
+            analytic.bound_curve(p, None, stein.KOLMOGOROV, [200, 100])
         with pytest.raises(ValueError):
-            analytic.bound_curve("YOU", p, None, stein.KOLMOGOROV, [1, 10])
+            analytic.bound_curve(p, None, stein.KOLMOGOROV, [1, 10])
 
     @pytest.mark.parametrize("alpha", [0.5, 0.6, 0.75, 0.9, 1.0, 2.0])
     @pytest.mark.parametrize("distance", [stein.KOLMOGOROV, stein.WASSERSTEIN])
@@ -638,13 +667,13 @@ class TestBoundCurve:
         grid = sorted(set(int(x) for x in np.geomspace(100, 10**6, 9)))
         params = YouParams(alpha, 1.0, 2.0 ** -0.5)
         totals = [r.total
-                  for r in analytic.bound_curve("YOU", params, None, distance, grid)]
+                  for r in analytic.bound_curve(params, None, distance, grid)]
         assert all(b < a for a, b in zip(totals, totals[1:]))
 
     def test_partial_jump_probability_plateaus(self):
         params = YouParams(1.0, 1.0, 2.0 ** -0.5)
         sch = JumpSchedule.constant(0.5, 1.0)
-        reps = analytic.bound_curve("YOUj", params, sch, stein.KOLMOGOROV,
+        reps = analytic.bound_curve(params, sch, stein.KOLMOGOROV,
                                     [10**3, 10**4, 10**5, 10**6])
         totals = [r.total for r in reps]
         assert totals[-1] / totals[1] > 0.97
@@ -655,47 +684,41 @@ class TestBoundCurve:
         # at alpha=1 the two distances decay as n^(-3/4) vs n^(-1/2)
         params = YouParams(1.0, 1.0, 2.0 ** -0.5)
         ns = [10**3, 10**4, 10**5, 10**6]
-        dk = [r.total for r in analytic.bound_curve(
-            "YOU", params, None, stein.KOLMOGOROV, ns)]
-        dw = [r.total for r in analytic.bound_curve(
-            "YOU", params, None, stein.WASSERSTEIN, ns)]
+        dk = [r.total for r in analytic.bound_curve(params, None, stein.KOLMOGOROV, ns)]
+        dw = [r.total for r in analytic.bound_curve(params, None, stein.WASSERSTEIN, ns)]
         slope = _slope(ns, [w / k for w, k in zip(dw, dk)])
         assert slope == pytest.approx(-0.25, abs=0.05)
 
 
 class TestLimitDistribution:
     def test_jump_free_fast(self):
-        lim = analytic.limit_distribution("YOU", YouParams(1.0))
+        lim = analytic.limit_distribution(YouParams(1.0))
         assert lim.scaling == "sqrt(n)"
         assert lim.variance == pytest.approx(3.0, rel=1e-15)
 
     def test_jump_free_critical(self):
-        lim = analytic.limit_distribution("YOU", YouParams(0.5))
+        lim = analytic.limit_distribution(YouParams(0.5))
         assert lim.scaling == "sqrt(n/log n)"
         assert lim.variance == pytest.approx(2.0, rel=1e-15)
 
     def test_jumps_critical(self):
-        lim = analytic.limit_distribution(
-            "YOUj", YouParams(0.5), JumpSchedule.constant(0.5, 1.0))
+        lim = analytic.limit_distribution(YouParams(0.5), JumpSchedule.constant(0.5, 1.0))
         assert lim.scaling == "sqrt(n/log n)"
         assert lim.variance == pytest.approx(4.0, rel=1e-15)
 
     def test_jumps_certain_fast(self):
-        lim = analytic.limit_distribution(
-            "YOUj", YouParams(1.0), JumpSchedule.constant(1.0, 1.0))
+        lim = analytic.limit_distribution(YouParams(1.0), JumpSchedule.constant(1.0, 1.0))
         assert lim.scaling == "sqrt(n)"
         assert lim.variance == pytest.approx(9.0, rel=1e-15)
 
     def test_partial_jump_probability_has_no_limit_statement(self):
         with pytest.raises(ValueError, match="non-convergent"):
-            analytic.limit_distribution(
-                "YOUj", YouParams(1.0), JumpSchedule.constant(0.5, 1.0))
+            analytic.limit_distribution(YouParams(1.0), JumpSchedule.constant(0.5, 1.0))
 
     def test_per_event_schedule_rejected(self):
         with pytest.raises(ValueError, match="Monte Carlo"):
-            analytic.limit_distribution(
-                "YOUj", YouParams(1.0), JumpSchedule.per_event([(0.5, 1.0)] * 9))
+            analytic.limit_distribution(YouParams(1.0), JumpSchedule.per_event([(0.5, 1.0)] * 9))
 
     def test_slow_regime_rejected(self):
         with pytest.raises(UnsupportedRegimeError):
-            analytic.limit_distribution("YOU", YouParams(0.3))
+            analytic.limit_distribution(YouParams(0.3))

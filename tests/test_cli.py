@@ -3,6 +3,7 @@ subcommand behavior, output schemas and the verification entry point."""
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -140,6 +141,22 @@ class TestBoundsCommand:
                          "--p", "0.5"])
         assert code == 1
         assert "require model YOUj" in capsys.readouterr().err
+
+    def test_jump_model_requires_jump_flags(self, capsys):
+        # bounds takes no schedule file, so the message must not offer one
+        code = cli.main(["bounds", "--model", "YOUj", "--n", "100", "--alpha", "1"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: model YOUj requires --p and --sigma-c2\n"
+
+    def test_single_tip_rejected_without_internal_names(self, capsys):
+        code = cli.main(["bounds", "--n", "1", "--alpha", "1"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "var_ybar" not in captured.err
+        # internal functions all have snake_case names
+        assert not re.search(r"[a-z]_[a-z]", captured.err)
 
     def test_partial_jump_probability_flagged_non_convergent(self, capsys):
         code = cli.main(["bounds", "--model", "YOUj", "--n", "1000",
@@ -424,7 +441,8 @@ dump_tree = {dump_path}
         code = cli.main(["simulate", "--model", "YOUj", "--n", "6",
                          "--alpha", "1.0", "--replicates", "100", "--seed", "4"])
         assert code == 1
-        assert "requires p and sigma_c2" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: model YOUj requires --p and --sigma-c2 (or --schedule-file)\n")
 
     def test_jump_model_constant_schedule_runs(self, tmp_path):
         path = tmp_path / "run.json"

@@ -563,6 +563,13 @@ class TestSandwich:
         with pytest.raises(ValueError, match="per-event"):
             harness.run_sandwich(config)
 
+    @pytest.mark.parametrize("rows", [199, 201])
+    def test_data_of_another_sample_size_rejected(self, rows):
+        config = _you_config(n=20, replicates=200)
+        data = harness.run_replicates(dataclasses.replace(config, replicates=rows))
+        with pytest.raises(ValueError, match=f"got {rows} replicates .* of 200"):
+            harness.run_sandwich(config, data)
+
     def test_run_experiment_skips_sandwich_for_per_event(self):
         config = ExperimentConfig(
             model="YOUj", n=5, params=YouParams(alpha=1.0),
@@ -570,6 +577,7 @@ class TestSandwich:
             replicates=50, seed=SEED)
         result = harness.run_experiment(config)
         assert result.sandwich is None
+        assert result.sandwich_omitted == "per-event schedules have no closed-form bounds"
         assert result.estimates.ev.r_used == 50
 
     def test_run_experiment_skips_sandwich_below_critical_rate(self):
@@ -578,11 +586,23 @@ class TestSandwich:
             schedule=JumpSchedule.none(), replicates=50, seed=SEED)
         result = harness.run_experiment(config)
         assert result.sandwich is None
+        assert result.sandwich_omitted == "no normal limit expected below the critical rate"
         assert result.estimates.ev.r_used == 50
+
+    def test_inactive_per_event_schedule_is_sandwiched_as_jump_free(self):
+        config = ExperimentConfig(
+            model="YOUj", n=5, params=YouParams(alpha=1.0),
+            schedule=JumpSchedule.per_event([(0.0, 1.0)] * 4),
+            replicates=50, seed=SEED)
+        result = harness.run_experiment(config)
+        assert result.sandwich_omitted is None
+        assert result.sandwich.upper_dk == analytic.bound_point(
+            YouParams(alpha=1.0), None, stein.KOLMOGOROV, 5)
 
     def test_run_experiment_includes_sandwich_by_default(self):
         result = harness.run_experiment(_you_config(n=20, replicates=200))
         assert result.sandwich is not None
+        assert result.sandwich_omitted is None
         assert result.config.n == 20
 
 
