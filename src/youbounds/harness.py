@@ -505,7 +505,11 @@ def _z_score(estimate: float, closed_form: float, se: float) -> float:
 
 def oracle_checks(config: ExperimentConfig) -> list[OracleCheck]:
     """Every closed form this package trusts, tested against its own Monte
-    Carlo estimate at |z| <= 4."""
+    Carlo estimate at |z| <= 4. Where `analytic.closed_form_gap` finds no
+    closed forms, its error is raised before anything is drawn."""
+    gap = analytic.closed_form_gap(config.params, config.schedule)
+    if gap is not None:
+        raise gap
     data = run_replicates(config, collect_oracle=True)
     n, params = config.n, config.params
     two_alpha = 2.0 * params.alpha

@@ -643,6 +643,25 @@ class TestOracleChecks:
             assert check.passed, f"{check.name}: z = {check.z:+.2f}"
             assert abs(check.z) <= 4.0
 
+    @pytest.mark.parametrize("model, alpha, schedule, error", [
+        pytest.param("YOUj", 1.0, JumpSchedule.per_event([(0.5, 1.0)] * 5),
+                     analytic.PerEventScheduleError, id="per_event"),
+        pytest.param("YOU", 0.3, JumpSchedule.none(), analytic.UnsupportedRegimeError,
+                     id="slow_rate"),
+    ])
+    def test_no_closed_form_raises_before_drawing(self, monkeypatch, model, alpha,
+                                                 schedule, error):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("run_replicates was called")
+
+        monkeypatch.setattr(harness, "run_replicates", no_draws)
+        config = ExperimentConfig(model=model, n=6, params=YouParams(alpha=alpha),
+                                  schedule=schedule, replicates=20000, seed=SEED)
+        expected = analytic.closed_form_gap(config.params, config.schedule)
+        with pytest.raises(error) as raised:
+            harness.oracle_checks(config)
+        assert str(raised.value) == str(expected)
+
     def test_jump_model_adds_exposure_checks(self):
         params = YouParams(alpha=1.0, x0=0.7)
         config = ExperimentConfig(model="YOUj", n=20, params=params,

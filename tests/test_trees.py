@@ -256,10 +256,48 @@ class TestDaughterCountKernel:
         caterpillar = splits.copy()
         caterpillar[b // 2] = np.arange(n - 1)
         for block in (splits, caterpillar):
+            before = block.copy()
             counts = trees.daughter_counts(block)
+            assert np.array_equal(block, before)
+            assert counts.dtype == np.int64
             assert counts.shape == (b, n - 1, 2)
             for row, got in zip(block, counts):
                 assert np.array_equal(got, oracles.daughter_counts_by_chains(row))
+
+    @pytest.mark.parametrize("b", [1, 14])
+    def test_star_and_caterpillar_closed_forms(self, b):
+        # a star (every event splits lineage 0) has the shallowest slot tree,
+        # a caterpillar (event k splits slot k-1) the deepest; 14 trees make
+        # 70000 slots, past the 32-bit sort keys
+        n = 5000
+        k = np.arange(1, n)
+        star = trees.daughter_counts(np.zeros((b, n - 1), dtype=np.int64))
+        assert np.array_equal(star, np.broadcast_to(np.stack([n - k, np.ones_like(k)], axis=1),
+                                                    (b, n - 1, 2)))
+        caterpillar = trees.daughter_counts(np.tile(k - 1, (b, 1)))
+        assert np.array_equal(caterpillar,
+                              np.broadcast_to(np.stack([np.ones_like(k), n - k], axis=1),
+                                              (b, n - 1, 2)))
+
+    def test_engine_block_shape(self):
+        # n = 5000 runs in blocks of B = 2^15 // n = 6 trees
+        n = 5000
+        splits = trees.sample_tree(n, np.random.default_rng(5000), 2 ** 15 // n).splits
+        counts = trees.daughter_counts(splits)
+        assert counts.shape == (6, n - 1, 2)
+        for row, got in zip(splits, counts):
+            assert np.array_equal(got, oracles.daughter_counts_by_chains(row))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n=st.integers(min_value=1, max_value=40),
+           b=st.integers(min_value=1, max_value=6))
+    def test_small_blocks_match_chain_replay(self, data, n, b):
+        row = st.tuples(*[st.integers(min_value=0, max_value=k - 1) for k in range(1, n)])
+        splits = np.array(data.draw(st.lists(row, min_size=b, max_size=b)),
+                          dtype=np.int64).reshape(b, n - 1)
+        counts = trees.daughter_counts(splits)
+        for row_splits, got in zip(splits, counts):
+            assert np.array_equal(got, oracles.daughter_counts_by_chains(row_splits))
 
 
 class TestPairMeanExp:
