@@ -141,22 +141,24 @@ class BlockDraws:
     normals: np.ndarray
 
 
-def draw_block(config: ExperimentConfig, block: int,
-               jump_ps: np.ndarray | None = None) -> BlockDraws:
+def draw_block(config: ExperimentConfig, block: int, jump_ps: np.ndarray | None = None,
+               buffers: trees.BlockBuffers | None = None) -> BlockDraws:
     """The draws of block `block` of a run, as whole arrays from the block's
     stream, in stream order: the trees (uniforms with zeros redrawn, then
     splits), for the jump model the jump flags (with the per-event
     probabilities jump_ps), then the normals. A block always draws B full
-    rows, so a replicate's draws depend only on the seed, its index and n."""
+    rows, so a replicate's draws depend only on the seed, its index and n.
+    The trees and flags are drawn into `buffers` (fresh ones if None) and
+    are valid until the next block is drawn into them."""
     n = config.n
     rows = _block_size(n)
     rng = replicate_rng(config.seed, block)
-    tree = trees.sample_tree(n, rng, rows)
+    tree = trees.sample_tree(n, rng, rows, buffers)
     flags = None
     if config.model == MODEL_YOUJ:
         if jump_ps is None:
             jump_ps = trees.jump_event_arrays(config.schedule, n)[0]
-        flags = trees.sample_jumps(jump_ps, rng, rows)
+        flags = trees.sample_jumps(jump_ps, rng, rows, buffers)
     return BlockDraws(tree, flags, rng.standard_normal(rows))
 
 
@@ -173,30 +175,34 @@ def _block_size(n: int) -> int:
 
 
 def _run_block(config: ExperimentConfig, index: int, size: int, jump_arrays,
-               collect_oracle: bool) -> list[np.ndarray]:
-    """The columns of the first `size` replicates of block `index`."""
+               collect_oracle: bool, buffers: trees.BlockBuffers) -> list[np.ndarray]:
+    """The columns of the first `size` replicates of block `index`, drawn
+    and scored in `buffers`."""
     params = config.params
     ps, variances = jump_arrays if jump_arrays is not None else (None, None)
-    draws = draw_block(config, index, ps)
+    draws = draw_block(config, index, ps, buffers)
     block, flags = draws.tree, draws.flags
     if flags is None:
-        cond_mean, cond_var = trees.conditional_moments_you(block, params)
+        cond_mean, cond_var = trees.conditional_moments_you(block, params, buffers)
     else:
-        cond_mean, cond_var = trees.conditional_moments_youj(block, flags, variances, params)
+        cond_mean, cond_var = trees.conditional_moments_youj(block, flags, variances, params,
+                                                             buffers)
     # bit-for-bit what normal(cond_mean, sqrt(cond_var)) would draw
     ybar = cond_mean + np.sqrt(cond_var) * draws.normals
     columns = [cond_mean, cond_var, ybar]
     if collect_oracle:
         two_alpha = 2.0 * params.alpha
         columns += [np.exp(-block.heights), np.exp(-two_alpha * block.heights),
-                    trees.pair_mean_exp(block, 1.0), trees.pair_mean_exp(block, two_alpha)]
+                    trees.pair_mean_exp(block, 1.0, buffers),
+                    trees.pair_mean_exp(block, two_alpha, buffers)]
         if flags is not None:
-            columns += trees.jump_exposure_sums(block, flags, params.alpha)
+            columns += trees.jump_exposure_sums(block, flags, params.alpha, buffers)
     return [column[:size] for column in columns]
 
 
 def _run_chunk(args) -> list[np.ndarray]:
-    """Replicates start..stop-1, where start is a multiple of the block size."""
+    """Replicates start..stop-1, where start is a multiple of the block size.
+    One set of buffers serves every block of the chunk."""
     config, start, stop, collect_oracle = args
     jump_arrays = None
     if config.model == MODEL_YOUJ:
@@ -204,10 +210,11 @@ def _run_chunk(args) -> list[np.ndarray]:
     width = 3 + (len(_oracle_keys(config)) if collect_oracle else 0)
     columns = np.empty((width, stop - start))
     step = _block_size(config.n)
+    buffers = trees.BlockBuffers()
     for lo in range(start, stop, step):
         hi = min(stop, lo + step)
         columns[:, lo - start:hi - start] = _run_block(config, lo // step, hi - lo,
-                                                       jump_arrays, collect_oracle)
+                                                       jump_arrays, collect_oracle, buffers)
     return list(columns)
 
 

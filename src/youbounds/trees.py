@@ -15,6 +15,11 @@ log2 of the slot-tree depth). `sample_tree` draws and builds a block,
 kernel. The Monte Carlo harness calls them once per block of replicates; a
 single tree is a block with B = 1.
 
+Every kernel writes its block-sized outputs and temporaries into a
+`BlockBuffers`. The harness keeps one for all the blocks of a chunk, so a
+block reuses the previous block's pages instead of faulting in fresh ones;
+every other caller gets a fresh one per call, through the same code.
+
 Daughter counts come from the slot tree. Event k keeps the split lineage in
 its slot splits[k-1] and puts the new lineage in slot k, so slot k hangs below
 slot splits[k-1] in a random recursive tree on the slots 0..n-1, whose depth
@@ -40,6 +45,26 @@ import numpy as np
 from .analytic import JumpSchedule, YouParams
 
 
+class BlockBuffers:
+    """The work arrays of the block kernels, kept from one block to the next.
+
+    A kernel asks for an array by name, shape and dtype. The first request
+    allocates it; a later request with the same shape and dtype returns the
+    same array, uninitialised as far as the kernel is concerned, and any
+    other request replaces it. Each name has one owner, so a kernel's output
+    stays intact until that kernel runs again on the same buffers.
+    """
+
+    def __init__(self) -> None:
+        self._arrays: dict[str, np.ndarray] = {}
+
+    def array(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        held = self._arrays.get(name)
+        if held is None or held.shape != shape or held.dtype != dtype:
+            held = self._arrays[name] = np.empty(shape, dtype)
+        return held
+
+
 @dataclass(frozen=True)
 class TreeBlock:
     """B event-indexed pure-birth trees with n tips each, row b for tree b.
@@ -52,6 +77,10 @@ class TreeBlock:
     daughter edges, and coalescence_ages[b, k-1] the time from the present
     back to event k. Shapes: times (B, n), splits and coalescence_ages
     (B, n-1), daughter_counts (B, n-1, 2), heights (B,).
+
+    A block that `sample_tree` drew into kept `BlockBuffers` holds views of
+    them: it is valid only until the next block is drawn into the same
+    buffers.
     """
 
     times: np.ndarray
@@ -65,10 +94,10 @@ class TreeBlock:
         return self.times.shape[1]
 
 
-def daughter_counts(splits: np.ndarray) -> np.ndarray:
+def daughter_counts(splits: np.ndarray, buffers: BlockBuffers | None = None) -> np.ndarray:
     """Daughter tip counts of a block of trees: (B, n-1) splits give
     (B, n-1, 2) int64 counts, left (the split lineage's slot) then right (the
-    new slot).
+    new slot), in `buffers` (fresh ones if None).
 
     The B slot trees are numbered flat, followed by one sentinel slot.
     Subtree sizes come from pointer doubling. Before round r, jump[s] is
@@ -82,18 +111,20 @@ def daughter_counts(splits: np.ndarray) -> np.ndarray:
     exact. A left count is 1 plus the subtree sizes of the new slot's later
     siblings.
     """
+    buffers = BlockBuffers() if buffers is None else buffers
     b, m = splits.shape
     n = m + 1
     total = b * n
     offsets = np.arange(0, total, n)[:, None]
-    jump = np.empty(total + 1, dtype=np.intp)
+    jump = buffers.array("jump", (total + 1,), np.intp)
     slots = jump[:total].reshape(b, n)
     slots[:, 0] = total
     np.add(splits, offsets, out=slots[:, 1:])
     jump[total] = total
-    spare = np.empty_like(jump)
-    size = np.ones(total + 1, dtype=np.int64)
-    below = np.empty_like(size)
+    spare = buffers.array("spare", (total + 1,), np.intp)
+    size = buffers.array("size", (total + 1,), np.int64)
+    size.fill(1)
+    below = buffers.array("below", (total + 1,), np.int64)
     while jump.min() < total:
         np.copyto(below, size)
         np.add.at(size, jump, below)
@@ -110,15 +141,16 @@ def daughter_counts(splits: np.ndarray) -> np.ndarray:
     # the grouped child sizes, subtracted from that sum up to and including
     # q, plus 1, leaves 1 plus the sizes of the later siblings. The pointer
     # and size buffers are reused for the steps.
-    counts = np.empty((b, m, 2), dtype=np.int64)
+    counts = buffers.array("counts", (b, m, 2), np.int64)
     counts[:, :, 1] = size[:total].reshape(b, n)[:, 1:]
     shift = total.bit_length()
-    keys = jump[:b * m].reshape(b, m)
-    np.add(splits, offsets, out=keys)
-    keys <<= shift
-    keys += offsets
-    keys += np.arange(1, n)
-    keys = keys.astype(np.uint32 if shift <= 16 else np.uint64).reshape(-1)
+    wide = jump[:b * m].reshape(b, m)
+    np.add(splits, offsets, out=wide)
+    wide <<= shift
+    wide += offsets
+    wide += np.arange(1, n)
+    keys = buffers.array("keys", (b * m,), np.uint32 if shift <= 16 else np.uint64)
+    np.copyto(keys, wide.reshape(-1), casting="unsafe")
     keys.sort()
     parent = np.right_shift(keys, shift, out=spare[:b * m], casting="unsafe")
     child = np.bitwise_and(keys, (1 << shift) - 1, out=jump[:b * m], casting="unsafe")
@@ -127,15 +159,17 @@ def daughter_counts(splits: np.ndarray) -> np.ndarray:
     size -= 1
     np.cumsum(size, out=size)
     size += 1
-    left = size[parent]
+    left = np.take(size, parent, out=buffers.array("left", (b * m,), np.int64), mode="clip")
     left -= through
     size[child] = left
     counts[:, :, 0] = size[:total].reshape(b, n)[:, 1:]
     return counts
 
 
-def sample_tree(n: int, rng: np.random.Generator, rows: int = 1) -> TreeBlock:
-    """Sample `rows` n-tip pure-birth trees as one block.
+def sample_tree(n: int, rng: np.random.Generator, rows: int = 1,
+                buffers: BlockBuffers | None = None) -> TreeBlock:
+    """Sample `rows` n-tip pure-birth trees as one block, into `buffers`
+    (fresh ones if None).
 
     The draws, in stream order: the (rows, n) period uniforms (re-drawing
     the measure-zero u = 0 cases, in row-major order, so every duration is
@@ -147,16 +181,19 @@ def sample_tree(n: int, rng: np.random.Generator, rows: int = 1) -> TreeBlock:
     if n < 1 or int(n) != n:
         raise ValueError(f"sample_tree requires an integer n >= 1, got {n}")
     n = int(n)
-    u = rng.random((rows, n))
-    while not u.all():
-        zero = u == 0.0
-        u[zero] = rng.random(int(zero.sum()))
+    buffers = BlockBuffers() if buffers is None else buffers
+    times = rng.random(out=buffers.array("times", (rows, n)))
+    while not times.all():
+        zero = times == 0.0
+        times[zero] = rng.random(int(zero.sum()))
     splits = rng.integers(0, np.arange(1, n), size=(rows, n - 1), dtype=np.int64)
-    times = np.negative(u)
+    np.negative(times, out=times)
     np.log1p(times, out=times)
     times /= -np.arange(1, n + 1, dtype=np.float64)
-    ages = np.cumsum(times[:, :0:-1], axis=1)[:, ::-1]
-    return TreeBlock(times=times, splits=splits, daughter_counts=daughter_counts(splits),
+    ages = np.cumsum(times[:, :0:-1], axis=1,
+                     out=buffers.array("ages", (rows, n - 1)))[:, ::-1]
+    return TreeBlock(times=times, splits=splits,
+                     daughter_counts=daughter_counts(splits, buffers),
                      coalescence_ages=ages, heights=times.sum(axis=1))
 
 
@@ -168,35 +205,47 @@ def jump_event_arrays(schedule: JumpSchedule, n: int) -> tuple[np.ndarray, np.nd
     return ps, variances
 
 
-def sample_jumps(jump_ps: np.ndarray, rng: np.random.Generator, rows: int = 1) -> np.ndarray:
+def sample_jumps(jump_ps: np.ndarray, rng: np.random.Generator, rows: int = 1,
+                 buffers: BlockBuffers | None = None) -> np.ndarray:
     """Jump flags of `rows` trees, (rows, n-1, 2): an independent Bernoulli
     draw for each of the two daughter slots of every event, with the
-    per-event probabilities jump_ps (n-1,).
+    per-event probabilities jump_ps (n-1,). Drawn into `buffers` (fresh ones
+    if None), where the flags are valid until the next draw.
 
     Always consumes exactly 2(n-1) uniforms per row, so downstream draws stay
     aligned across schedules.
     """
-    return rng.random((rows, len(jump_ps), 2)) < jump_ps[:, None]
+    buffers = BlockBuffers() if buffers is None else buffers
+    shape = (rows, len(jump_ps), 2)
+    uniforms = rng.random(out=buffers.array("jump_uniforms", shape))
+    return np.less(uniforms, jump_ps[:, None], out=buffers.array("flags", shape, np.bool_))
 
 
-def pair_mean_exp(block: TreeBlock, y: float) -> np.ndarray:
+def pair_mean_exp(block: TreeBlock, y: float,
+                  buffers: BlockBuffers | None = None) -> np.ndarray:
     """Per tree, the average of exp(-y * coalescence time) over all tip pairs.
 
     Pairs whose most recent common ancestor is event k contribute with the
     event's age; there are exactly left*right such pairs, so each average is
-    one sum over events.
+    one sum over events. The per-event terms go into `buffers` (fresh ones
+    if None).
     """
     n = block.n
     if n < 2:
         raise ValueError(f"pair_mean_exp requires n >= 2, got {n}")
-    counts = block.daughter_counts
-    pairs = counts[..., 0] * counts[..., 1]
-    weighted = pairs * np.exp(-y * block.coalescence_ages)
+    buffers = BlockBuffers() if buffers is None else buffers
+    counts, ages = block.daughter_counts, block.coalescence_ages
+    pairs = np.multiply(counts[..., 0], counts[..., 1],
+                        out=buffers.array("pairs", ages.shape, np.int64))
+    weighted = np.multiply(-y, ages, out=buffers.array("pair_terms", ages.shape))
+    np.exp(weighted, out=weighted)
+    np.multiply(pairs, weighted, out=weighted)
     return weighted.sum(axis=1) / (n * (n - 1) / 2.0)
 
 
-def conditional_moments_you(block: TreeBlock,
-                            params: YouParams) -> tuple[np.ndarray, np.ndarray]:
+def conditional_moments_you(block: TreeBlock, params: YouParams,
+                            buffers: BlockBuffers | None = None
+                            ) -> tuple[np.ndarray, np.ndarray]:
     """Per-tree conditional mean and variance for the jump-free model.
 
     mean: delta * exp(-alpha * height). variance: 1/n + (1 - 1/n) * pair
@@ -208,13 +257,14 @@ def conditional_moments_you(block: TreeBlock,
     a = params.alpha
     cond_mean = params.delta * np.exp(-a * block.heights)
     tip_term = np.exp(-2.0 * a * block.heights)
-    pair = pair_mean_exp(block, 2.0 * a) if n > 1 else 0.0
+    pair = pair_mean_exp(block, 2.0 * a, buffers) if n > 1 else 0.0
     cond_var = 1.0 / n + (1.0 - 1.0 / n) * pair - tip_term
     return cond_mean, cond_var
 
 
 def conditional_moments_youj(block: TreeBlock, flags: np.ndarray, variances: np.ndarray,
-                             params: YouParams) -> tuple[np.ndarray, np.ndarray]:
+                             params: YouParams, buffers: BlockBuffers | None = None
+                             ) -> tuple[np.ndarray, np.ndarray]:
     """Per-tree conditional mean and variance with jumps; flags is
     (B, n-1, 2) and variances (n-1,).
 
@@ -225,32 +275,50 @@ def conditional_moments_youj(block: TreeBlock, flags: np.ndarray, variances: np.
     off-diagonal covariance entries the jump feeds).
     """
     n = block.n
-    cond_mean, cond_var = conditional_moments_you(block, params)
-    counts = block.daughter_counts
-    flagged = flags[..., 0] * counts[..., 0] ** 2 + flags[..., 1] * counts[..., 1] ** 2
-    weight = variances * np.exp(-2.0 * params.alpha * block.coalescence_ages)
-    slot_sum = (flagged * weight).sum(axis=1)
+    buffers = BlockBuffers() if buffers is None else buffers
+    cond_mean, cond_var = conditional_moments_you(block, params, buffers)
+    counts, ages = block.daughter_counts, block.coalescence_ages
+    flagged = np.square(counts[..., 0], out=buffers.array("flagged", ages.shape, np.int64))
+    flagged *= flags[..., 0]
+    right = np.square(counts[..., 1], out=buffers.array("flagged_right", ages.shape, np.int64))
+    right *= flags[..., 1]
+    flagged += right
+    weight = np.multiply(-2.0 * params.alpha, ages, out=buffers.array("jump_terms", ages.shape))
+    np.exp(weight, out=weight)
+    weight *= variances
+    np.multiply(flagged, weight, out=weight)
+    slot_sum = weight.sum(axis=1)
     return cond_mean, cond_var + (2.0 * params.alpha / params.sigma_a2) * slot_sum / (n * n)
 
 
-def jump_exposure_sums(block: TreeBlock, flags: np.ndarray,
-                       alpha: float) -> tuple[np.ndarray, np.ndarray]:
+def jump_exposure_sums(block: TreeBlock, flags: np.ndarray, alpha: float,
+                       buffers: BlockBuffers | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Per-tree single-lineage and shared-pair jump exposure sums.
 
     single: sum over jumping slots of exp(-2 alpha age) d / n.
     pair:   sum over jumping slots of exp(-2 alpha age) d(d-1) / (n(n-1)).
     Their expectations are the closed forms jump_single_lineage_mean and
-    jump_pair_shared_mean (for constant schedules).
+    jump_pair_shared_mean (for constant schedules). The flagged d and d(d-1)
+    are exact integers in float64, so the order they are formed in does not
+    matter.
     """
     n = block.n
     if n < 2:
         return np.zeros(len(block.heights)), np.zeros(len(block.heights))
-    decay = np.exp(-2.0 * alpha * block.coalescence_ages)
-    d = block.daughter_counts.astype(np.float64)
-    flagged_d = (flags * d).sum(axis=2)
-    flagged_dd1 = (flags * (d * (d - 1.0))).sum(axis=2)
-    single = (flagged_d * decay).sum(axis=1) / n
-    pair = (flagged_dd1 * decay).sum(axis=1) / (n * (n - 1.0))
+    buffers = BlockBuffers() if buffers is None else buffers
+    counts, ages = block.daughter_counts, block.coalescence_ages
+    decay = np.multiply(-2.0 * alpha, ages, out=buffers.array("decay", ages.shape))
+    np.exp(decay, out=decay)
+    slots = np.multiply(flags, counts, out=buffers.array("exposure_slots", counts.shape))
+    per_event = np.sum(slots, axis=2, out=buffers.array("exposure_events", ages.shape))
+    per_event *= decay
+    single = per_event.sum(axis=1) / n
+    np.subtract(counts, 1.0, out=slots)
+    slots *= counts
+    slots *= flags
+    np.sum(slots, axis=2, out=per_event)
+    per_event *= decay
+    pair = per_event.sum(axis=1) / (n * (n - 1.0))
     return single, pair
 
 

@@ -8,6 +8,7 @@ sandwich reports that compare empirical distances with the analytic bounds.
 
 import dataclasses
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -201,6 +202,65 @@ class TestReplicateStreams:
     def test_no_oracle_columns_by_default(self):
         data = harness.run_replicates(_you_config(n=5, replicates=4))
         assert data.oracle is None
+
+
+class TestBlockBuffers:
+    @pytest.mark.parametrize("model,schedule", [
+        ("YOU", JumpSchedule.none()),
+        ("YOUj", JumpSchedule.constant(0.5, 1.3)),
+    ])
+    def test_reused_buffers_match_fresh_draws(self, model, schedule):
+        # each block of a run drawn and scored in one set of buffers, the
+        # short last block included, equals the same block drawn fresh
+        n = 37
+        b = harness._block_size(n)
+        r = 2 * b + 5
+        config = ExperimentConfig(model=model, n=n, params=YouParams(alpha=0.8, x0=0.6),
+                                  schedule=schedule, replicates=r, seed=SEED)
+        jump_arrays = trees.jump_event_arrays(schedule, n) if model == "YOUj" else None
+        ps = None if jump_arrays is None else jump_arrays[0]
+        shared = trees.BlockBuffers()
+        for k in range(3):
+            draws = harness.draw_block(config, k, ps, shared)
+            fresh = harness.draw_block(config, k, ps)
+            for field in dataclasses.fields(trees.TreeBlock):
+                assert np.array_equal(getattr(draws.tree, field.name),
+                                      getattr(fresh.tree, field.name)), (k, field.name)
+            assert (draws.flags is None) == (fresh.flags is None)
+            if draws.flags is not None:
+                assert np.array_equal(draws.flags, fresh.flags)
+            assert np.array_equal(draws.normals, fresh.normals)
+            size = min(b, r - k * b)
+            got = harness._run_block(config, k, size, jump_arrays, True, shared)
+            expected = harness._run_block(config, k, size, jump_arrays, True,
+                                          trees.BlockBuffers())
+            assert len(got) == len(expected)
+            for column, want in zip(got, expected):
+                assert len(column) == size
+                assert np.array_equal(column, want)
+
+    @pytest.mark.parametrize("collect_oracle", [False, True])
+    @pytest.mark.parametrize("n", [50, 200, 5000])
+    def test_block_allocates_only_the_split_draw(self, n, collect_oracle):
+        # once a chunk's buffers hold one block, drawing and scoring the next
+        # allocates little more than the fresh (B, n-1) int64 split draw
+        # (Generator.integers has no out); the per-block arrays come from the
+        # buffers
+        config = ExperimentConfig(model="YOUj", n=n, params=YouParams(alpha=1.0, x0=0.7),
+                                  schedule=JumpSchedule.constant(0.5, 1.0),
+                                  replicates=10, seed=SEED)
+        b = harness._block_size(n)
+        jump_arrays = trees.jump_event_arrays(config.schedule, n)
+        buffers = trees.BlockBuffers()
+        harness._run_block(config, 0, b, jump_arrays, collect_oracle, buffers)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            harness._run_block(config, 1, b, jump_arrays, collect_oracle, buffers)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * b * (n - 1) * np.dtype(np.int64).itemsize
 
 
 class TestTipAverageDraws:

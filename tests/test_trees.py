@@ -8,6 +8,7 @@ checks compare the O(n) aggregate routes against independent brute-force
 routes from oracles.py.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,16 +25,21 @@ R_TREES = 100_000
 
 class _StubRNG:
     """Deterministic stand-in for a Generator: hands out queued uniform
-    blocks and one fixed integer block, each in the shape asked for."""
+    blocks and one fixed integer block, each in the shape asked for; like
+    Generator.random, random fills `out` when given one."""
 
     def __init__(self, blocks, ints=()):
         self._blocks = [np.asarray(b, dtype=np.float64) for b in blocks]
         self._ints = np.asarray(ints, dtype=np.int64)
 
-    def random(self, size=None):
+    def random(self, size=None, out=None):
         block = self._blocks.pop(0)
-        assert block.size == np.prod(size)
-        return block.reshape(size).copy()
+        if out is None:
+            assert block.size == np.prod(size)
+            return block.reshape(size).copy()
+        assert size is None and block.size == out.size
+        out[...] = block.reshape(out.shape)
+        return out
 
     def integers(self, low, high, size=None, dtype=None):
         assert self._ints.size == np.prod(size)
@@ -62,27 +68,10 @@ def _assert_within_4se(samples: np.ndarray, target: float) -> None:
     assert abs(samples.mean() - target) <= 4.0 * se
 
 
-def _tree_blocks(n: int, rng: np.random.Generator, jump_ps=None):
-    """R_TREES n-tip trees, drawn one after another from rng exactly as
-    sample_tree(n, rng) (then, with jump_ps, sample_jumps(jump_ps, rng))
-    draws them, handed out in blocks of up to 4096 with their (B, n-1, 2)
-    jump flags (None without jump_ps). Each block is built by sample_tree
-    from the collected draws."""
-    chunk = 4096
-    for lo in range(0, R_TREES, chunk):
-        size = min(chunk, R_TREES - lo)
-        uniforms = np.empty((size, n))
-        splits = np.empty((size, n - 1), dtype=np.int64)
-        flags = None if jump_ps is None else np.empty((size, n - 1, 2), dtype=bool)
-        for i in range(size):
-            u = rng.random(n)
-            while not u.all():
-                zero = u == 0.0
-                u[zero] = rng.random(int(zero.sum()))
-            uniforms[i], splits[i] = u, rng.integers(0, np.arange(1, n))
-            if flags is not None:
-                flags[i] = trees.sample_jumps(jump_ps, rng)[0]
-        yield trees.sample_tree(n, _StubRNG([uniforms], splits), size), flags
+def _block_rows():
+    """Row counts of the blocks that make up R_TREES trees: 4096 rows each,
+    the last block shorter."""
+    return [min(4096, R_TREES - lo) for lo in range(0, R_TREES, 4096)]
 
 
 @pytest.fixture(scope="module")
@@ -95,7 +84,9 @@ def stats_50():
     names = ("exp_height", "pair_y1", "pair_y2", "cond_var", "jump_part",
              "single_sum", "pair_sum")
     out = {name: [] for name in names}
-    for block, flags in _tree_blocks(50, rng, ps):
+    for rows in _block_rows():
+        block = trees.sample_tree(50, rng, rows)
+        flags = trees.sample_jumps(ps, rng, rows)
         out["exp_height"].append(np.exp(-block.heights))
         out["pair_y1"].append(trees.pair_mean_exp(block, 1.0))
         out["pair_y2"].append(trees.pair_mean_exp(block, 2.0))
@@ -113,15 +104,15 @@ def stats_50():
 def stats_100():
     """1e5 heights of 100-tip trees, transformed by exp(-2U)."""
     rng = np.random.default_rng(20260820)
-    return np.concatenate([np.exp(-2.0 * block.heights)
-                           for block, _ in _tree_blocks(100, rng)])
+    return np.concatenate([np.exp(-2.0 * trees.sample_tree(100, rng, rows).heights)
+                           for rows in _block_rows()])
 
 
 @pytest.fixture(scope="module")
 def stats_single_edge():
     """1e5 single-tip trees: the lone edge is a unit-rate exponential."""
     rng = np.random.default_rng(20260821)
-    return np.concatenate([block.heights for block, _ in _tree_blocks(1, rng)])
+    return np.concatenate([trees.sample_tree(1, rng, rows).heights for rows in _block_rows()])
 
 
 class TestSampleTree:
@@ -215,6 +206,47 @@ class TestSampleTree:
         for x in (1.0, 2.0):
             _assert_within_4se(np.exp(-x * stats_single_edge), 1.0 / (1.0 + x))
         _assert_within_4se(stats_single_edge, 1.0)
+
+
+class TestBlockBuffers:
+    def test_reused_buffers_match_fresh_draws(self):
+        # a block with a redrawn zero uniform, a block of other trees, then
+        # the first again, drawn and scored in one set of buffers: every
+        # array must equal a fresh draw of the same block, so no state of
+        # one block (such as the subtree sizes) leaks into the next
+        n, rows = 6, 3
+        uniforms = np.linspace(0.05, 0.95, rows * n)
+        with_zero = uniforms.copy()
+        with_zero[4] = 0.0
+        specs = [
+            dict(blocks=[with_zero, [0.6]], ints=np.tile(np.arange(n - 1), rows)),
+            dict(blocks=[uniforms[::-1]], ints=np.zeros(rows * (n - 1))),
+            dict(blocks=[with_zero, [0.6]], ints=np.tile(np.arange(n - 1), rows)),
+        ]
+        params = YouParams(alpha=0.8, sigma_a2=1.3, x0=0.4)
+        ps, variances = trees.jump_event_arrays(JumpSchedule.constant(0.5, 1.2), n)
+        shared = trees.BlockBuffers()
+        for k, spec in enumerate(specs):
+            tree = trees.sample_tree(n, _StubRNG(**spec), rows, shared)
+            fresh = trees.sample_tree(n, _StubRNG(**spec), rows)
+            assert np.all(tree.times > 0.0)
+            for field in dataclasses.fields(trees.TreeBlock):
+                assert np.array_equal(getattr(tree, field.name),
+                                      getattr(fresh, field.name)), (k, field.name)
+            flags = trees.sample_jumps(ps, np.random.default_rng(k), rows, shared)
+            fresh_flags = trees.sample_jumps(ps, np.random.default_rng(k), rows)
+            assert np.array_equal(flags, fresh_flags)
+            pairs = [trees.pair_mean_exp(tree, 1.0, shared), trees.pair_mean_exp(fresh, 1.0)]
+            assert np.array_equal(*pairs)
+            you = [trees.conditional_moments_you(tree, params, shared),
+                   trees.conditional_moments_you(fresh, params)]
+            youj = [trees.conditional_moments_youj(tree, flags, variances, params, shared),
+                    trees.conditional_moments_youj(fresh, fresh_flags, variances, params)]
+            sums = [trees.jump_exposure_sums(tree, flags, params.alpha, shared),
+                    trees.jump_exposure_sums(fresh, fresh_flags, params.alpha)]
+            for got, expected in (you, youj, sums):
+                assert np.array_equal(got[0], expected[0])
+                assert np.array_equal(got[1], expected[1])
 
 
 class TestDrawTree:
