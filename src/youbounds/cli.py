@@ -11,6 +11,7 @@ import argparse
 import json
 import math
 import sys
+import time
 
 import numpy as np
 
@@ -356,9 +357,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     workers = harness.resolve_workers(args.workers, verify.DEFAULT_WORKERS)
     suite = verify.quick_suite if args.level == "quick" else verify.full_suite
-    results = suite(workers)
-    for result in results:
-        print(result.render())
+    results = []
+    for criterion in suite(workers):
+        start = time.perf_counter()
+        result = criterion()
+        print(result.render(time.perf_counter() - start), flush=True)
+        results.append(result)
     failed = [r.label for r in results if not r.passed]
     print(f"verify {args.level}: {len(results)} criteria, {len(failed)} failed"
           + (f" ({', '.join(failed)})" if failed else ""))

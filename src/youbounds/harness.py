@@ -21,12 +21,14 @@ statistic reads those arrays. The Kolmogorov statistic is the one-sample
 sup-distance to the normal CDF. The Wasserstein statistic is the exact L1
 distance between the empirical CDF and the normal CDF, integrated segment by
 segment in closed form: comparing Phi at a segment's two ends with the
-segment's level decides the sign of |c - Phi| there, and a normal quantile
-is computed only for the few segments that Phi crosses. Its bootstrap error
-scores each resample from the counts of the drawn ranks, with no sort and no
-further CDF evaluation. The dw verdict allows for the positive O(R^-1/2)
-bias of the empirical Wasserstein distance as well as for its bootstrap
-error.
+segment's level decides the sign of |c - Phi| there, and normal quantiles
+are computed, in one call, only for the few segments that Phi crosses. Its
+bootstrap error scores each resample from the counts of the drawn ranks,
+with no sort and no further CDF evaluation, in work arrays kept for all the
+resamples. The sort is not stable and Phi and the quantiles take whole
+arrays; none of this moves a bit of any statistic (see `_sort_sample` and
+`special`). The dw verdict allows for the positive O(R^-1/2) bias of the
+empirical Wasserstein distance as well as for its bootstrap error.
 """
 
 from __future__ import annotations
@@ -294,10 +296,18 @@ class _SortedSample:
 
 
 def _sort_sample(samples, name: str) -> _SortedSample:
+    """The sample sorted, with Phi and G on the sorted values.
+
+    The sort need not be stable: no statistic depends on the order of tied
+    values. Tied values have equal Phi and G, so a segment between two of
+    them has zero width and adds zero, and the level entering and leaving a
+    tie group is the same whichever order its members take, in the sample
+    and in every bootstrap resample.
+    """
     z = np.asarray(samples, dtype=np.float64).ravel()
     if len(z) == 0:
         raise ValueError(f"{name} requires at least one sample")
-    order = np.argsort(z, kind="stable")
+    order = np.argsort(z)
     x = z[order]
     cdf = special.std_normal_cdf_array(x)
     g = x * cdf + _INV_SQRT_2PI * np.exp(-0.5 * x * x)
@@ -310,7 +320,8 @@ def _dk_sorted(s: _SortedSample) -> float:
     return float(np.max(np.maximum(i / r - s.cdf, s.cdf - (i - 1.0) / r)))
 
 
-def _dw_segments(s: _SortedSample, levels: np.ndarray) -> float:
+def _dw_segments(s: _SortedSample, levels: np.ndarray,
+                 buffers: trees.BlockBuffers | None = None) -> float:
     """Exact L1 distance between the normal CDF and the step function that
     is 0 left of x[0], levels[i] on [x[i], x[i+1]] and 1 right of x[-1].
 
@@ -318,20 +329,33 @@ def _dw_segments(s: _SortedSample, levels: np.ndarray) -> float:
     c, with D(t) = G(t) - c t: if Phi(b) <= c the segment adds D(a) - D(b),
     if Phi(a) >= c it adds D(b) - D(a), and otherwise Phi crosses c at the
     quantile zc inside the segment, where D(zc) = phi(zc), and it adds
-    D(a) + D(b) - 2 phi(zc). Quantiles are computed for crossing segments
-    only.
+    D(a) + D(b) - 2 phi(zc). The quantiles of all crossing segments are
+    computed in one call. The work arrays are taken from `buffers` (fresh
+    ones if None), so a caller scoring many level sets allocates them once.
     """
     x, cdf, g = s.x, s.cdf, s.g
     total = g[0] + (g[-1] - x[-1])
     if len(x) > 1:
-        da = g[:-1] - levels * x[:-1]
-        db = g[1:] - levels * x[1:]
-        seg = db - da
-        np.negative(seg, out=seg, where=cdf[1:] <= levels)
-        cross = np.flatnonzero((cdf[:-1] < levels) & (levels < cdf[1:]))
-        if cross.size:
-            zc = np.array([special.std_normal_quantile(c) for c in levels[cross]])
-            seg[cross] = da[cross] + db[cross] - 2.0 * _INV_SQRT_2PI * np.exp(-0.5 * zc * zc)
+        if buffers is None:
+            buffers = trees.BlockBuffers()
+        shape = levels.shape
+        da = buffers.array("dw_da", shape)
+        seg = buffers.array("dw_seg", shape)
+        below = buffers.array("dw_below", shape, np.bool_)
+        cross = buffers.array("dw_cross", shape, np.bool_)
+        np.subtract(g[:-1], np.multiply(levels, x[:-1], out=da), out=da)
+        np.subtract(g[1:], np.multiply(levels, x[1:], out=seg), out=seg)
+        np.subtract(seg, da, out=seg)
+        np.less_equal(cdf[1:], levels, out=below)
+        np.negative(seg, out=seg, where=below)
+        # Phi(a) < c < Phi(b): below is the complement of c < Phi(b)
+        np.greater(np.less(cdf[:-1], levels, out=cross), below, out=cross)
+        idx = np.flatnonzero(cross)
+        if idx.size:
+            c = levels[idx]
+            zc = special.std_normal_quantile(c)
+            db = g[idx + 1] - c * x[idx + 1]
+            seg[idx] = da[idx] + db - 2.0 * _INV_SQRT_2PI * np.exp(-0.5 * zc * zc)
         total += float(np.sum(seg))
     return float(total)
 
@@ -369,18 +393,34 @@ def _bootstrap_dw_se(s: _SortedSample, seed: int) -> float:
     its rank k was drawn, so its empirical CDF is the running sum of the
     rank counts over the sorted sample (segments between undrawn elements
     keep the previous level). Each resample is thus scored on the sample's
-    own Phi and G, with no sort and no CDF evaluation.
+    own Phi and G, with no sort and no CDF evaluation, in one set of work
+    arrays kept for all the resamples.
     """
     r = len(s.x)
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(r, 1))
     rng = np.random.Generator(np.random.PCG64(ss))
     rank = np.empty(r, dtype=np.intp)
     rank[s.order] = np.arange(r)
+    buffers = trees.BlockBuffers()
+    levels = np.empty(r - 1)
     values = np.empty(_BOOTSTRAP_RESAMPLES)
     for b in range(_BOOTSTRAP_RESAMPLES):
-        counts = np.bincount(rank[rng.integers(0, r, size=r)], minlength=r)
-        values[b] = _dw_segments(s, np.cumsum(counts[:-1]) / r)
+        _resample_levels(rng, rank, levels)
+        values[b] = _dw_segments(s, levels, buffers)
     return float(np.std(values, ddof=1))
+
+
+def _resample_levels(rng: np.random.Generator, rank: np.ndarray, out: np.ndarray) -> None:
+    """The empirical-CDF levels of one resample into `out`: the running
+    counts of the drawn ranks, over R. Its two full-length temporaries are
+    freed on return."""
+    r = len(rank)
+    drawn = rng.integers(0, r, size=r)
+    # every index is in range, so "clip" changes nothing; it spares the
+    # copy of `out` that the default mode makes
+    counts = np.bincount(np.take(rank, drawn, out=drawn, mode="clip"), minlength=r)
+    running = np.cumsum(counts[:-1], out=counts[:-1])
+    np.divide(running, r, out=out)
 
 
 def _dw_sampling_bias(r: int) -> float:

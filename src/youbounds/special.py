@@ -1,8 +1,10 @@
-"""Scalar special functions shared by the analytic and Monte Carlo layers.
+"""Special functions shared by the analytic and Monte Carlo layers.
 
 Everything here is a pure function of its arguments. Accuracy targets are
 stated per function; they are what the bound formulas downstream need, not
-what the underlying libm happens to deliver.
+what the underlying libm happens to deliver. The normal CDF and quantile
+also take arrays and give, element for element, the value of the scalar
+call: their exp, log and erfc are libm's, called per element.
 """
 
 from __future__ import annotations
@@ -19,6 +21,9 @@ _PRODUCT_MAX_N = 64
 
 # direct summation limit for harmonic numbers
 _HARMONIC_DIRECT_MAX_N = 10**7
+
+# elements per math.erfc pass of std_normal_cdf_array
+_CDF_CHUNK = 8192
 
 _SQRT2 = math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -89,25 +94,38 @@ def zeta(r: float) -> float:
     return partial + tail + half + bern1 - bern2
 
 
-def std_normal_pdf(z: float) -> float:
-    """Standard normal density."""
-    return _INV_SQRT_2PI * math.exp(-0.5 * z * z)
-
-
 def std_normal_cdf(z: float) -> float:
     """Standard normal CDF via the complementary error function."""
     return 0.5 * math.erfc(-z / _SQRT2)
 
 
-def std_normal_cdf_array(z: np.ndarray) -> np.ndarray:
-    """Elementwise standard normal CDF for a float array.
+def _libm(fn, x: np.ndarray) -> np.ndarray:
+    """fn (a math module function) on every element of the 1-D float array
+    x, as a new array: libm's value for each element, where numpy's own
+    vector exp and log can differ from it in the last place."""
+    return np.fromiter(map(fn, x.tolist()), dtype=np.float64, count=x.size)
 
-    Delegates to math.erfc per element so the accuracy matches the scalar
-    path exactly; the loop cost is acceptable at the sample sizes the Monte
-    Carlo harness uses.
+
+def _cdf(x: np.ndarray) -> np.ndarray:
+    """Phi on a 1-D array, element for element what std_normal_cdf gives."""
+    return 0.5 * _libm(math.erfc, -x / _SQRT2)
+
+
+def std_normal_cdf_array(z: np.ndarray) -> np.ndarray:
+    """Elementwise standard normal CDF for a float array, value for value
+    what std_normal_cdf gives.
+
+    math.erfc runs over the Python floats of one chunk of _CDF_CHUNK
+    elements at a time, which bounds the boxed floats alive at once. A
+    numpy-only erfc (rational approximations such as Cody's) would be
+    several times faster, but it rounds differently and would move every
+    empirical dk and dw by ulps; it is left for the conditional-CDF
+    statistics that need many more evaluations (ROADMAP item 3).
     """
     flat = np.asarray(z, dtype=np.float64).ravel()
-    out = np.fromiter((0.5 * math.erfc(-v / _SQRT2) for v in flat), dtype=np.float64, count=flat.size)
+    out = np.empty(flat.size)
+    for start in range(0, flat.size, _CDF_CHUNK):
+        out[start:start + _CDF_CHUNK] = _cdf(flat[start:start + _CDF_CHUNK])
     return out.reshape(np.shape(z))
 
 
@@ -133,39 +151,51 @@ _ACKLAM_D = (
 _ACKLAM_P_LOW = 0.02425
 
 
-def _acklam(p: float) -> float:
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    if p < _ACKLAM_P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    if p > 1.0 - _ACKLAM_P_LOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / \
-            ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0)
-    q = p - 0.5
+def _horner(coefficients, t: np.ndarray) -> np.ndarray:
+    out = coefficients[0] * t + coefficients[1]
+    for c in coefficients[2:]:
+        out = out * t + c
+    return out
+
+
+def _acklam(p: np.ndarray) -> np.ndarray:
+    """Acklam's approximation on a 1-D array, region by region: the tail
+    form within _ACKLAM_P_LOW of 0 or 1, the central form between."""
+    x = np.empty(p.size)
+    low, high = p < _ACKLAM_P_LOW, p > 1.0 - _ACKLAM_P_LOW
+    mid = ~(low | high)
+    q = p[mid] - 0.5
     r = q * q
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / \
-        (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0)
-
-
-def std_normal_quantile(p: float) -> float:
-    """Inverse of std_normal_cdf on (0, 1).
-
-    Acklam's rational initial guess plus two Newton corrections. The round
-    trip quantile(cdf(z)) recovers z to better than 1e-9 for -6 <= z <= 5.3.
-    Above that the rounding of the CDF value near 1 already displaces the
-    recoverable z by up to ulp(1)/pdf(z) (3.7e-8 at z = 6); that floor
-    belongs to float64, not to this inverse, which agrees with reference
-    implementations to ~1e-10 even there and is accurate to ~1e-12 on
-    exactly supplied p in the bulk.
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"std_normal_quantile requires 0 < p < 1, got {p}")
-    x = _acklam(p)
-    for _ in range(2):
-        density = std_normal_pdf(x)
-        if density < 1e-280:
-            break
-        x -= (std_normal_cdf(x) - p) / density
+    x[mid] = _horner(_ACKLAM_A, r) * q / _horner(_ACKLAM_B + (1.0,), r)
+    for tail, sign, tail_p in ((low, 1.0, p), (high, -1.0, 1.0 - p)):
+        if np.count_nonzero(tail):
+            t = np.sqrt(-2.0 * _libm(math.log, tail_p[tail]))
+            x[tail] = sign * _horner(_ACKLAM_C, t) / _horner(_ACKLAM_D + (1.0,), t)
     return x
+
+
+def std_normal_quantile(p: float | np.ndarray) -> float | np.ndarray:
+    """Inverse of std_normal_cdf on (0, 1), elementwise: a float for a
+    float, an array of p's shape for an array.
+
+    Acklam's rational initial guess plus two Newton corrections; an element
+    whose density has fallen below 1e-280 takes no further correction. The
+    round trip quantile(cdf(z)) recovers z to better than 1e-9 for
+    -6 <= z <= 5.3. Above that the rounding of the CDF value near 1 already
+    displaces the recoverable z by up to ulp(1)/pdf(z) (3.7e-8 at z = 6);
+    that floor belongs to float64, not to this inverse, which agrees with
+    reference implementations to ~1e-10 even there and is accurate to
+    ~1e-12 on exactly supplied p in the bulk. exp and log are libm's, as in
+    std_normal_cdf, so a value does not depend on how p is batched.
+    """
+    flat = np.asarray(p, dtype=np.float64).ravel()
+    inside = (flat > 0.0) & (flat < 1.0)
+    if not inside.all():
+        raise ValueError(f"std_normal_quantile requires 0 < p < 1, got {flat[~inside][0]}")
+    x = _acklam(flat)
+    for _ in range(2):
+        density = _INV_SQRT_2PI * _libm(math.exp, -0.5 * x * x)
+        x -= np.divide(_cdf(x) - flat, density, out=np.zeros(x.size), where=density >= 1e-280)
+    if np.ndim(p) == 0:
+        return float(x[0])
+    return x.reshape(np.shape(p))

@@ -3,7 +3,8 @@ Carlo cross-checks and the determinism contract.
 
 Each criterion function returns a CriterionResult with one line per check so
 callers (the CLI verify command and the acceptance tests) can render and gate
-them uniformly. Nothing here prints or exits.
+them uniformly. The suites are lists of criteria not yet called, so a caller
+can time each one. Nothing here prints or exits.
 
 Two checks in `criterion_4_critical` are expected to fail on a correct build;
 see the README section on the critical-regime limit check. They are reported
@@ -16,6 +17,8 @@ import math
 import os
 import tempfile
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -48,8 +51,12 @@ class CriterionResult:
     def add(self, ok: bool, text: str) -> None:
         self.checks.append(CheckLine(bool(ok), text))
 
-    def render(self) -> str:
+    def render(self, elapsed: float | None = None) -> str:
+        """The header line, with the elapsed seconds if given, then one line
+        per check."""
         head = f"[criterion {self.label}] {self.title}"
+        if elapsed is not None:
+            head += f" ({elapsed:.2f} s)"
         return "\n".join([head] + ["  " + c.render() for c in self.checks])
 
 
@@ -451,21 +458,21 @@ def vv_order_check(workers: int = 1) -> CriterionResult:
 # ---------------------------------------------------------------------------
 # suites
 
-def quick_suite(workers: int = 1) -> list[CriterionResult]:
+def quick_suite(workers: int = 1) -> list[Callable[[], CriterionResult]]:
     del workers
-    return [criterion_1(), criterion_2(), criterion_7()]
+    return [criterion_1, criterion_2, criterion_7]
 
 
-def full_suite(workers: int = 1) -> list[CriterionResult]:
+def full_suite(workers: int = 1) -> list[Callable[[], CriterionResult]]:
     return [
-        criterion_1(),
-        criterion_2(),
-        criterion_3(workers),
-        criterion_4_fast(),
-        criterion_4_critical(),
-        criterion_5(),
-        criterion_6(workers),
-        criterion_7(),
-        criterion_8(),
-        vv_order_check(workers),
+        criterion_1,
+        criterion_2,
+        partial(criterion_3, workers),
+        criterion_4_fast,
+        criterion_4_critical,
+        criterion_5,
+        partial(criterion_6, workers),
+        criterion_7,
+        criterion_8,
+        partial(vv_order_check, workers),
     ]

@@ -2,9 +2,10 @@
 
 Everything here is deliberately written along a different route than the
 package code: series instead of erfc, ancestor-chain walks instead of
-descendant counts, dense covariance matrices instead of aggregated sums, a
-quantile at every empirical-CDF level and a fresh sort per bootstrap
-resample instead of crossing tests and rank counts.
+descendant counts, a quantile at every empirical-CDF level and a fresh sort
+per bootstrap resample instead of crossing tests and rank counts. The
+all-pairs tree matrices live in `youbounds.verify`, whose criterion 2 runs
+them too.
 """
 
 from __future__ import annotations
@@ -61,85 +62,35 @@ def single_tree_draws(n: int, rng) -> tuple[np.ndarray, np.ndarray]:
     return u, splits
 
 
-def _replay(splits) -> tuple[list[int], dict[int, int], dict[int, int]]:
-    """Returns (final alive ids, parent id map, id -> event where it split)."""
+def _ancestor_chains(splits) -> list[list[int]]:
+    """The ancestor chain of every final lineage, from its id up to the
+    root 0, by replaying the splits: event k replaces the split lineage
+    with ids 2k - 1 (kept in its slot) and 2k (in slot k)."""
     n = len(splits) + 1
     alive = [0] * n
     parent: dict[int, int] = {}
-    split_event: dict[int, int] = {}
     for k in range(1, n):
         j = int(splits[k - 1])
-        pid = alive[j]
-        split_event[pid] = k
-        parent[2 * k - 1] = pid
-        parent[2 * k] = pid
+        parent[2 * k - 1] = parent[2 * k] = alive[j]
         alive[j] = 2 * k - 1
         alive[k] = 2 * k
-    return alive, parent, split_event
-
-
-def _ancestor_chains(splits) -> tuple[list[list[int]], dict[int, int]]:
-    alive, parent, split_event = _replay(splits)
     chains = []
     for lineage in alive:
         chain = [lineage]
         while chain[-1] != 0:
             chain.append(parent[chain[-1]])
         chains.append(chain)
-    return chains, split_event
+    return chains
 
 
 def daughter_counts_by_chains(splits) -> np.ndarray:
     """Daughter tip counts of one tree from its splits: every lineage id is
     counted once per tip whose ancestor chain passes through it."""
     n = len(splits) + 1
-    chains, _ = _ancestor_chains(splits)
+    chains = _ancestor_chains(splits)
     hits = Counter(node for chain in chains for node in chain)
     return np.array([[hits[2 * k - 1], hits[2 * k]] for k in range(1, n)],
                     dtype=np.int64).reshape(n - 1, 2)
-
-
-def mrca_pair_ages(block) -> np.ndarray:
-    """Pairwise coalescence ages of the block's first tree, found by walking
-    ancestor chains upward."""
-    n = block.n
-    chains, split_event = _ancestor_chains(block.splits[0])
-    chain_sets = [set(c) for c in chains]
-    ages = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            for node in chains[j]:
-                if node in chain_sets[i]:
-                    k = split_event[node]
-                    ages[i, j] = ages[j, i] = block.coalescence_ages[0, k - 1]
-                    break
-            else:
-                raise AssertionError("no common ancestor found")
-    return ages
-
-
-def cov_matrix_cond_var(block, params, flags=None, variances=None) -> float:
-    """Conditional variance of the tip average of the block's first tree via
-    the dense conditional covariance matrix of the normalized tips; flags
-    (1, n-1, 2) and variances (n-1,) fold in jumps."""
-    n = block.n
-    a = params.alpha
-    height_term = math.exp(-2.0 * a * float(block.times[0].sum()))
-    cov = np.exp(-2.0 * a * mrca_pair_ages(block)) - height_term
-    np.fill_diagonal(cov, 1.0 - height_term)
-    if flags is not None:
-        chains, split_event = _ancestor_chains(block.splits[0])
-        for k in range(1, n):
-            for slot, daughter in enumerate((2 * k - 1, 2 * k)):
-                if not flags[0, k - 1, slot]:
-                    continue
-                tips = [i for i, chain in enumerate(chains) if daughter in chain]
-                add = (2.0 * a / params.sigma_a2) * variances[k - 1] \
-                    * math.exp(-2.0 * a * block.coalescence_ages[0, k - 1])
-                for i in tips:
-                    for j in tips:
-                        cov[i, j] += add
-    return float(cov.sum()) / (n * n)
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +101,7 @@ def _dw_level_curves(r: int) -> tuple[np.ndarray, np.ndarray]:
     """Empirical-CDF levels (i/R, i = 1..R-1) and the normal quantile at
     each."""
     levels = np.arange(1, r, dtype=np.float64) / r
-    zc = np.fromiter((special.std_normal_quantile(c) for c in levels),
-                     dtype=np.float64, count=r - 1)
-    return levels, zc
+    return levels, special.std_normal_quantile(levels)
 
 
 def _normal_cdf_antiderivative(x: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from youbounds import cli, harness, trees
+from youbounds import cli, harness, trees, verify
 from youbounds.analytic import UNSUPPORTED_REGIME_MSG, JumpSchedule, YouParams
 
 
@@ -465,6 +465,18 @@ class TestVerifyCommand:
         assert "[criterion 2]" in out
         assert "[criterion 7]" in out
         assert "verify quick: 3 criteria, 0 failed" in out
+
+    def test_criterion_headers_show_elapsed_seconds(self, capsys):
+        assert cli.main(["verify", "--level", "quick"]) == 0
+        heads = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("[criterion ")]
+        assert len(heads) == 3
+        assert all(re.search(r" \(\d+\.\d\d s\)$", line) for line in heads)
+
+    def test_suites_are_uncalled_criteria(self):
+        # building a suite runs nothing, so the command can time each criterion
+        for suite in (verify.quick_suite, verify.full_suite):
+            assert all(callable(c) for c in suite(2))
 
     def test_mutation_is_caught(self, capsys, monkeypatch):
         # Corrupting the tip-count factor by 0.1% must flip the quick suite

@@ -489,6 +489,91 @@ class TestAgainstLevelCurveOracles:
         _assert_matches_oracles(np.array(samples), seed)
 
 
+# (empirical_dk, empirical_dw, _bootstrap_dw_se with seed 1000) of
+# _oracle_sample(kind, 1000), recorded before the sort, Phi, quantile and
+# bootstrap were rewritten for speed; the rewrite moved no bit
+GOLDEN_R1000 = {
+    "normal": (0.0756234868151906, 0.1638346261345681, 0.037395027690637184),
+    "ties": (0.08646246127401314, 0.1632782220110931, 0.0363980318538833),
+    "far_tails": (0.0766234868151906, 0.47125125423581327, 0.09637034802656944),
+}
+# run_sandwich on _golden_sandwich_data(decimals), recorded the same way:
+# (empirical_dk, empirical_dw, dw_bootstrap_se, kappa_mean)
+GOLDEN_SANDWICH_R2E5 = {
+    None: (0.004434077763994737, 0.008684546826996242, 0.0013906969078876926,
+           0.01358228403509874),
+    2: (0.0056206081719316625, 0.009039124136665435, 0.0013021016439519221,
+        0.01358228403509874),
+}
+
+
+def _golden_sandwich_config() -> ExperimentConfig:
+    return ExperimentConfig(model="YOU", n=2, params=YouParams(1.0, 1.0, 1.0 / math.sqrt(2.0)),
+                            schedule=JumpSchedule.none(), replicates=200_000, seed=2020)
+
+
+def _golden_sandwich_data(decimals) -> harness.ReplicateData:
+    """A near-normal standardized sample of 2e5, rounded to `decimals` (None:
+    not rounded; 2: about 1000 distinct values, every one heavily tied)."""
+    config = _golden_sandwich_config()
+    r = config.replicates
+    rng = np.random.default_rng(2020)
+    sigma2 = analytic.var_ybar_youj(2, config.params, config.schedule)
+    z = 1.01 * rng.standard_normal(r) + 0.005
+    if decimals is not None:
+        z = np.round(z, decimals)
+    ybar = analytic.mean_ybar(2, config.params) + math.sqrt(sigma2) * z
+    return harness.ReplicateData(np.zeros(r), sigma2 * rng.uniform(0.5, 1.5, r), ybar)
+
+
+class TestGoldenStatistics:
+    """Exact values pinned with ==: the speed work on the sandwich statistics
+    must not move one bit, ties included."""
+
+    @pytest.mark.parametrize("kind", sorted(GOLDEN_R1000))
+    def test_oracle_samples(self, kind):
+        z = _oracle_sample(kind, 1000)
+        got = (harness.empirical_dk(z), harness.empirical_dw(z),
+               harness._bootstrap_dw_se(harness._sort_sample(z, "test"), 1000))
+        assert got == GOLDEN_R1000[kind]
+
+    @pytest.mark.parametrize("decimals", [None, 2])
+    def test_run_sandwich_r2e5(self, decimals):
+        report = harness.run_sandwich(_golden_sandwich_config(), _golden_sandwich_data(decimals))
+        got = (report.empirical_dk, report.empirical_dw, report.dw_bootstrap_se,
+               report.kappa_mean)
+        assert got == GOLDEN_SANDWICH_R2E5[decimals]
+
+
+class TestSandwichMemory:
+    """Peak traced allocation of the two full-length passes at R = 2e5, in
+    units of one float64 sample (8R bytes). The sorted sample keeps four
+    such arrays (x, Phi, G, order); the bootstrap keeps the ranks, the
+    levels and two work arrays, and each resample adds its draw and its
+    counts. A work array too many shows as a whole unit."""
+
+    R = 200_000
+    LIMIT = 6.5
+
+    def _peak_units(self, call) -> float:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            call()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        return peak / (8 * self.R)
+
+    def test_sort_sample(self):
+        z = np.random.default_rng(5).standard_normal(self.R)
+        assert self._peak_units(lambda: harness._sort_sample(z, "test")) <= self.LIMIT
+
+    def test_bootstrap(self):
+        s = harness._sort_sample(np.random.default_rng(5).standard_normal(self.R), "test")
+        assert self._peak_units(lambda: harness._bootstrap_dw_se(s, 3)) <= self.LIMIT
+
+
 class TestDkwBand:
     def test_frozen_values(self):
         assert harness.dkw_band(200_000) == pytest.approx(

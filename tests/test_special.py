@@ -141,16 +141,14 @@ class TestNormalCdf:
         assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_array_matches_scalar(self):
-        grid = np.linspace(-5.0, 5.0, 37)
+        # several erfc chunks, a shape, both infinities, signed zeros and
+        # arguments past where Phi rounds to 0 and 1
+        grid = np.concatenate([np.linspace(-40.0, 40.0, 20_000),
+                               [-np.inf, -0.0, 0.0, np.inf]]).reshape(4, -1)
         arr = special.std_normal_cdf_array(grid)
-        for z, v in zip(grid, arr):
+        assert arr.shape == grid.shape
+        for z, v in zip(grid.ravel(), arr.ravel()):
             assert v == special.std_normal_cdf(float(z))
-
-    def test_pdf(self):
-        assert special.std_normal_pdf(0.0) == pytest.approx(
-            1.0 / math.sqrt(2.0 * math.pi), abs=1e-16)
-        assert special.std_normal_pdf(2.0) == pytest.approx(
-            math.exp(-2.0) / math.sqrt(2.0 * math.pi), rel=1e-14)
 
 
 class TestNormalQuantile:
@@ -167,7 +165,7 @@ class TestNormalQuantile:
             assert special.std_normal_quantile(p) == pytest.approx(float(z), abs=1e-9)
         for z in np.linspace(5.3, 6.0, 15):
             p = special.std_normal_cdf(float(z))
-            floor = np.spacing(1.0) / special.std_normal_pdf(float(z))
+            floor = np.spacing(1.0) * math.sqrt(2.0 * math.pi) * math.exp(0.5 * z * z)
             assert special.std_normal_quantile(p) == pytest.approx(
                 float(z), abs=1e-9 + floor)
 
@@ -197,3 +195,26 @@ class TestNormalQuantile:
         for bad in (0.0, 1.0, -0.1, 1.1):
             with pytest.raises(ValueError):
                 special.std_normal_quantile(bad)
+        with pytest.raises(ValueError, match="got 1.0"):
+            special.std_normal_quantile(np.array([0.2, 1.0, 0.3]))
+
+    def test_array_equals_one_element_calls(self):
+        # region masks and the per-element density stop must not make a
+        # value depend on its batch: both tails down to the density stop,
+        # the bulk, and the 0.02425 switch points, where the region changes
+        rng = np.random.default_rng(12)
+        switch = np.array([0.02425, 1.0 - 0.02425])
+        p = np.concatenate([
+            rng.uniform(0.0, 1.0, 2000),
+            10.0 ** rng.uniform(-320.0, -1.6, 1000),
+            1.0 - 10.0 ** rng.uniform(-16.0, -1.6, 1000),
+            (switch[:, None] + np.arange(-100, 101) * 1e-17).ravel(),
+            [5e-324, 1e-300, 0.5, 1.0 - 1e-16],
+        ])
+        p = p[(p > 0.0) & (p < 1.0)]
+        batch = special.std_normal_quantile(p)
+        single = np.array([special.std_normal_quantile(float(v)) for v in p])
+        assert np.array_equal(batch, single)
+        grid = special.std_normal_quantile(p[:2000].reshape(2, 1000))
+        assert np.array_equal(grid, batch[:2000].reshape(2, 1000))
+        assert isinstance(special.std_normal_quantile(0.3), float)

@@ -5,7 +5,8 @@ Single trees are one-row blocks.
 Monte Carlo checks draw fresh trees and compare sample means against the
 closed forms from the analytic module at 4 standard errors; the structural
 checks compare the O(n) aggregate routes against independent brute-force
-routes from oracles.py.
+routes: the ancestor-chain replays of oracles.py and the all-pairs matrices
+that `verify` criterion 2 also uses.
 """
 
 import dataclasses
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from youbounds import analytic, trees
+from youbounds import analytic, trees, verify
 from youbounds.analytic import JumpSchedule, YouParams
 
 R_TREES = 100_000
@@ -364,7 +365,7 @@ class TestPairMeanExp:
         for _ in range(30):
             n = int(rng.integers(2, 65))
             tree = trees.sample_tree(n, rng)
-            ages = oracles.mrca_pair_ages(tree)
+            ages = verify.brute_pair_ages(tree)
             iu = np.triu_indices(n, 1)
             for y in (0.7, 2.0):
                 brute = float(np.exp(-y * ages[iu]).mean())
@@ -405,7 +406,7 @@ class TestConditionalMomentsYou:
             tree = trees.sample_tree(n, rng)
             params = YouParams(alpha=float(rng.uniform(0.4, 2.2)))
             fast = trees.conditional_moments_you(tree, params)[1][0]
-            brute = oracles.cov_matrix_cond_var(tree, params)
+            brute = verify.brute_cond_var(tree, params)
             assert abs(fast - brute) <= 1e-10
 
     @settings(max_examples=60, deadline=None)
@@ -532,7 +533,7 @@ class TestConditionalMomentsYouj:
             params = YouParams(alpha=float(rng.uniform(0.4, 2.2)))
             flags, variances = _jump_flags(schedule, n, rng)
             fast = trees.conditional_moments_youj(tree, flags, variances, params)[1][0]
-            brute = oracles.cov_matrix_cond_var(tree, params, flags, variances)
+            brute = verify.brute_cond_var(tree, params, flags, variances)
             assert abs(fast - brute) <= 1e-10
 
     def test_mc_jump_variance_part(self, stats_50):
