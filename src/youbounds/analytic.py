@@ -34,7 +34,7 @@ MODEL_YOUJ = "YOUj"
 UNSUPPORTED_REGIME_MSG = "unsupported regime (no normal limit expected)"
 
 # width of the exact-branch windows around the special rates
-_CRITICAL_WINDOW = 1e-12          # around alpha = 1/2 (and y = 1 for pair times)
+_CRITICAL_WINDOW = 1e-12          # around alpha = 1/2
 _THREE_QUARTERS_WINDOW = 0.75e-9  # relative 1e-9 window around alpha = 3/4
 _ONE_WINDOW = 1e-12
 
@@ -171,24 +171,19 @@ def laplace_height_variance(n: int, x: float) -> float:
 
 
 def laplace_pair_time(n: int, y: float) -> float:
-    """Laplace transform of the coalescence time of a uniform tip pair.
-
-    Exact for y >= 1 with two branches: a harmonic-number form at y = 1 and a
-    rational form for y > 1. Arguments within 1e-12 of 1 take the y = 1
-    branch; the rational form is continuous across the switch but loses
-    precision to cancellation in a microscopic neighborhood of 1, which is
-    why the window exists. Arguments below 1 are outside the supported
-    regime.
-    """
+    """Laplace transform of the coalescence time of a uniform tip pair at
+    y = 2 alpha, alpha any rate with closed forms: with eps = y - 1,
+    2 (1 - prod_{k=3..n+1} k/(k+eps)) / ((n-1) eps), the product taken as
+    exp of a log1p sum so no digits cancel near y = 1, and at eps = 0 its
+    limit 2 (H_n - 1) / (n - 1) - 1 / (n + 1)."""
     if n < 2 or int(n) != n:
         raise ValueError(f"laplace_pair_time requires an integer n >= 2, got {n}")
-    if y < 1.0 - _CRITICAL_WINDOW:
+    if _below_critical(0.5 * y):
         raise UnsupportedRegimeError(UNSUPPORTED_REGIME_MSG)
     n = int(n)
-    if abs(y - 1.0) <= _CRITICAL_WINDOW:
+    if y == 1.0:
         return 2.0 / (n - 1.0) * (special.harmonic(n) - 1.0) - 1.0 / (n + 1.0)
-    b = special.pochhammer_ratio(n, y)
-    return (2.0 - (n + 1.0) * (y + 1.0) * b) / ((n - 1.0) * (y - 1.0))
+    return -2.0 * math.expm1(-special._log1p_sum(n + 1, y - 1.0, 3)) / ((n - 1.0) * (y - 1.0))
 
 
 def mean_ybar(n: int, params: YouParams) -> float:
@@ -208,10 +203,7 @@ def var_ybar_you(n: int, params: YouParams) -> float:
     if n < 2:
         raise ValueError(f"var_ybar_you requires n >= 2, got {n}")
     _require_closed_form(params, None)
-    regime = classify_regime(params.alpha)
-    # inside the critical window, route the pair transform through its exact
-    # y = 1 branch rather than the cancellation-prone rational form
-    two_alpha = 1.0 if regime.kind == "critical" else 2.0 * params.alpha
+    two_alpha = 2.0 * params.alpha
     pair = laplace_pair_time(n, two_alpha)
     height = special.pochhammer_ratio(n, two_alpha)
     return 1.0 / n + (1.0 - 1.0 / n) * pair - height
@@ -243,25 +235,31 @@ def jump_pair_shared_mean(n: int, alpha: float, p: float) -> float:
     """Mean total shared-pair jump exposure.
 
     Expectation of the sum, across jumping slots, of e^(-2 alpha age)
-    d(d-1)/(n(n-1)). Exact, with a harmonic-number branch at the critical
-    rate and a rational branch above it.
+    d(d-1)/(n(n-1)). Exact: with eps = 2 alpha - 1, p / alpha times the form
+    of laplace_pair_time with the factor 1 + eps (n-1)/(n+1) on its product,
+    and at eps = 0 the limit (4p / (n-1)) (H_n - (5n - 1) / (2(n + 1))).
     """
     _check_jump_args(n, alpha, p)
-    if abs(alpha - 0.5) <= _CRITICAL_WINDOW:
+    eps = 2.0 * alpha - 1.0
+    if eps == 0.0:
         return (4.0 * p / (n - 1.0)) * (special.harmonic(n) - (5.0 * n - 1.0) / (2.0 * (n + 1.0)))
-    two_alpha = 2.0 * alpha
-    b = special.pochhammer_ratio(n, two_alpha)
-    numerator = 2.0 - (two_alpha + 1.0) * (two_alpha * n - two_alpha + 2.0) * b
-    return (2.0 * p / two_alpha) * numerator / ((n - 1.0) * (two_alpha - 1.0))
+    log_ratio = math.log1p(eps * (n - 1.0) / (n + 1.0)) - special._log1p_sum(int(n) + 1, eps, 3)
+    # 0 - keeps the n = 2 value, where log_ratio is 0, at +0.0
+    return (p / alpha) * (0.0 - 2.0 * math.expm1(log_ratio)) / ((n - 1.0) * eps)
 
 
 def _check_jump_args(n: int, alpha: float, p: float) -> None:
-    if n < 2:
-        raise ValueError(f"jump sums require n >= 2, got {n}")
+    if n < 2 or int(n) != n:
+        raise ValueError(f"jump sums require an integer n >= 2, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"jump probability must be in [0, 1], got {p}")
-    if alpha < 0.5 - _CRITICAL_WINDOW:
+    if _below_critical(alpha):
         raise UnsupportedRegimeError(UNSUPPORTED_REGIME_MSG)
+
+
+def _below_critical(alpha: float) -> bool:
+    """The rates without closed forms: below the critical window."""
+    return alpha <= 0.0 or classify_regime(alpha).kind == "slow"
 
 
 def _normalize_schedule(schedule: JumpSchedule | None) -> JumpSchedule:
@@ -280,7 +278,7 @@ def closed_form_gap(params: YouParams, schedule: JumpSchedule | None) -> ValueEr
             "per-event jump schedules have no closed form; run them through "
             "the Monte Carlo harness instead"
         )
-    if classify_regime(params.alpha).kind == "slow":
+    if _below_critical(params.alpha):
         return UnsupportedRegimeError(UNSUPPORTED_REGIME_MSG)
     return None
 

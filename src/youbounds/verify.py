@@ -88,6 +88,13 @@ def criterion_1() -> CriterionResult:
     res.add(worst_pair <= 1e-12,
             f"two-tip pair transform equals 2/(2+y) for y in {{1.5,2,3}} "
             f"(worst abs dev {worst_pair:.3e})")
+    n, y = 10**7, 1.0 + 1e-11
+    big = max(abs(special.pochhammer_ratio(n, x) * math.comb(n + x, x) - 1.0) for x in (1, 2))
+    res.add(big <= 1e-14, f"factor at n = 1e7 equals 1/C(n+x, x) for x in {{1,2}} "
+                          f"to 1e-14 relative (worst {big:.3e})")
+    near = abs(analytic.laplace_pair_time(2, y) * (2.0 + y) / 2.0 - 1.0)
+    res.add(near <= 1e-14, f"two-tip pair transform at y = 1 + 1e-11 equals 2/(2+y) "
+                           f"to 1e-14 relative (rel dev {near:.3e})")
     return res
 
 

@@ -40,6 +40,39 @@ def harmonic_fraction(n: int) -> Fraction:
     return sum((Fraction(1, k) for k in range(1, n + 1)), Fraction(0))
 
 
+def _tail_products(n: int, y: Fraction) -> list[Fraction]:
+    """out[k] = prod_{j=k..n} j / (j + y), the Laplace transform at y of the
+    time from the event that leaves k lineages to the tips; out[n + 1] = 1."""
+    out = [Fraction(1)] * (n + 2)
+    for k in range(n, 0, -1):
+        out[k] = out[k + 1] * k / (k + y)
+    return out
+
+
+def pair_laplace_fraction(n: int, y) -> Fraction:
+    """Exact E exp(-y tau) for a uniform tip pair of an n-tip tree, summed
+    over the step k at which the pair merges, probability
+    2(n+1) / ((n-1) k (k+1))."""
+    tail = _tail_products(n, Fraction(y))
+    return sum((Fraction(2 * (n + 1), (n - 1) * k * (k + 1)) * tail[k]
+                for k in range(2, n + 1)), Fraction(0))
+
+
+def jump_pair_shared_fraction(n: int, alpha, p) -> Fraction:
+    """Exact mean shared-pair jump exposure, summed over events: the event
+    that makes K lineages gives each of its two daughter slots a part d of a
+    uniform composition of n into K parts, with
+    E d(d-1) = n^2/K^2 + n(n-K)(K-1) / (K^2 (K+1)) - n/K."""
+    tail = _tail_products(n, 2 * Fraction(alpha))
+    total = Fraction(0)
+    for big_k in range(2, n + 1):
+        d_pairs = (Fraction(n * n, big_k * big_k)
+                   + Fraction(n * (n - big_k) * (big_k - 1), big_k * big_k * (big_k + 1))
+                   - Fraction(n, big_k))
+        total += d_pairs * tail[big_k]
+    return 2 * Fraction(p) * total / (n * (n - 1))
+
+
 def kappa_second_derivative(x: float, sigma2: float) -> float:
     """Closed-form second derivative of the variance penalty in x,
     derived by hand: (3/4) sigma^3 (sigma2 + x)^(-7/2) (9 sigma2 - x)."""

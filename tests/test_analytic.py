@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from youbounds import analytic, special, stein
@@ -15,7 +15,17 @@ from youbounds.analytic import (
     YouParams,
 )
 
+import oracles
+
 EULER_GAMMA = 0.5772156649015328606
+
+# dyadic pair-time arguments, so that Fraction(y) is the float y
+DYADIC_Y = [1.0 + 2.0 ** -40, 1.0 + 2.0 ** -20, 1.25, 2.0, 5.0]
+EXACT_NS = [2, 3, 7, 64, 65, 300]
+
+# the rates at the two edges of the critical window, each with its float
+# neighbour outside it: below 1/2 the outside rate is refused, above it is fast
+CRITICAL_EDGES = [(0.499999999999, 0.49999999999899997), (0.500000000001, 0.5000000000010001)]
 
 
 def _slope(ns, values):
@@ -193,8 +203,20 @@ class TestLaplacePairTime:
         with pytest.raises(UnsupportedRegimeError):
             analytic.laplace_pair_time(10, 0.9)
 
+    @pytest.mark.parametrize("n", EXACT_NS)
+    @pytest.mark.parametrize("y", DYADIC_Y)
+    def test_against_fractions(self, n, y):
+        exact = oracles.pair_laplace_fraction(n, y)
+        assert abs(analytic.laplace_pair_time(n, y) - exact) <= 2e-15 * exact
+
+    @pytest.mark.parametrize("n", [10**5, 10**6, 10**7])
+    def test_large_n_identity_at_two(self, n):
+        assert analytic.laplace_pair_time(n, 2.0) == pytest.approx(
+            2.0 / (n + 2.0), rel=1e-14, abs=0.0)
+
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(2, 300), y=st.floats(1.0, 6.0), dy=st.floats(0.0, 3.0))
+    @example(n=2, y=1.0, dy=1e-11)
     def test_decreasing_in_y(self, n, y, dy):
         assert (analytic.laplace_pair_time(n, y + dy)
                 <= analytic.laplace_pair_time(n, y) + 1e-10)
@@ -266,6 +288,28 @@ class TestVarYbarYou:
     def test_unsupported_regime(self):
         with pytest.raises(UnsupportedRegimeError):
             analytic.var_ybar_you(100, YouParams(0.49))
+
+    def test_next_to_critical_rate(self):
+        # 60-digit value of 1/n + (1 - 1/n) pair - height at the float
+        # alpha = 0.5 + 1e-10, with the sums of logs taken as log-gamma
+        # differences
+        value = analytic.var_ybar_you(10**6, YouParams(0.5 + 1e-10))
+        assert value == pytest.approx(2.5785456415083515381e-05, rel=1e-13, abs=0.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 10**6), offset=st.floats(0.0, 1e-3))
+    @example(n=10**6, offset=1e-10)
+    @example(n=1000, offset=1e-12)
+    def test_positive_and_continuous_above_critical(self, n, offset):
+        # |d ln f / d alpha| <= 1 + ln n on this range for both models
+        schedule = JumpSchedule.constant(0.5, 1.0)
+        alpha, slope = 0.5 + offset, 1.0 + math.log(n)
+        for f in (lambda a: analytic.var_ybar_you(n, YouParams(a)),
+                  lambda a: analytic.var_ybar_youj(n, YouParams(a), schedule)):
+            here, at_half, nearby = f(alpha), f(0.5), f(alpha + 1e-12)
+            assert here > 0.0
+            assert abs(here - at_half) <= (slope * (alpha - 0.5) + 1e-13) * at_half
+            assert abs(nearby - here) <= (slope * 1e-12 + 1e-13) * here
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -341,6 +385,16 @@ class TestJumpMeans:
     def test_single_lineage_two_tips(self, alpha, p):
         assert analytic.jump_single_lineage_mean(2, alpha, p) == pytest.approx(
             p / (1.0 + alpha), rel=1e-13)
+
+    @pytest.mark.parametrize("n", EXACT_NS)
+    @pytest.mark.parametrize("y", DYADIC_Y)
+    def test_pair_shared_against_fractions(self, n, y):
+        exact = oracles.jump_pair_shared_fraction(n, y / 2.0, 0.5)
+        got = analytic.jump_pair_shared_mean(n, y / 2.0, 0.5)
+        if exact == 0:
+            assert got == 0.0 and math.copysign(1.0, got) == 1.0
+        else:
+            assert abs(got - exact) <= 2e-15 * exact
 
     @pytest.mark.parametrize("alpha", [0.5, 0.6, 1.0, 2.0])
     def test_pair_shared_vanishes_at_two_tips(self, alpha):
@@ -558,6 +612,39 @@ class TestClosedFormGap:
                                                          stein.KOLMOGOROV, 100)):
                 with pytest.raises(type(gap), match=re.escape(str(gap))):
                     refusal()
+
+    @pytest.mark.parametrize("inside,outside", CRITICAL_EDGES)
+    def test_critical_window_edges(self, inside, outside):
+        # the pair-time and jump closed forms refuse exactly the rates the
+        # gap refuses, and are continuous into the window from either side
+        assert analytic.classify_regime(inside).kind == "critical"
+        schedule = JumpSchedule.constant(0.5, 1.0)
+        n = 1000
+        half = YouParams(0.5)
+        for alpha in (inside, outside):
+            params = YouParams(alpha)
+            gap = analytic.closed_form_gap(params, schedule)
+            calls = (lambda: analytic.var_ybar_you(n, params),
+                     lambda: analytic.var_ybar_youj(n, params, schedule),
+                     lambda: analytic.bound_point(params, schedule, stein.KOLMOGOROV, n),
+                     lambda: analytic.laplace_pair_time(n, 2.0 * alpha),
+                     lambda: analytic.jump_pair_shared_mean(n, alpha, 0.5))
+            if gap is not None:
+                assert alpha == outside < 0.5
+                for call in calls:
+                    with pytest.raises(UnsupportedRegimeError):
+                        call()
+                continue
+            assert analytic.laplace_pair_time(n, 2.0 * alpha) == pytest.approx(
+                analytic.laplace_pair_time(n, 1.0), rel=1e-10, abs=0.0)
+            assert analytic.jump_pair_shared_mean(n, alpha, 0.5) == pytest.approx(
+                analytic.jump_pair_shared_mean(n, 0.5, 0.5), rel=1e-10, abs=0.0)
+            assert analytic.var_ybar_you(n, params) == pytest.approx(
+                analytic.var_ybar_you(n, half), rel=1e-10, abs=0.0)
+            assert analytic.var_ybar_youj(n, params, schedule) == pytest.approx(
+                analytic.var_ybar_youj(n, half, schedule), rel=1e-10, abs=0.0)
+            total = analytic.bound_point(params, schedule, stein.KOLMOGOROV, n).total
+            assert 0.0 < total < math.inf
 
 
 class TestBoundPoint:

@@ -121,6 +121,17 @@ class TestBoundsCommand:
         assert len(totals) == 2
         assert all(0.0 < t < math.inf for t in totals)
 
+    def test_next_to_critical_rate(self, capsys):
+        # a rate 2e-12 above 1/2 is outside the critical window: the closed
+        # forms there must keep their digits at n = 1e6
+        code = cli.main(["bounds", "--n", "1000000", "--alpha", "0.500000000002"])
+        out = capsys.readouterr().out
+        assert code == 0
+        totals = [float(line.split()[-1]) for line in out.splitlines()
+                  if line.strip().startswith("total")]
+        assert len(totals) == 2
+        assert all(0.0 < t < math.inf for t in totals)
+
     def test_single_distance_selection(self, capsys):
         code = cli.main(["bounds", "--n", "100", "--alpha", "1.0",
                          "--distance", "kolmogorov"])

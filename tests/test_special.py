@@ -53,6 +53,12 @@ class TestPochhammerRatio:
         assert special.pochhammer_ratio(n + 1, x) < here
         assert special.pochhammer_ratio(n, x + 0.5) < here
 
+    @pytest.mark.parametrize("n", [10**5, 10**6, 10**7])
+    def test_large_n_identities(self, n):
+        assert special.pochhammer_ratio(n, 1) == pytest.approx(1.0 / (n + 1.0), rel=1e-14, abs=0.0)
+        assert special.pochhammer_ratio(n, 2) == pytest.approx(
+            2.0 / ((n + 1.0) * (n + 2.0)), rel=1e-14, abs=0.0)
+
     def test_gamma_limit(self):
         # n^x * b(n,x) -> Gamma(x+1)
         for x in (0.5, 1.0, 2.0):
