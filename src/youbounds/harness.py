@@ -47,6 +47,8 @@ from .stein import BoundReport, LowerBoundInputs
 # 99% two-sided empirical-CDF band: sqrt(ln(2/0.01) / (2R))
 _DKW_DELTA = 0.01
 _BOOTSTRAP_RESAMPLES = 32
+# bootstrap indices drawn per integers call: 64 KB, below glibc's mmap threshold
+_DRAW_CHUNK = 8192
 # I = integral over the line of sqrt(Phi (1 - Phi)); see _dw_sampling_bias
 _W1_NULL_INTEGRAL = 1.6147438534296696
 _LOWER_BOUND_TRUST_N = 1000
@@ -402,23 +404,33 @@ def _bootstrap_dw_se(s: _SortedSample, seed: int) -> float:
     rank = np.empty(r, dtype=np.intp)
     rank[s.order] = np.arange(r)
     buffers = trees.BlockBuffers()
+    drawn = np.empty(r, dtype=np.int64)
     levels = np.empty(r - 1)
     values = np.empty(_BOOTSTRAP_RESAMPLES)
     for b in range(_BOOTSTRAP_RESAMPLES):
-        _resample_levels(rng, rank, levels)
+        _resample_levels(rng, rank, drawn, levels)
         values[b] = _dw_segments(s, levels, buffers)
     return float(np.std(values, ddof=1))
 
 
-def _resample_levels(rng: np.random.Generator, rank: np.ndarray, out: np.ndarray) -> None:
+def _resample_levels(rng: np.random.Generator, rank: np.ndarray, drawn: np.ndarray,
+                     out: np.ndarray) -> None:
     """The empirical-CDF levels of one resample into `out`: the running
-    counts of the drawn ranks, over R. Its two full-length temporaries are
-    freed on return."""
+    counts of the drawn ranks, over R.
+
+    The R indices are drawn in chunks of at most _DRAW_CHUNK into the kept
+    `drawn`, each replaced by its rank. The 32-bit draws behind
+    integers(0, R) keep PCG64's spare half-word in the generator, so the
+    chunks hold exactly what one integers(0, R, size=R) call returns, and a
+    chunk is small enough to come from reused heap memory rather than fresh
+    pages. The counts are the one full-length temporary, freed on return."""
     r = len(rank)
-    drawn = rng.integers(0, r, size=r)
-    # every index is in range, so "clip" changes nothing; it spares the
-    # copy of `out` that the default mode makes
-    counts = np.bincount(np.take(rank, drawn, out=drawn, mode="clip"), minlength=r)
+    for lo in range(0, r, _DRAW_CHUNK):
+        hi = min(r, lo + _DRAW_CHUNK)
+        # every index is in range, so "clip" changes nothing; it spares the
+        # copy of `out` that the default mode makes
+        np.take(rank, rng.integers(0, r, size=hi - lo), out=drawn[lo:hi], mode="clip")
+    counts = np.bincount(drawn, minlength=r)
     running = np.cumsum(counts[:-1], out=counts[:-1])
     np.divide(running, r, out=out)
 

@@ -166,6 +166,78 @@ def daughter_counts(splits: np.ndarray, buffers: BlockBuffers | None = None) -> 
     return counts
 
 
+def _draw_splits(n: int, rng: np.random.Generator, rows: int,
+                 buffers: BlockBuffers) -> np.ndarray:
+    """The (rows, n-1) split indices, column k-1 uniform on 0..k-1, into
+    `buffers`: exactly the values of
+    rng.integers(0, np.arange(1, n), size=(rows, n - 1), dtype=np.int64), with
+    the generator left in exactly the state that call leaves.
+
+    That call runs Lemire's multiply-and-reject per value on 32-bit draws,
+    and PCG64 hands those out as the low, then the high half of each 64-bit
+    word, keeping an unused high half for the next draw. Here the M values
+    that need a draw (the bound-1 column needs none) take the halves of
+    ceil(M/2) raw words in that order as whole arrays: half h times bound k
+    is a 64-bit product whose high word is the value. A value is rejected
+    only if the product's low word is below (2^32 - k) mod k, which is below
+    k, so that remainder is taken for the few low words below k only.
+
+    The values before the first rejected one stand. The generator is then
+    set to where they leave it: the saved state advanced by the words they
+    used, plus the spare high half if they used an odd number of halves.
+    The remaining values come from `rng.integers` itself, which also draws
+    all of them when the generator is not PCG64 or already holds a spare
+    half, or when a bound reaches 2^32.
+    """
+    splits = buffers.array("splits", (rows, n - 1), np.int64)
+    total = splits.size
+    done = 0
+    bits = getattr(rng, "bit_generator", None)
+    if total and type(bits) is np.random.PCG64 and n - 1 < 2**32:
+        saved = bits.state
+        if not saved["has_uint32"]:
+            width = n - 2
+            m = rows * width
+            words = bits.random_raw((m + 1) // 2)
+            halves = buffers.array("split_halves", (rows, width), np.uint64)
+            flat = halves.reshape(-1)
+            np.bitwise_and(words, 0xFFFFFFFF, out=flat[0::2])
+            np.right_shift(words[:m // 2], 32, out=flat[1::2])
+            bounds = np.arange(2, n, dtype=np.uint64)
+            product = splits.view(np.uint64)[:, 1:]
+            np.multiply(halves, bounds, out=product)
+            low = np.bitwise_and(product, 0xFFFFFFFF, out=halves)
+            product >>= 32
+            splits[:, 0] = 0
+            used = m
+            suspect = np.less(low, bounds, out=buffers.array("split_suspect", low.shape,
+                                                             np.bool_))
+            if suspect.any():
+                at = np.flatnonzero(suspect)
+                k = bounds[at % width]
+                rejected = at[low.reshape(-1)[at] < (2**32 - k) % k]
+                if rejected.size:
+                    used = int(rejected[0])
+                    bits.state = saved
+                    bits.advance((used + 1) // 2)
+            if used:
+                # NumPy keeps the last high half it took, spent or not
+                state = bits.state
+                state["has_uint32"] = used % 2
+                state["uinteger"] = int(words[(used - 1) // 2] >> 32)
+                bits.state = state
+            done = total if used == m else used // width * (n - 1) + used % width + 1
+    if done < total:
+        row, col = divmod(done, n - 1)
+        if col:
+            splits[row, col:] = rng.integers(0, np.arange(col + 1, n), dtype=np.int64)
+            row += 1
+        if row < rows:
+            splits[row:] = rng.integers(0, np.arange(1, n), size=(rows - row, n - 1),
+                                        dtype=np.int64)
+    return splits
+
+
 def sample_tree(n: int, rng: np.random.Generator, rows: int = 1,
                 buffers: BlockBuffers | None = None) -> TreeBlock:
     """Sample `rows` n-tip pure-birth trees as one block, into `buffers`
@@ -186,7 +258,7 @@ def sample_tree(n: int, rng: np.random.Generator, rows: int = 1,
     while not times.all():
         zero = times == 0.0
         times[zero] = rng.random(int(zero.sum()))
-    splits = rng.integers(0, np.arange(1, n), size=(rows, n - 1), dtype=np.int64)
+    splits = _draw_splits(n, rng, rows, buffers)
     np.negative(times, out=times)
     np.log1p(times, out=times)
     times /= -np.arange(1, n + 1, dtype=np.float64)
@@ -218,7 +290,10 @@ def sample_jumps(jump_ps: np.ndarray, rng: np.random.Generator, rows: int = 1,
     buffers = BlockBuffers() if buffers is None else buffers
     shape = (rows, len(jump_ps), 2)
     uniforms = rng.random(out=buffers.array("jump_uniforms", shape))
-    return np.less(uniforms, jump_ps[:, None], out=buffers.array("flags", shape, np.bool_))
+    flags = buffers.array("flags", shape, np.bool_)
+    # one flat comparison per row: an inner loop of length 2(n-1), not 2
+    np.less(uniforms.reshape(rows, -1), np.repeat(jump_ps, 2), out=flags.reshape(rows, -1))
+    return flags
 
 
 def pair_mean_exp(block: TreeBlock, y: float,

@@ -599,6 +599,22 @@ class TestBootstrapSE:
         assert harness._bootstrap_dw_se(s, 100) != a
 
 
+class TestBootstrapIndices:
+    @pytest.mark.parametrize("chunk", [7, 8191, harness._DRAW_CHUNK])
+    def test_chunked_draws_are_one_integers_call(self, chunk, monkeypatch):
+        # chunks of an odd length leave PCG64's spare half-word in the
+        # generator for the next chunk, so they still give one call's indices
+        r = 20_000
+        monkeypatch.setattr(harness, "_DRAW_CHUNK", chunk)
+        rank = np.random.default_rng(1).permutation(r)
+        drawn = np.empty(r, dtype=np.int64)
+        levels = np.empty(r - 1)
+        harness._resample_levels(np.random.default_rng(7), rank, drawn, levels)
+        ranks = rank[np.random.default_rng(7).integers(0, r, size=r)]
+        assert np.array_equal(drawn, ranks)
+        assert np.array_equal(levels, np.cumsum(np.bincount(ranks, minlength=r)[:-1]) / r)
+
+
 class TestVerdict:
     def test_empirical_above_upper_fails(self):
         assert harness._verdict(0.50, 0.40, 0.0, 0.05, 100) == "fail"

@@ -9,6 +9,7 @@ routes: the ancestor-chain replays of oracles.py and the all-pairs matrices
 that `verify` criterion 2 also uses.
 """
 
+import copy
 import dataclasses
 import math
 
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from youbounds import analytic, trees, verify
+from youbounds import analytic, harness, trees, verify
 from youbounds.analytic import JumpSchedule, YouParams
 
 R_TREES = 100_000
@@ -276,6 +277,48 @@ class TestDrawTree:
             assert np.array_equal(row, replay.integers(0, np.arange(1, 6)))
         assert np.all(block.splits < np.arange(1, 6))
         assert rng.random() == replay.random()
+
+
+class TestSplitKernel:
+    """The split draw of sample_tree against the Generator.integers call it
+    replaces: the same values, and the generator left in the same state,
+    the spare half-word of PCG64's 32-bit draws included."""
+
+    @staticmethod
+    def _assert_matches_integers(n, rows, rng):
+        replay = copy.deepcopy(rng)
+        got = trees._draw_splits(n, rng, rows, trees.BlockBuffers())
+        want = replay.integers(0, np.arange(1, n), size=(rows, n - 1), dtype=np.int64)
+        assert np.array_equal(got, want)
+        assert rng.bit_generator.state == replay.bit_generator.state
+
+    @pytest.mark.parametrize("n", [2, 3, 17, 200, 5000])
+    def test_engine_blocks(self, n):
+        # at n = 17 the block's 1927 x 15 draws end on a spare half-word
+        for seed in range(20):
+            self._assert_matches_integers(n, harness._block_size(n), np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("n", [100_000, 300_000])
+    def test_rejection_tail(self, n):
+        # a rejection is likely at n = 1e5 (seed 1 rejects, after an odd
+        # number of halves) and certain at 3e5 (seed 0 after an even number),
+        # so the rest of the draw comes from Generator.integers
+        for seed in range(3):
+            self._assert_matches_integers(n, 1, np.random.default_rng(seed))
+
+    def test_generator_holding_a_spare_half_word(self):
+        rng = np.random.default_rng(8)
+        rng.integers(0, 5)
+        assert rng.bit_generator.state["has_uint32"] == 1
+        self._assert_matches_integers(200, 163, rng)
+
+    def test_other_bit_generator(self):
+        rng = np.random.Generator(np.random.MT19937(3))
+        replay = copy.deepcopy(rng)
+        got = trees._draw_splits(200, rng, 163, trees.BlockBuffers())
+        want = replay.integers(0, np.arange(1, 200), size=(163, 199), dtype=np.int64)
+        assert np.array_equal(got, want)
+        assert rng.integers(0, 2**32, size=4).tolist() == replay.integers(0, 2**32, size=4).tolist()
 
 
 class TestDaughterCountKernel:
