@@ -408,13 +408,14 @@ def asymptotic_constants(params: YouParams,
 
 
 def bound_point(params: YouParams, schedule: JumpSchedule | None,
-                distance: str, n: int) -> BoundReport:
-    """Upper bound at a single tip count, hybrid assembly.
+                n: int) -> dict[str, BoundReport]:
+    """Upper bounds at a single tip count, hybrid assembly: the Kolmogorov
+    and Wasserstein reports, keyed by distance, from one set of ingredients.
 
     ev and ve enter exactly; vv enters at leading order from the rate table
-    (no exact closed form exists for it). The report notes record the
-    regime, which ingredients are exact, a warning where that vv is known to
-    fall below its Monte Carlo value, and a plateau warning in the
+    (no exact closed form exists for it). The notes of both reports record
+    the regime, which ingredients are exact, a warning where that vv is known
+    to fall below its Monte Carlo value, and a plateau warning in the
     non-convergent jump regime.
     """
     if n < 2:
@@ -422,12 +423,6 @@ def bound_point(params: YouParams, schedule: JumpSchedule | None,
     table = asymptotic_constants(params, schedule)
     ms = MomentSummary(mean=mean_ybar(n, params), ev=var_ybar_youj(n, params, schedule),
                        vv=table.vv.at(n), ve=var_cond_mean_exact(n, params))
-    if distance == stein.KOLMOGOROV:
-        report = stein.kolmogorov_upper(ms)
-    elif distance == stein.WASSERSTEIN:
-        report = stein.wasserstein_upper(ms)
-    else:
-        raise ValueError(f"unknown distance kind: {distance!r}")
     notes = (
         f"regime={table.regime.kind}/{table.regime.band}",
         "ev exact",
@@ -438,16 +433,17 @@ def bound_point(params: YouParams, schedule: JumpSchedule | None,
         notes = notes + (VV_TOO_SMALL_NOTE,)
     if table.nonconvergent:
         notes = notes + ("non-convergent regime",)
-    return dataclasses.replace(report, notes=report.notes + notes)
+    reports = (stein.kolmogorov_upper(ms), stein.wasserstein_upper(ms))
+    return {r.distance: dataclasses.replace(r, notes=r.notes + notes) for r in reports}
 
 
 def bound_curve(params: YouParams, schedule: JumpSchedule | None,
-                distance: str, n_grid) -> list[BoundReport]:
-    """Upper-bound reports along an ascending grid of tip counts."""
+                n_grid) -> list[dict[str, BoundReport]]:
+    """`bound_point` along an ascending grid of tip counts."""
     grid = [int(n) for n in n_grid]
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("n_grid must be strictly ascending")
-    return [bound_point(params, schedule, distance, n) for n in grid]
+    return [bound_point(params, schedule, n) for n in grid]
 
 
 @dataclass(frozen=True)

@@ -146,14 +146,16 @@ def _print_report(report: stein.BoundReport) -> None:
     print(f"  notes: {'; '.join(report.notes)}")
 
 
+def _jump_settings(args: argparse.Namespace) -> dict:
+    """The --p and --sigma-c2 flags given on the command line."""
+    return {k: getattr(args, k) for k in ("p", "sigma_c2") if getattr(args, k) is not None}
+
+
 def cmd_bounds(args: argparse.Namespace) -> int:
     params = YouParams(alpha=args.alpha, sigma_a2=args.sigma_a2, x0=args.x0)
-    settings = {k: getattr(args, k) for k in ("p", "sigma_c2") if getattr(args, k) is not None}
-    schedule = _build_schedule(args.model, settings, args.n, file_flag=False)
-    distances = ([stein.KOLMOGOROV, stein.WASSERSTEIN]
-                 if args.distance == "both" else [args.distance])
-    reports = [analytic.bound_point(params, schedule, distance, args.n)
-               for distance in distances]
+    schedule = _build_schedule(args.model, _jump_settings(args), args.n, file_flag=False)
+    point = analytic.bound_point(params, schedule, args.n)
+    reports = point.values() if args.distance == "both" else [point[args.distance]]
     print(f"model {args.model}  n {args.n}  alpha {_fmt(args.alpha)}  "
           f"sigma_a2 {_fmt(args.sigma_a2)}  x0 {_fmt(args.x0)}  "
           f"regime {_regime_cell(params, schedule)}")
@@ -170,16 +172,16 @@ CURVES_HEADER = "model,alpha,n,distance,term1,term2,term3,term4,total,regime"
 
 def _curve_rows(model: str, alphas: list[float], distances: list[str],
                 grid: list[int], sigma_a2: float, x0: float | None,
-                p: float, sigma_c2: float) -> list[str]:
+                schedule: JumpSchedule) -> list[str]:
     rows = []
     for alpha in alphas:
         params = YouParams(alpha=alpha, sigma_a2=sigma_a2,
                            x0=(2.0 * alpha) ** -0.5 if x0 is None else x0)
-        schedule = (JumpSchedule.constant(p, sigma_c2)
-                    if model == MODEL_YOUJ else JumpSchedule.none())
         cell = _regime_cell(params, schedule)
+        curve = analytic.bound_curve(params, schedule, grid)
         for distance in distances:
-            for n, report in zip(grid, analytic.bound_curve(params, schedule, distance, grid)):
+            for n, point in zip(grid, curve):
+                report = point[distance]
                 terms = list(report.term_values()) + [math.nan] * (4 - len(report.terms))
                 rows.append(",".join(
                     [model, _fmt(alpha), str(n), distance]
@@ -224,8 +226,10 @@ def cmd_curves(args: argparse.Namespace) -> int:
     if args.n_min < 2 or args.n_max <= args.n_min or args.points < 2:
         raise ValueError("need 2 <= n-min < n-max and points >= 2")
     grid = sorted({int(round(v)) for v in np.geomspace(args.n_min, args.n_max, args.points)})
-    rows = _curve_rows(args.model, alphas, distances, grid, args.sigma_a2,
-                       args.x0, args.p, args.sigma_c2)
+    defaults = {"p": 0.5, "sigma_c2": 1.0} if args.model == MODEL_YOUJ else {}
+    schedule = _build_schedule(args.model, {**defaults, **_jump_settings(args)}, args.n_max,
+                               file_flag=False)
+    rows = _curve_rows(args.model, alphas, distances, grid, args.sigma_a2, args.x0, schedule)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(CURVES_HEADER + "\n")
         fh.write("\n".join(rows) + "\n")
@@ -404,10 +408,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_curves.add_argument("--sigma-a2", type=float, default=1.0)
     p_curves.add_argument("--x0", type=float, default=None,
                           help="ancestral offset; default (2 alpha)^{-1/2} per alpha")
-    p_curves.add_argument("--p", type=float, default=0.5,
-                          help="jump probability (jump model only)")
-    p_curves.add_argument("--sigma-c2", type=float, default=1.0,
-                          help="jump variance (jump model only)")
+    p_curves.add_argument("--p", type=float, default=None,
+                          help="jump probability (jump model only; default 0.5)")
+    p_curves.add_argument("--sigma-c2", type=float, default=None,
+                          help="jump variance (jump model only; default 1)")
     p_curves.add_argument("--out", required=True)
     p_curves.add_argument("--gnuplot", default=None,
                           help="also write a gnuplot command file here")

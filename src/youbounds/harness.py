@@ -505,8 +505,8 @@ def run_sandwich(config: ExperimentConfig, data: ReplicateData | None = None) ->
     band = dkw_band(config.replicates)
     dw_se = _bootstrap_dw_se(s, config.seed)
 
-    upper_dk = analytic.bound_point(params, schedule, stein.KOLMOGOROV, n)
-    upper_dw = analytic.bound_point(params, schedule, stein.WASSERSTEIN, n)
+    upper = analytic.bound_point(params, schedule, n)
+    upper_dk, upper_dw = upper[stein.KOLMOGOROV], upper[stein.WASSERSTEIN]
 
     t1 = analytic.var_cond_mean_exact(n, params)
     # the penalty is nonnegative in exact arithmetic; clamp the rounding fuzz

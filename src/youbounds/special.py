@@ -2,9 +2,10 @@
 
 Everything here is a pure function of its arguments. Accuracy targets are
 stated per function; they are what the bound formulas downstream need, not
-what the underlying libm happens to deliver. The normal CDF and quantile
-also take arrays and give, element for element, the value of the scalar
-call: their exp, log and erfc are libm's, called per element.
+what the underlying libm happens to deliver. The normal CDF takes arrays
+and the quantile floats or arrays; their exp, log and erfc are libm's,
+called per element, so a value does not depend on how its argument is
+batched.
 """
 
 from __future__ import annotations
@@ -114,11 +115,6 @@ def zeta(r: float) -> float:
     return partial + tail + half + bern1 - bern2
 
 
-def std_normal_cdf(z: float) -> float:
-    """Standard normal CDF via the complementary error function."""
-    return 0.5 * math.erfc(-z / _SQRT2)
-
-
 def _libm(fn, x: np.ndarray) -> np.ndarray:
     """fn (a math module function) on every element of the 1-D float array
     x, as a new array: libm's value for each element, where numpy's own
@@ -127,13 +123,13 @@ def _libm(fn, x: np.ndarray) -> np.ndarray:
 
 
 def _cdf(x: np.ndarray) -> np.ndarray:
-    """Phi on a 1-D array, element for element what std_normal_cdf gives."""
+    """Phi on a 1-D array: 0.5 erfc(-x / sqrt 2), libm's erfc per element."""
     return 0.5 * _libm(math.erfc, -x / _SQRT2)
 
 
 def std_normal_cdf_array(z: np.ndarray) -> np.ndarray:
     """Elementwise standard normal CDF for a float array, value for value
-    what std_normal_cdf gives.
+    0.5 * math.erfc(-z / sqrt(2)).
 
     math.erfc runs over the Python floats of one chunk of _CDF_CHUNK
     elements at a time, which bounds the boxed floats alive at once. A
@@ -195,7 +191,7 @@ def _acklam(p: np.ndarray) -> np.ndarray:
 
 
 def std_normal_quantile(p: float | np.ndarray) -> float | np.ndarray:
-    """Inverse of std_normal_cdf on (0, 1), elementwise: a float for a
+    """Inverse of std_normal_cdf_array on (0, 1), elementwise: a float for a
     float, an array of p's shape for an array.
 
     Acklam's rational initial guess plus two Newton corrections; an element
@@ -206,7 +202,7 @@ def std_normal_quantile(p: float | np.ndarray) -> float | np.ndarray:
     that floor belongs to float64, not to this inverse, which agrees with
     reference implementations to ~1e-10 even there and is accurate to
     ~1e-12 on exactly supplied p in the bulk. exp and log are libm's, as in
-    std_normal_cdf, so a value does not depend on how p is batched.
+    std_normal_cdf_array, so a value does not depend on how p is batched.
     """
     flat = np.asarray(p, dtype=np.float64).ravel()
     inside = (flat > 0.0) & (flat < 1.0)

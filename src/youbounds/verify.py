@@ -297,19 +297,17 @@ def criterion_5() -> CriterionResult:
     res = CriterionResult("5", "bound-curve decay rates")
     grid = [10_000, 100_000, 1_000_000, 10_000_000]
 
-    def totals(alpha: float, distance: str) -> list[float]:
-        params = YouParams(alpha, 1.0, 1.0 / math.sqrt(2.0 * alpha))
-        return [r.total for r in analytic.bound_curve(params, None, distance, grid)]
-
+    curves = {a: analytic.bound_curve(YouParams(a, 1.0, 1.0 / math.sqrt(2.0 * a)), None, grid)
+              for a in (0.5, 0.6, 1.0)}
     for alpha, distance, target in ((0.6, stein.KOLMOGOROV, -0.2),
                                     (1.0, stein.KOLMOGOROV, -0.5),
                                     (1.0, stein.WASSERSTEIN, -0.75)):
-        slope = _loglog_slope(grid, totals(alpha, distance))
+        slope = _loglog_slope(grid, [point[distance].total for point in curves[alpha]])
         res.add(abs(slope - target) <= 0.05,
                 f"{distance} log-log slope at a={alpha} over n in [1e4, 1e7]: "
                 f"{slope:+.4f} vs {target:+.2f} (window 0.05)")
 
-    crit = totals(0.5, stein.KOLMOGOROV)
+    crit = [point[stein.KOLMOGOROV].total for point in curves[0.5]]
     v1 = crit[1] * math.log(grid[1])
     v3 = crit[3] * math.log(grid[3])
     spread = abs(v1 - v3) / min(v1, v3)

@@ -549,13 +549,11 @@ class TestAsymptoticConstants:
             params = YouParams(alpha, 1.0, 0.5)
             base = (analytic.asymptotic_constants(params),
                     analytic.limit_distribution(params),
-                    [analytic.bound_point(params, None, d, 1000)
-                     for d in (stein.KOLMOGOROV, stein.WASSERSTEIN)])
+                    analytic.bound_point(params, None, 1000))
             for sch in inactive:
                 assert (analytic.asymptotic_constants(params, sch),
                         analytic.limit_distribution(params, sch),
-                        [analytic.bound_point(params, sch, d, 1000)
-                         for d in (stein.KOLMOGOROV, stein.WASSERSTEIN)]) == base
+                        analytic.bound_point(params, sch, 1000)) == base
 
     def test_rated_constant_evaluation(self):
         rc = analytic.RatedConstant(2.0, -1.0, 1)
@@ -608,8 +606,7 @@ class TestClosedFormGap:
             for refusal in (lambda: analytic.asymptotic_constants(params, schedule),
                             lambda: analytic.limit_distribution(params, schedule),
                             lambda: analytic.var_ybar_youj(100, params, schedule),
-                            lambda: analytic.bound_point(params, schedule,
-                                                         stein.KOLMOGOROV, 100)):
+                            lambda: analytic.bound_point(params, schedule, 100)):
                 with pytest.raises(type(gap), match=re.escape(str(gap))):
                     refusal()
 
@@ -626,7 +623,7 @@ class TestClosedFormGap:
             gap = analytic.closed_form_gap(params, schedule)
             calls = (lambda: analytic.var_ybar_you(n, params),
                      lambda: analytic.var_ybar_youj(n, params, schedule),
-                     lambda: analytic.bound_point(params, schedule, stein.KOLMOGOROV, n),
+                     lambda: analytic.bound_point(params, schedule, n),
                      lambda: analytic.laplace_pair_time(n, 2.0 * alpha),
                      lambda: analytic.jump_pair_shared_mean(n, alpha, 0.5))
             if gap is not None:
@@ -643,13 +640,13 @@ class TestClosedFormGap:
                 analytic.var_ybar_you(n, half), rel=1e-10, abs=0.0)
             assert analytic.var_ybar_youj(n, params, schedule) == pytest.approx(
                 analytic.var_ybar_youj(n, half, schedule), rel=1e-10, abs=0.0)
-            total = analytic.bound_point(params, schedule, stein.KOLMOGOROV, n).total
+            total = analytic.bound_point(params, schedule, n)[stein.KOLMOGOROV].total
             assert 0.0 < total < math.inf
 
 
 class TestBoundPoint:
     def test_notes_record_assembly(self):
-        rep = analytic.bound_point(YouParams(1.0, 1.0, 0.5), None, stein.KOLMOGOROV, 1000)
+        rep = analytic.bound_point(YouParams(1.0, 1.0, 0.5), None, 1000)[stein.KOLMOGOROV]
         assert "regime=fast/one" in rep.notes
         assert "ev exact" in rep.notes
         assert "ve exact" in rep.notes
@@ -659,12 +656,12 @@ class TestBoundPoint:
         assert rep.total > 0.0
 
     def test_wasserstein_has_four_terms(self):
-        rep = analytic.bound_point(YouParams(1.0), None, stein.WASSERSTEIN, 1000)
+        rep = analytic.bound_point(YouParams(1.0), None, 1000)[stein.WASSERSTEIN]
         assert len(rep.terms) == 4
 
     def test_nonconvergent_flagged(self):
         rep = analytic.bound_point(YouParams(1.0), JumpSchedule.constant(0.5, 1.0),
-            stein.KOLMOGOROV, 1000)
+                                   1000)[stein.KOLMOGOROV]
         assert "non-convergent regime" in rep.notes
 
     # the ids name the model each schedule belongs to
@@ -677,8 +674,7 @@ class TestBoundPoint:
         pytest.param(0.6, JumpSchedule.constant(1.0, 0.5), id="YOUj-0.6-schedule5"),
     ])
     def test_vv_known_too_small_is_noted(self, alpha, schedule):
-        for distance in (stein.KOLMOGOROV, stein.WASSERSTEIN):
-            rep = analytic.bound_point(YouParams(alpha), schedule, distance, 1000)
+        for rep in analytic.bound_point(YouParams(alpha), schedule, 1000).values():
             assert analytic.VV_TOO_SMALL_NOTE in rep.notes
             assert "vv leading-order" in rep.notes
 
@@ -692,7 +688,7 @@ class TestBoundPoint:
         pytest.param(0.6, JumpSchedule.constant(0.1, 1.0), id="YOUj-0.6-schedule6"),
     ])
     def test_vv_not_known_too_small_is_not_noted(self, alpha, schedule):
-        rep = analytic.bound_point(YouParams(alpha), schedule, stein.KOLMOGOROV, 1000)
+        rep = analytic.bound_point(YouParams(alpha), schedule, 1000)[stein.KOLMOGOROV]
         assert analytic.VV_TOO_SMALL_NOTE not in rep.notes
 
     @pytest.mark.parametrize("alpha", [0.5, 0.6, 0.75, 0.9, 1.0, 2.0])
@@ -707,7 +703,7 @@ class TestBoundPoint:
         params = YouParams(alpha, 1.0, 0.5)
         table = analytic.asymptotic_constants(params, schedule)
         ev = analytic.var_ybar_youj(n, params, schedule)
-        rep = analytic.bound_point(params, schedule, stein.KOLMOGOROV, n)
+        rep = analytic.bound_point(params, schedule, n)[stein.KOLMOGOROV]
         assert rep.terms[0] == ("sqrt(vv)/ev", math.sqrt(table.vv.at(n)) / ev)
         assert (analytic.VV_TOO_SMALL_NOTE in rep.notes) == table.vv_too_small
         assert ("non-convergent regime" in rep.notes) == table.nonconvergent
@@ -718,50 +714,53 @@ class TestBoundPoint:
             assert analytic.limit_distribution(params, schedule).variance \
                 == table.ev.value
 
-    def test_distance_validation(self):
-        with pytest.raises(ValueError):
-            analytic.bound_point(YouParams(1.0), None, "hellinger", 100)
+    def test_one_assembly_for_both_distances(self):
+        point = analytic.bound_point(YouParams(1.0, 1.0, 0.5), None, 1000)
+        assert list(point) == [stein.KOLMOGOROV, stein.WASSERSTEIN]
+        assert all(rep.distance == d for d, rep in point.items())
+        dk, dw = point.values()
+        assert dk.notes == dw.notes
+        # ve/ev and sqrt(2/pi) sqrt(ve) vv^1/4 / ev: the same ingredients
+        assert dk.terms[1:] == dw.terms[2:]
 
     def test_slow_regime_rejected(self):
         with pytest.raises(UnsupportedRegimeError):
-            analytic.bound_point(YouParams(0.4), None, stein.KOLMOGOROV, 100)
+            analytic.bound_point(YouParams(0.4), None, 100)
 
     def test_active_per_event_schedule_rejected(self):
         sch = JumpSchedule.per_event([(0.5, 1.0)] * 99)
         with pytest.raises(ValueError, match="Monte Carlo"):
-            analytic.bound_point(YouParams(1.0), sch,
-                                 stein.KOLMOGOROV, 100)
+            analytic.bound_point(YouParams(1.0), sch, 100)
 
     @pytest.mark.parametrize("n", [1, 0])
     def test_single_tip_rejected(self, n):
         with pytest.raises(ValueError, match=f"at least 2 tips, got n = {n}"):
-            analytic.bound_point(YouParams(1.0), None, stein.KOLMOGOROV, n)
+            analytic.bound_point(YouParams(1.0), None, n)
 
 
 class TestBoundCurve:
     def test_grid_validation(self):
         p = YouParams(1.0)
         with pytest.raises(ValueError):
-            analytic.bound_curve(p, None, stein.KOLMOGOROV, [100, 100])
+            analytic.bound_curve(p, None, [100, 100])
         with pytest.raises(ValueError):
-            analytic.bound_curve(p, None, stein.KOLMOGOROV, [200, 100])
+            analytic.bound_curve(p, None, [200, 100])
         with pytest.raises(ValueError):
-            analytic.bound_curve(p, None, stein.KOLMOGOROV, [1, 10])
+            analytic.bound_curve(p, None, [1, 10])
 
     @pytest.mark.parametrize("alpha", [0.5, 0.6, 0.75, 0.9, 1.0, 2.0])
     @pytest.mark.parametrize("distance", [stein.KOLMOGOROV, stein.WASSERSTEIN])
     def test_jump_free_totals_strictly_decreasing(self, alpha, distance):
         grid = sorted(set(int(x) for x in np.geomspace(100, 10**6, 9)))
         params = YouParams(alpha, 1.0, 2.0 ** -0.5)
-        totals = [r.total
-                  for r in analytic.bound_curve(params, None, distance, grid)]
+        totals = [r[distance].total for r in analytic.bound_curve(params, None, grid)]
         assert all(b < a for a, b in zip(totals, totals[1:]))
 
     def test_partial_jump_probability_plateaus(self):
         params = YouParams(1.0, 1.0, 2.0 ** -0.5)
         sch = JumpSchedule.constant(0.5, 1.0)
-        reps = analytic.bound_curve(params, sch, stein.KOLMOGOROV,
-                                    [10**3, 10**4, 10**5, 10**6])
+        reps = [r[stein.KOLMOGOROV]
+                for r in analytic.bound_curve(params, sch, [10**3, 10**4, 10**5, 10**6])]
         totals = [r.total for r in reps]
         assert totals[-1] / totals[1] > 0.97
         assert 0.3 < totals[-1] < 0.5
@@ -771,8 +770,9 @@ class TestBoundCurve:
         # at alpha=1 the two distances decay as n^(-3/4) vs n^(-1/2)
         params = YouParams(1.0, 1.0, 2.0 ** -0.5)
         ns = [10**3, 10**4, 10**5, 10**6]
-        dk = [r.total for r in analytic.bound_curve(params, None, stein.KOLMOGOROV, ns)]
-        dw = [r.total for r in analytic.bound_curve(params, None, stein.WASSERSTEIN, ns)]
+        curve = analytic.bound_curve(params, None, ns)
+        dk = [r[stein.KOLMOGOROV].total for r in curve]
+        dw = [r[stein.WASSERSTEIN].total for r in curve]
         slope = _slope(ns, [w / k for w, k in zip(dw, dk)])
         assert slope == pytest.approx(-0.25, abs=0.05)
 

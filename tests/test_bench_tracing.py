@@ -1,9 +1,9 @@
-"""The benchmark's per-layer tracer against the engine.
+"""The benchmark's per-layer tracer against the engine and the bound curves.
 
 `bench/tracing.py` wraps package functions by module attribute and name, so
 a rename in the package would break every traced benchmark run. This loads
 the tracer from its file, as the benchmark does, and checks that it sees the
-replicate engine's tree calls.
+replicate engine's tree calls and one bound evaluation per point of a curve.
 """
 
 import importlib.util
@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from youbounds import harness, trees
+from youbounds import cli, harness, trees
 from youbounds.analytic import JumpSchedule, YouParams
 from youbounds.harness import ExperimentConfig
 
@@ -46,3 +46,20 @@ def test_tracer_sees_the_engines_tree_calls():
     assert summary["harness.run_replicates.calls"] == 1
     untraced = harness.run_replicates(config)
     assert np.array_equal(traced.ybar, untraced.ybar)
+
+
+def test_curves_evaluate_each_point_once(tmp_path):
+    # both distances of a (rate, n) point come from one bound_point call;
+    # harmonic runs once per point at the critical rate alpha = 1/2 only
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        code = cli.main(["curves", "--alphas", "0.5,1", "--distance", "both",
+                         "--points", "5", "--n-min", "100", "--n-max", "10000",
+                         "--out", str(tmp_path / "curves.csv")])
+    finally:
+        tracer.remove()
+    assert code == 0
+    summary = tracer.summary()
+    assert summary["analytic.bound_point.calls"] == 2 * 5
+    assert summary["special.harmonic.calls"] == 5

@@ -242,6 +242,22 @@ class TestCurvesCommand:
         rows = out.read_text(encoding="utf-8").splitlines()[1:]
         assert all(row.endswith(";non-convergent") for row in rows)
 
+    def test_jump_flags_require_jump_model(self, tmp_path, capsys):
+        code, out = self._run(tmp_path, "--alphas", "1", "--p", "0.3")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: jump settings --p require model YOUj, not YOU\n")
+        assert not out.exists()
+
+    def test_jump_model_defaults(self, tmp_path):
+        def rows(*flags):
+            code, out = self._run(tmp_path, "--model", "YOUj", "--alphas", "1", *flags)
+            assert code == 0
+            return out.read_text(encoding="utf-8")
+
+        assert rows() == rows("--p", "0.5", "--sigma-c2", "1")
+        assert rows("--p", "0.3") == rows("--p", "0.3", "--sigma-c2", "1")
+
     def test_gnuplot_companion_file(self, tmp_path):
         gp = tmp_path / "curves.gp"
         out = tmp_path / "curves.csv"

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from youbounds import analytic, harness, stein, trees
+from youbounds import analytic, harness, stein, trees, verify
 from youbounds.analytic import JumpSchedule, YouParams
 from youbounds.harness import ExperimentConfig
 
@@ -283,7 +283,8 @@ class TestTipAverageDraws:
         r = 1_000_000
         params = YouParams(alpha=0.8, x0=0.9)
         config = ExperimentConfig(model="YOU", n=10, params=params,
-                                  schedule=JumpSchedule.none(), replicates=r, seed=29)
+                                  schedule=JumpSchedule.none(), replicates=r, seed=29,
+                                  workers=harness.resolve_workers(None, verify.DEFAULT_WORKERS))
         data = harness.run_replicates(config)
         z = (data.ybar - data.cond_mean) / np.sqrt(data.cond_var)
         assert abs(z.mean()) <= 4.0 * math.sqrt(1.0 / r)
@@ -758,7 +759,7 @@ class TestSandwich:
         result = harness.run_experiment(config)
         assert result.sandwich_omitted is None
         assert result.sandwich.upper_dk == analytic.bound_point(
-            YouParams(alpha=1.0), None, stein.KOLMOGOROV, 5)
+            YouParams(alpha=1.0), None, 5)[stein.KOLMOGOROV]
 
     def test_run_experiment_includes_sandwich_by_default(self):
         result = harness.run_experiment(_you_config(n=20, replicates=200))
@@ -776,7 +777,8 @@ class TestStandardizedMoments:
         n, r = 1000, 100_000
         config = ExperimentConfig(model="YOU", n=n, params=params,
                                   schedule=JumpSchedule.none(),
-                                  replicates=r, seed=SEED + 4)
+                                  replicates=r, seed=SEED + 4,
+                                  workers=harness.resolve_workers(None, verify.DEFAULT_WORKERS))
         data = harness.run_replicates(config)
         mu = analytic.mean_ybar(n, params)
         sigma = math.sqrt(analytic.var_ybar_you(n, params))
