@@ -329,14 +329,13 @@ VV_TOO_SMALL_NOTE = "vv below Monte Carlo: upper bound may be too small"
 
 @dataclass(frozen=True)
 class AsymptoticConstants:
-    """Leading coefficients of the three bound ingredients, with rates.
+    """Leading coefficients of ev and vv, with their rates.
 
     vv_too_small records that Monte Carlo shows the vv entry to fall below
     the true variance of the conditional variance at finite n.
     """
 
     ev: RatedConstant
-    ve: RatedConstant
     vv: RatedConstant
     regime: Regime
     vv_too_small: bool
@@ -351,12 +350,12 @@ class AsymptoticConstants:
 
 def asymptotic_constants(params: YouParams,
                          schedule: JumpSchedule | None = None) -> AsymptoticConstants:
-    """The rate table: leading constants and rates of ev, ve and vv.
+    """The rate table: leading constants and rates of ev and vv.
 
     ev is the mean conditional variance: (2a+1)/(2a-1) n^-1 above the
     critical rate and 2 n^-1 ln n at it, times the jump lift
-    1 + 2 p sigma_c2 / sigma_a2. ve is the variance of the conditional mean,
-    delta^2 (Gamma(2a+1) - Gamma(a+1)^2) n^(-2a).
+    1 + 2 p sigma_c2 / sigma_a2. ve, the variance of the conditional mean,
+    has no entry: the bounds take it exactly from `var_cond_mean_exact`.
 
     vv, the variance of the conditional variance, for the jump-free model
     has six rate bands: a constant * n^-2 at a = 1/2, a zeta-weighted
@@ -377,8 +376,6 @@ def asymptotic_constants(params: YouParams,
         ev = RatedConstant(2.0 * jump_lift, -1.0, 1)
     else:
         ev = RatedConstant((2.0 * alpha + 1.0) / (2.0 * alpha - 1.0) * jump_lift, -1.0, 0)
-    ve_gamma = math.gamma(2.0 * alpha + 1.0) - math.gamma(alpha + 1.0) ** 2
-    ve = RatedConstant(params.delta ** 2 * ve_gamma, -2.0 * alpha, 0)
     p, s = schedule.p, schedule.sigma_c2
     if p * (1.0 - p) * s > 0.0:
         vv_too_small = False
@@ -404,7 +401,7 @@ def asymptotic_constants(params: YouParams,
             else:
                 rational = (2.0 * alpha - 1.0) * (4.0 * alpha - 3.0) * (4.0 * alpha - 2.0)
                 vv = RatedConstant(c / rational, -3.0, 0)
-    return AsymptoticConstants(ev=ev, ve=ve, vv=vv, regime=regime, vv_too_small=vv_too_small)
+    return AsymptoticConstants(ev=ev, vv=vv, regime=regime, vv_too_small=vv_too_small)
 
 
 def bound_point(params: YouParams, schedule: JumpSchedule | None,

@@ -24,11 +24,18 @@ segment in closed form: comparing Phi at a segment's two ends with the
 segment's level decides the sign of |c - Phi| there, and normal quantiles
 are computed, in one call, only for the few segments that Phi crosses. Its
 bootstrap error scores each resample from the counts of the drawn ranks,
-with no sort and no further CDF evaluation, in work arrays kept for all the
-resamples. The sort is not stable and Phi and the quantiles take whole
-arrays; none of this moves a bit of any statistic (see `_sort_sample` and
-`special`). The dw verdict allows for the positive O(R^-1/2) bias of the
-empirical Wasserstein distance as well as for its bootstrap error.
+with no sort and no further CDF evaluation. The sorted sample keeps x, Phi,
+G and the ranks (the inverse of the sorting permutation), and dw and all
+its resamples share one set of work arrays, allocated once per sandwich
+(`_DwWork`): two 8-byte arrays of R whose roles change within a resample
+(the drawn ranks become the levels once they are counted, the counts become
+the segments' scratch), the segment terms and two masks. No full-length
+array is allocated per resample, and a sandwich holds at most about 7.3
+float64 arrays of R at its peak. The sort is not stable and Phi and the
+quantiles take whole arrays; none of this moves a bit of any statistic (see
+`_sort_sample` and `special`). The dw verdict allows for the positive
+O(R^-1/2) bias of the empirical Wasserstein distance as well as for its
+bootstrap error.
 """
 
 from __future__ import annotations
@@ -115,15 +122,22 @@ class ReplicateData:
 
 def resolve_workers(explicit: int | None, default: int) -> int:
     """The worker count: an explicit setting, else the YOUBOUNDS_WORKERS
-    environment variable (at least 1), else the command's default."""
+    environment variable, else the command's default. A count below 1 from
+    either source is refused, with a message naming the flag or the
+    variable, before any work starts."""
     if explicit is not None:
+        if explicit < 1:
+            raise ValueError(f"--workers must be >= 1, got {explicit}")
         return explicit
     env = os.environ.get(_WORKERS_ENV)
     if env:
         try:
-            return max(1, int(env))
+            workers = int(env)
         except ValueError:
             raise ValueError(f"{_WORKERS_ENV} must be an integer, got {env!r}")
+        if workers < 1:
+            raise ValueError(f"{_WORKERS_ENV} must be >= 1, got {env!r}")
+        return workers
     return default
 
 
@@ -289,62 +303,104 @@ def estimate_moment_summary(config: ExperimentConfig,
 class _SortedSample:
     """A sample sorted once, with what every statistic reads off it: Phi(x),
     the antiderivative G(x) = x Phi(x) + phi(x) of the normal CDF (vanishing
-    at -infinity), and the sorting permutation."""
+    at -infinity), and the ranks, rank[j] being the sorted position of the
+    sample's element j (the inverse of the sorting permutation)."""
 
     x: np.ndarray
     cdf: np.ndarray
     g: np.ndarray
-    order: np.ndarray
+    rank: np.ndarray
 
 
 def _sort_sample(samples, name: str) -> _SortedSample:
-    """The sample sorted, with Phi and G on the sorted values.
+    """The sample sorted, with Phi and G on the sorted values and the ranks.
 
     The sort need not be stable: no statistic depends on the order of tied
     values. Tied values have equal Phi and G, so a segment between two of
     them has zero width and adds zero, and the level entering and leaving a
     tie group is the same whichever order its members take, in the sample
-    and in every bootstrap resample.
+    and in every bootstrap resample. The sorting permutation is dropped once
+    it has given the ranks, and G takes one temporary.
     """
     z = np.asarray(samples, dtype=np.float64).ravel()
-    if len(z) == 0:
+    r = len(z)
+    if r == 0:
         raise ValueError(f"{name} requires at least one sample")
     order = np.argsort(z)
     x = z[order]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(r)
+    del order
     cdf = special.std_normal_cdf_array(x)
-    g = x * cdf + _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-    return _SortedSample(x=x, cdf=cdf, g=g, order=order)
+    # x * cdf + _INV_SQRT_2PI * np.exp(-0.5 * x * x), operation for operation
+    g = np.multiply(x, -0.5)
+    g *= x
+    np.exp(g, out=g)
+    g *= _INV_SQRT_2PI
+    g += x * cdf
+    return _SortedSample(x=x, cdf=cdf, g=g, rank=rank)
 
 
 def _dk_sorted(s: _SortedSample) -> float:
+    """max over i of max(i/R - Phi, Phi - (i-1)/R), taken as the larger of
+    the two maxima."""
     r = len(s.x)
     i = np.arange(1, r + 1, dtype=np.float64)
-    return float(np.max(np.maximum(i / r - s.cdf, s.cdf - (i - 1.0) / r)))
+    work = np.divide(i, r)
+    np.subtract(work, s.cdf, out=work)
+    high = np.max(work)
+    np.subtract(i, 1.0, out=work)
+    np.divide(work, r, out=work)
+    np.subtract(s.cdf, work, out=work)
+    return float(max(high, np.max(work)))
 
 
-def _dw_segments(s: _SortedSample, levels: np.ndarray,
-                 buffers: trees.BlockBuffers | None = None) -> float:
+@dataclass(frozen=True)
+class _DwWork:
+    """The full-length work arrays of the Wasserstein statistic for a sample
+    of R, shared by dw and every bootstrap resample. Two of them change
+    roles: `levels` holds a resample's drawn ranks (as int64) until they are
+    counted and then its R - 1 levels; `scratch` holds the rank counts (as
+    int64) and then the segments' D(a). `seg`, `below` and `cross` are the
+    segment terms and masks of `_dw_segments`."""
+
+    levels: np.ndarray
+    scratch: np.ndarray
+    seg: np.ndarray
+    below: np.ndarray
+    cross: np.ndarray
+
+    @classmethod
+    def for_size(cls, r: int) -> _DwWork:
+        m = r - 1
+        return cls(np.empty(r), np.empty(r), np.empty(m), np.empty(m, np.bool_),
+                   np.empty(m, np.bool_))
+
+
+def _set_levels(work: _DwWork) -> None:
+    """The empirical-CDF levels from the rank counts in `scratch`: the
+    running counts over R, into `levels`. The counts are overwritten."""
+    counts = work.scratch.view(np.int64)[:-1]
+    np.divide(np.cumsum(counts, out=counts), len(work.scratch), out=work.levels[:-1])
+
+
+def _dw_segments(s: _SortedSample, work: _DwWork) -> float:
     """Exact L1 distance between the normal CDF and the step function that
-    is 0 left of x[0], levels[i] on [x[i], x[i+1]] and 1 right of x[-1].
+    is 0 left of x[0], levels[i] on [x[i], x[i+1]] and 1 right of x[-1],
+    with the levels in `work.levels`.
 
     The tails are G(x[0]) and G(x[-1]) - x[-1]. On a segment [a, b] at level
     c, with D(t) = G(t) - c t: if Phi(b) <= c the segment adds D(a) - D(b),
     if Phi(a) >= c it adds D(b) - D(a), and otherwise Phi crosses c at the
     quantile zc inside the segment, where D(zc) = phi(zc), and it adds
     D(a) + D(b) - 2 phi(zc). The quantiles of all crossing segments are
-    computed in one call. The work arrays are taken from `buffers` (fresh
-    ones if None), so a caller scoring many level sets allocates them once.
+    computed in one call.
     """
     x, cdf, g = s.x, s.cdf, s.g
     total = g[0] + (g[-1] - x[-1])
     if len(x) > 1:
-        if buffers is None:
-            buffers = trees.BlockBuffers()
-        shape = levels.shape
-        da = buffers.array("dw_da", shape)
-        seg = buffers.array("dw_seg", shape)
-        below = buffers.array("dw_below", shape, np.bool_)
-        cross = buffers.array("dw_cross", shape, np.bool_)
+        levels, da = work.levels[:-1], work.scratch[:-1]
+        seg, below, cross = work.seg, work.below, work.cross
         np.subtract(g[:-1], np.multiply(levels, x[:-1], out=da), out=da)
         np.subtract(g[1:], np.multiply(levels, x[1:], out=seg), out=seg)
         np.subtract(seg, da, out=seg)
@@ -362,9 +418,14 @@ def _dw_segments(s: _SortedSample, levels: np.ndarray,
     return float(total)
 
 
-def _dw_sorted(s: _SortedSample) -> float:
-    r = len(s.x)
-    return _dw_segments(s, np.arange(1, r, dtype=np.float64) / r)
+def _dw_sorted(s: _SortedSample, work: _DwWork | None = None) -> float:
+    """dw of the sample itself: the levels i/R are those of the resample
+    that draws every rank once."""
+    if work is None:
+        work = _DwWork.for_size(len(s.x))
+    work.scratch.view(np.int64).fill(1)
+    _set_levels(work)
+    return _dw_segments(s, work)
 
 
 def empirical_dk(samples) -> float:
@@ -385,7 +446,7 @@ def dkw_band(r: int) -> float:
     return math.sqrt(math.log(2.0 / _DKW_DELTA) / (2.0 * r))
 
 
-def _bootstrap_dw_se(s: _SortedSample, seed: int) -> float:
+def _bootstrap_dw_se(s: _SortedSample, seed: int, work: _DwWork | None = None) -> float:
     """Resampling standard error of the Wasserstein statistic.
 
     The bootstrap stream uses spawn key (R, 1), disjoint from every block's
@@ -395,44 +456,48 @@ def _bootstrap_dw_se(s: _SortedSample, seed: int) -> float:
     its rank k was drawn, so its empirical CDF is the running sum of the
     rank counts over the sorted sample (segments between undrawn elements
     keep the previous level). Each resample is thus scored on the sample's
-    own Phi and G, with no sort and no CDF evaluation, in one set of work
-    arrays kept for all the resamples.
+    own Phi and G, with no sort and no CDF evaluation, in `work` (fresh
+    arrays if None), which every resample reuses: no full-length array is
+    allocated per resample.
     """
     r = len(s.x)
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(r, 1))
     rng = np.random.Generator(np.random.PCG64(ss))
-    rank = np.empty(r, dtype=np.intp)
-    rank[s.order] = np.arange(r)
-    buffers = trees.BlockBuffers()
-    drawn = np.empty(r, dtype=np.int64)
-    levels = np.empty(r - 1)
+    if work is None:
+        work = _DwWork.for_size(r)
     values = np.empty(_BOOTSTRAP_RESAMPLES)
     for b in range(_BOOTSTRAP_RESAMPLES):
-        _resample_levels(rng, rank, drawn, levels)
-        values[b] = _dw_segments(s, levels, buffers)
+        _resample_levels(rng, s.rank, work)
+        values[b] = _dw_segments(s, work)
     return float(np.std(values, ddof=1))
 
 
-def _resample_levels(rng: np.random.Generator, rank: np.ndarray, drawn: np.ndarray,
-                     out: np.ndarray) -> None:
-    """The empirical-CDF levels of one resample into `out`: the running
-    counts of the drawn ranks, over R.
+def _draw_ranks(rng: np.random.Generator, rank: np.ndarray, out: np.ndarray) -> None:
+    """The ranks of one resample's R drawn indices, into the int64 `out`.
 
-    The R indices are drawn in chunks of at most _DRAW_CHUNK into the kept
-    `drawn`, each replaced by its rank. The 32-bit draws behind
-    integers(0, R) keep PCG64's spare half-word in the generator, so the
-    chunks hold exactly what one integers(0, R, size=R) call returns, and a
-    chunk is small enough to come from reused heap memory rather than fresh
-    pages. The counts are the one full-length temporary, freed on return."""
+    The indices are drawn in chunks of at most _DRAW_CHUNK, each replaced by
+    its rank. The 32-bit draws behind integers(0, R) keep PCG64's spare
+    half-word in the generator, so the chunks hold exactly what one
+    integers(0, R, size=R) call returns, and a chunk is small enough to come
+    from reused heap memory rather than fresh pages."""
     r = len(rank)
     for lo in range(0, r, _DRAW_CHUNK):
         hi = min(r, lo + _DRAW_CHUNK)
         # every index is in range, so "clip" changes nothing; it spares the
         # copy of `out` that the default mode makes
-        np.take(rank, rng.integers(0, r, size=hi - lo), out=drawn[lo:hi], mode="clip")
-    counts = np.bincount(drawn, minlength=r)
-    running = np.cumsum(counts[:-1], out=counts[:-1])
-    np.divide(running, r, out=out)
+        np.take(rank, rng.integers(0, r, size=hi - lo), out=out[lo:hi], mode="clip")
+
+
+def _resample_levels(rng: np.random.Generator, rank: np.ndarray, work: _DwWork) -> None:
+    """The empirical-CDF levels of one resample into `work.levels`: its
+    ranks are drawn there, counted into `scratch` (in place, where
+    `np.bincount` would allocate the counts afresh), and replaced by the
+    running counts over R."""
+    drawn, counts = work.levels.view(np.int64), work.scratch.view(np.int64)
+    _draw_ranks(rng, rank, drawn)
+    counts.fill(0)
+    np.add.at(counts, drawn, 1)
+    _set_levels(work)
 
 
 def _dw_sampling_bias(r: int) -> float:
@@ -499,11 +564,16 @@ def run_sandwich(config: ExperimentConfig, data: ReplicateData | None = None) ->
                          f"for a configuration of {config.replicates}")
     z = (data.ybar - analytic.mean_ybar(n, params)) / math.sqrt(sigma2)
 
+    # each full-length array is dropped once it is done with, so the peak is
+    # the sorted sample plus the work arrays of dw and its bootstrap
     s = _sort_sample(z, "run_sandwich")
+    del z
     dk = _dk_sorted(s)
-    dw = _dw_sorted(s)
+    work = _DwWork.for_size(config.replicates)
+    dw = _dw_sorted(s, work)
+    dw_se = _bootstrap_dw_se(s, config.seed, work)
+    del s, work
     band = dkw_band(config.replicates)
-    dw_se = _bootstrap_dw_se(s, config.seed)
 
     upper = analytic.bound_point(params, schedule, n)
     upper_dk, upper_dw = upper[stein.KOLMOGOROV], upper[stein.WASSERSTEIN]

@@ -510,8 +510,6 @@ class TestAsymptoticConstants:
         p = YouParams(1.0, 1.0, 2.0 ** -0.5)
         ac = analytic.asymptotic_constants(p)
         assert (ac.ev.value, ac.ev.n_power, ac.ev.log_power) == (3.0, -1.0, 0)
-        assert ac.ve.value == pytest.approx(p.delta ** 2, rel=1e-12)
-        assert (ac.ve.n_power, ac.ve.log_power) == (-2.0, 0)
         assert (ac.vv.value, ac.vv.n_power, ac.vv.log_power) == (16.0, -3.0, 0)
         assert ac.regime.band == "one"
 
@@ -654,6 +652,11 @@ class TestBoundPoint:
         assert "non-convergent regime" not in rep.notes
         assert len(rep.terms) == 3
         assert rep.total > 0.0
+
+    def test_large_rate_is_finite(self):
+        # Gamma(2a + 1) overflows above a = 85.3: no bound ingredient may need it
+        for rep in analytic.bound_point(YouParams(100.0, 1.0, 1.0), None, 1000).values():
+            assert 0.0 < rep.total < math.inf
 
     def test_wasserstein_has_four_terms(self):
         rep = analytic.bound_point(YouParams(1.0), None, 1000)[stein.WASSERSTEIN]

@@ -105,6 +105,22 @@ class TestWorkerDefaults:
         err = capsys.readouterr().err
         assert "error: YOUBOUNDS_WORKERS must be an integer, got 'many'" in err
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_environment_value_below_one_rejected(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("YOUBOUNDS_WORKERS", value)
+        with pytest.raises(ValueError, match="YOUBOUNDS_WORKERS must be >= 1"):
+            harness.resolve_workers(None, 1)
+        assert cli.main(["simulate", "--n", "20", "--alpha", "1.0",
+                         "--replicates", "50", "--seed", "1"]) == 1
+        assert f"error: YOUBOUNDS_WORKERS must be >= 1, got '{value}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("level", ["quick", "full"])
+    def test_verify_refuses_zero_workers_before_any_criterion(self, capsys, level):
+        assert cli.main(["verify", "--level", level, "--workers", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: --workers must be >= 1, got 0" in captured.err
+
 
 class TestBoundsCommand:
     def test_prints_terms_and_totals(self, capsys):
@@ -125,6 +141,16 @@ class TestBoundsCommand:
         # a rate 2e-12 above 1/2 is outside the critical window: the closed
         # forms there must keep their digits at n = 1e6
         code = cli.main(["bounds", "--n", "1000000", "--alpha", "0.500000000002"])
+        out = capsys.readouterr().out
+        assert code == 0
+        totals = [float(line.split()[-1]) for line in out.splitlines()
+                  if line.strip().startswith("total")]
+        assert len(totals) == 2
+        assert all(0.0 < t < math.inf for t in totals)
+
+    def test_large_rate_is_finite(self, capsys):
+        # Gamma(2a + 1) overflows above a = 85.3: no bound ingredient may need it
+        code = cli.main(["bounds", "--n", "1000", "--alpha", "100"])
         out = capsys.readouterr().out
         assert code == 0
         totals = [float(line.split()[-1]) for line in out.splitlines()
@@ -194,6 +220,14 @@ class TestCurvesCommand:
         assert len(rows) == 2 * 2 * 5
         assert all(len(r) == 10 for r in rows)
         assert "wrote 20 rows" in capsys.readouterr().out
+
+    def test_large_rate(self, tmp_path):
+        code, out = self._run(tmp_path, "--alphas", "100", "--distance", "both")
+        assert code == 0
+        rows = out.read_text(encoding="utf-8").splitlines()[1:]
+        totals = [float(line.split(",")[8]) for line in rows]
+        assert len(totals) == 10
+        assert all(0.0 < t < math.inf for t in totals)
 
     def test_kolmogorov_pads_missing_fourth_term(self, tmp_path):
         code, out = self._run(tmp_path, "--alphas", "1",
@@ -326,6 +360,14 @@ class TestSimulateCommand:
                                       "lower_dk", "lower_dw"}
         assert doc["verdicts"]["dk"] in ("pass", "fail", "inconclusive")
         assert "workers" not in doc
+
+    def test_large_rate(self, tmp_path):
+        path = tmp_path / "run.json"
+        assert cli.main(["simulate", "--n", "30", "--alpha", "100", "--replicates", "200",
+                         "--seed", "3", "--json", str(path)]) == 0
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert all(0.0 < doc["bounds"][k]["total"] < math.inf
+                   for k in ("upper_dk", "upper_dw"))
 
     def test_stdout_when_no_json_path(self, capsys):
         assert cli.main(self.BASE) == 0

@@ -547,14 +547,13 @@ class TestGoldenStatistics:
 
 
 class TestSandwichMemory:
-    """Peak traced allocation of the two full-length passes at R = 2e5, in
-    units of one float64 sample (8R bytes). The sorted sample keeps four
-    such arrays (x, Phi, G, order); the bootstrap keeps the ranks, the
-    levels and two work arrays, and each resample adds its draw and its
-    counts. A work array too many shows as a whole unit."""
+    """Peak traced allocation of the full-length passes at R = 2e5, in units
+    of one float64 sample (8R bytes). The sorted sample keeps four such
+    arrays (x, Phi, G, ranks); dw and the bootstrap share two 8-byte work
+    arrays, the segment terms and two masks, which no resample adds to; dk
+    takes two arrays. A work array too many shows as a whole unit."""
 
     R = 200_000
-    LIMIT = 6.5
 
     def _peak_units(self, call) -> float:
         tracemalloc.start()
@@ -566,13 +565,33 @@ class TestSandwichMemory:
             tracemalloc.stop()
         return peak / (8 * self.R)
 
+    def _sample(self) -> harness._SortedSample:
+        return harness._sort_sample(np.random.default_rng(5).standard_normal(self.R), "test")
+
     def test_sort_sample(self):
         z = np.random.default_rng(5).standard_normal(self.R)
-        assert self._peak_units(lambda: harness._sort_sample(z, "test")) <= self.LIMIT
+        assert self._peak_units(lambda: harness._sort_sample(z, "test")) <= 6.5
+
+    def test_dk(self):
+        s = self._sample()
+        assert self._peak_units(lambda: harness._dk_sorted(s)) <= 2.5
 
     def test_bootstrap(self):
-        s = harness._sort_sample(np.random.default_rng(5).standard_normal(self.R), "test")
-        assert self._peak_units(lambda: harness._bootstrap_dw_se(s, 3)) <= self.LIMIT
+        s = self._sample()
+        assert self._peak_units(lambda: harness._bootstrap_dw_se(s, 3)) <= 3.5
+
+    def test_bootstrap_peak_does_not_grow_with_resamples(self, monkeypatch):
+        s = self._sample()
+        peaks = []
+        for resamples in (2, 32):
+            monkeypatch.setattr(harness, "_BOOTSTRAP_RESAMPLES", resamples)
+            peaks.append(self._peak_units(lambda: harness._bootstrap_dw_se(s, 3)))
+        assert peaks[1] <= peaks[0] + 0.05
+
+    def test_run_sandwich(self):
+        config, data = _golden_sandwich_config(), _golden_sandwich_data(None)
+        assert config.replicates == self.R
+        assert self._peak_units(lambda: harness.run_sandwich(config, data)) <= 7.5
 
 
 class TestDkwBand:
@@ -608,12 +627,15 @@ class TestBootstrapIndices:
         r = 20_000
         monkeypatch.setattr(harness, "_DRAW_CHUNK", chunk)
         rank = np.random.default_rng(1).permutation(r)
-        drawn = np.empty(r, dtype=np.int64)
-        levels = np.empty(r - 1)
-        harness._resample_levels(np.random.default_rng(7), rank, drawn, levels)
         ranks = rank[np.random.default_rng(7).integers(0, r, size=r)]
+        drawn = np.empty(r, dtype=np.int64)
+        harness._draw_ranks(np.random.default_rng(7), rank, drawn)
         assert np.array_equal(drawn, ranks)
-        assert np.array_equal(levels, np.cumsum(np.bincount(ranks, minlength=r)[:-1]) / r)
+        # the draw buffer then holds the levels, and the counts its scratch
+        work = harness._DwWork.for_size(r)
+        harness._resample_levels(np.random.default_rng(7), rank, work)
+        assert np.array_equal(work.levels[:-1],
+                              np.cumsum(np.bincount(ranks, minlength=r)[:-1]) / r)
 
 
 class TestVerdict:
