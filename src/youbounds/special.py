@@ -6,6 +6,12 @@ what the underlying libm happens to deliver. The normal CDF takes arrays
 and the quantile floats or arrays; their exp, log and erfc are libm's,
 called per element, so a value does not depend on how its argument is
 batched.
+
+harmonic's direct sum is pinned to the last bit, so its summation order is
+part of its value: 1e6-term chunks added left to right, each summed in
+NumPy's own pairwise order. It reproduces that order over a range of k
+without building the range, from one leaf-sized work buffer kept for the
+process.
 """
 
 from __future__ import annotations
@@ -23,6 +29,10 @@ _DIRECT_MAX_K = 64
 
 # direct summation limit for harmonic numbers
 _HARMONIC_DIRECT_MAX_N = 10**7
+# terms per chunk of the direct sum, and the longest piece of a chunk that
+# is summed as one array
+_HARMONIC_CHUNK = 10**6
+_HARMONIC_LEAF = 1 << 16
 
 # elements per math.erfc pass of std_normal_cdf_array
 _CDF_CHUNK = 8192
@@ -72,27 +82,60 @@ def _log1p_sum(n: int, x: float, k0: int) -> float:
     return total + x * math.log1p((n + 1.0 - first) / first)
 
 
+@functools.lru_cache(maxsize=1)
 def harmonic(n: int) -> float:
     """Partial sum 1 + 1/2 + ... + 1/n.
 
-    Direct (pairwise, chunked) summation up to n = 1e7; beyond that the
-    standard asymptotic expansion ln n + gamma + 1/(2n) - 1/(12 n^2) +
-    1/(120 n^4) is used, whose error is O(n^-6) and therefore far below
-    float64 resolution in that range.
+    Direct summation up to n = 1e7: chunks of 1e6 terms added left to
+    right, each chunk the value of np.sum(1.0 / np.arange(start, stop + 1)).
+    The chunk edges and NumPy's pairwise split of each chunk fix the
+    rounding, so both are part of the value: any other order moves H_n,
+    and every bound at the critical rate, by ulps. _reciprocal_sum keeps
+    that order without the two 8 MB arrays per chunk. Beyond 1e7 the standard
+    asymptotic expansion ln n + gamma + 1/(2n) - 1/(12 n^2) + 1/(120 n^4)
+    is used, whose error is O(n^-6) and therefore far below float64
+    resolution in that range.
+
+    The last value is cached: at alpha = 1/2 a YOUj bound point asks for
+    H_n twice, from the pair-time transform and the jump pair sum. One
+    entry carries nothing from one tip count to the next.
     """
     if n < 1 or int(n) != n:
         raise ValueError(f"harmonic requires an integer n >= 1, got {n}")
     n = int(n)
     if n <= _HARMONIC_DIRECT_MAX_N:
         total = 0.0
-        chunk = 1_000_000
-        for start in range(1, n + 1, chunk):
-            stop = min(n, start + chunk - 1)
-            total += float(np.sum(1.0 / np.arange(start, stop + 1, dtype=np.float64)))
+        for start in range(1, n + 1, _HARMONIC_CHUNK):
+            total += _reciprocal_sum(start, min(_HARMONIC_CHUNK, n + 1 - start))
         return total
     inv = 1.0 / n
     inv2 = inv * inv
     return math.log(n) + EULER_GAMMA + 0.5 * inv - inv2 / 12.0 + inv2 * inv2 / 120.0
+
+
+def _reciprocal_sum(start: int, m: int) -> float:
+    """np.sum(1.0 / np.arange(start, start + m)), bit for bit, without the
+    arrays. NumPy's pairwise sum splits a length m at m//2 - (m//2) % 8
+    and adds the halves' sums; the same split is made here until a piece
+    fits one leaf, which np.sum then sums itself in the kept buffer."""
+    if m > _HARMONIC_LEAF:
+        half = m // 2 - (m // 2) % 8
+        return _reciprocal_sum(start, half) + _reciprocal_sum(start + half, m - half)
+    offsets, work = _harmonic_leaf_arrays()
+    leaf = work[:m]
+    np.add(offsets[:m], start, out=leaf)
+    np.divide(1.0, leaf, out=leaf)
+    return float(np.sum(leaf))
+
+
+@functools.cache
+def _harmonic_leaf_arrays() -> tuple[np.ndarray, np.ndarray]:
+    """The offsets 0, 1, ..., _HARMONIC_LEAF - 1 and a work buffer of the
+    same length, made by the first direct sum and reused by every later
+    one, so that no leaf takes fresh pages. Every caller in a process
+    shares them, so two threads must not sum at once; the package's
+    workers are processes."""
+    return np.arange(_HARMONIC_LEAF, dtype=np.float64), np.empty(_HARMONIC_LEAF)
 
 
 def zeta(r: float) -> float:

@@ -10,6 +10,7 @@ them too.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -38,6 +39,21 @@ def phi_series(z: float) -> float:
 
 def harmonic_fraction(n: int) -> Fraction:
     return sum((Fraction(1, k) for k in range(1, n + 1)), Fraction(0))
+
+
+def harmonic_numpy_chunks(n: int) -> float:
+    """H_n as the direct sum defines it, with every array built: 1e6-term
+    chunks added left to right, each chunk np.sum of its reciprocals."""
+    total = 0.0
+    for start in range(1, n + 1, 1_000_000):
+        total += _reciprocal_chunk_sum(start, min(n, start + 1_000_000 - 1))
+    return total
+
+
+@functools.cache
+def _reciprocal_chunk_sum(start: int, stop: int) -> float:
+    # cached so that many large n share their full chunks' sums
+    return float(np.sum(1.0 / np.arange(start, stop + 1, dtype=np.float64)))
 
 
 def _tail_products(n: int, y: Fraction) -> list[Fraction]:

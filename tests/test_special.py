@@ -1,6 +1,7 @@
 """Scalar special functions against frozen values and independent oracles."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from youbounds import special
+from youbounds.analytic import JumpSchedule, YouParams, bound_point
 
 import oracles
 
@@ -104,6 +106,40 @@ class TestHarmonic:
     def test_domain(self):
         with pytest.raises(ValueError):
             special.harmonic(0)
+
+
+class TestHarmonicDirectSum:
+    """The direct sum against the chunked np.sum it reproduces, compared
+    with ==: a NumPy that changes its pairwise split fails here."""
+
+    def test_bit_identical_to_chunked_numpy_sum(self):
+        leaf = special._HARMONIC_LEAF
+        ns = list(range(1, 301))
+        ns += [leaf - 1, leaf, leaf + 1, 2 * leaf - 1, 2 * leaf + 1]
+        ns += [10**6, 10**6 + 1, 2 * 10**6, 10**7]
+        # the curves_sweep grid
+        ns += [int(v) for v in np.round(np.logspace(2, 7, 200))]
+        ns += [int(v) for v in np.random.default_rng(17).integers(1, 10**7, 200, endpoint=True)]
+        bad = [n for n in ns if special.harmonic(n) != oracles.harmonic_numpy_chunks(n)]
+        assert bad == []
+
+    def test_peak_memory_below_one_megabyte(self):
+        special.harmonic.cache_clear()
+        special.harmonic(10)  # makes the kept leaf arrays
+        special.harmonic.cache_clear()
+        tracemalloc.start()
+        try:
+            special.harmonic(10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+    def test_one_miss_one_hit_per_youj_point_at_the_critical_rate(self):
+        special.harmonic.cache_clear()
+        bound_point(YouParams(0.5), JumpSchedule.constant(0.5, 1.0), 10**6)
+        info = special.harmonic.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
 
 class TestZeta:
