@@ -21,6 +21,7 @@ active per-event jump schedules.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
@@ -348,6 +349,7 @@ class AsymptoticConstants:
                 >= (2.0 * self.ev.n_power, 2 * self.ev.log_power))
 
 
+@functools.lru_cache(maxsize=1)
 def asymptotic_constants(params: YouParams,
                          schedule: JumpSchedule | None = None) -> AsymptoticConstants:
     """The rate table: leading constants and rates of ev and vv.
@@ -367,6 +369,11 @@ def asymptotic_constants(params: YouParams,
     jump-free entry is used: order-correct, but its constant understates
     the truth, which carries an extra same-order contribution from the
     jump-count fluctuations.
+
+    The table depends only on the rate and the schedule, so the last one
+    built is kept: a bound curve builds it once. Where a constant overflows
+    double precision (at rates above about 1.4e102) the vv entry is 0, inf or
+    NaN; `bound_point` refuses it, while the ev entry stays usable.
     """
     schedule = _require_closed_form(params, schedule)
     regime = classify_regime(params.alpha)
@@ -379,7 +386,10 @@ def asymptotic_constants(params: YouParams,
     p, s = schedule.p, schedule.sigma_c2
     if p * (1.0 - p) * s > 0.0:
         vv_too_small = False
-        lead = 4.0 * (2.0 * alpha / params.sigma_a2) ** 2 * s * s
+        try:
+            lead = 4.0 * (2.0 * alpha / params.sigma_a2) ** 2 * s * s
+        except OverflowError:
+            lead = math.inf
         if regime.band == "half":
             vv = RatedConstant(lead * 16.0 * p * (1.0 - p), -2.0, 1)
         else:
@@ -418,6 +428,10 @@ def bound_point(params: YouParams, schedule: JumpSchedule | None,
     if n < 2:
         raise ValueError(f"bounds need at least 2 tips, got n = {n}")
     table = asymptotic_constants(params, schedule)
+    if not (math.isfinite(table.vv.value) and table.vv.value > 0.0):
+        raise ValueError(f"the rate table cannot hold vv at alpha = {params.alpha!r} "
+                         f"(sigma_a2 = {params.sigma_a2!r}): its leading constant is "
+                         f"{table.vv.value!r} in double precision")
     ms = MomentSummary(mean=mean_ybar(n, params), ev=var_ybar_youj(n, params, schedule),
                        vv=table.vv.at(n), ve=var_cond_mean_exact(n, params))
     notes = (

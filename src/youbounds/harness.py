@@ -29,13 +29,13 @@ G and the ranks (the inverse of the sorting permutation), and dw and all
 its resamples share one set of work arrays, allocated once per sandwich
 (`_DwWork`): two 8-byte arrays of R whose roles change within a resample
 (the drawn ranks become the levels once they are counted, the counts become
-the segments' scratch), the segment terms and two masks. No full-length
-array is allocated per resample, and a sandwich holds at most about 7.3
-float64 arrays of R at its peak. The sort is not stable and Phi and the
-quantiles take whole arrays; none of this moves a bit of any statistic (see
-`_sort_sample` and `special`). The dw verdict allows for the positive
-O(R^-1/2) bias of the empirical Wasserstein distance as well as for its
-bootstrap error.
+the segment terms, the levels become the segments' D(a)) and two masks. No
+full-length array is allocated per resample, the ranks take four bytes
+while R < 2^31, and a sandwich holds at most about 5.8 float64 arrays of R
+at its peak. The sort is not stable and Phi and the quantiles take whole
+arrays; none of this moves a bit of any statistic (see `_sort_sample` and
+`special`). The dw verdict allows for the positive O(R^-1/2) bias of the
+empirical Wasserstein distance as well as for its bootstrap error.
 """
 
 from __future__ import annotations
@@ -320,7 +320,8 @@ def _sort_sample(samples, name: str) -> _SortedSample:
     them has zero width and adds zero, and the level entering and leaving a
     tie group is the same whichever order its members take, in the sample
     and in every bootstrap resample. The sorting permutation is dropped once
-    it has given the ranks, and G takes one temporary.
+    it has given the ranks, which take four bytes while R < 2^31, and G
+    takes one temporary.
     """
     z = np.asarray(samples, dtype=np.float64).ravel()
     r = len(z)
@@ -328,8 +329,8 @@ def _sort_sample(samples, name: str) -> _SortedSample:
         raise ValueError(f"{name} requires at least one sample")
     order = np.argsort(z)
     x = z[order]
-    rank = np.empty_like(order)
-    rank[order] = np.arange(r)
+    rank = np.empty(r, dtype=np.int32 if r < 2 ** 31 else np.int64)
+    rank[order] = np.arange(r, dtype=rank.dtype)
     del order
     cdf = special.std_normal_cdf_array(x)
     # x * cdf + _INV_SQRT_2PI * np.exp(-0.5 * x * x), operation for operation
@@ -358,59 +359,60 @@ def _dk_sorted(s: _SortedSample) -> float:
 @dataclass(frozen=True)
 class _DwWork:
     """The full-length work arrays of the Wasserstein statistic for a sample
-    of R, shared by dw and every bootstrap resample. Two of them change
-    roles: `levels` holds a resample's drawn ranks (as int64) until they are
-    counted and then its R - 1 levels; `scratch` holds the rank counts (as
-    int64) and then the segments' D(a). `seg`, `below` and `cross` are the
-    segment terms and masks of `_dw_segments`."""
+    of R, shared by dw and every bootstrap resample. Both arrays of R change
+    roles. `levels` holds a resample's drawn ranks (in the ranks' dtype)
+    until they are counted, then its R - 1 levels, and then the segments'
+    D(a). `seg` holds the rank counts (as int64), then the segment terms.
+    `below` and `cross` are the masks of `_dw_segments`."""
 
     levels: np.ndarray
-    scratch: np.ndarray
     seg: np.ndarray
     below: np.ndarray
     cross: np.ndarray
 
     @classmethod
     def for_size(cls, r: int) -> _DwWork:
-        m = r - 1
-        return cls(np.empty(r), np.empty(r), np.empty(m), np.empty(m, np.bool_),
-                   np.empty(m, np.bool_))
+        return cls(np.empty(r), np.empty(r), np.empty(r - 1, np.bool_),
+                   np.empty(r - 1, np.bool_))
 
 
 def _set_levels(work: _DwWork) -> None:
-    """The empirical-CDF levels from the rank counts in `scratch`: the
-    running counts over R, into `levels`. The counts are overwritten."""
-    counts = work.scratch.view(np.int64)[:-1]
-    np.divide(np.cumsum(counts, out=counts), len(work.scratch), out=work.levels[:-1])
+    """The empirical-CDF levels from the rank counts in `seg`: the running
+    counts over R, into `levels`. The counts are overwritten."""
+    counts = work.seg.view(np.int64)[:-1]
+    np.divide(np.cumsum(counts, out=counts), len(work.seg), out=work.levels[:-1])
 
 
 def _dw_segments(s: _SortedSample, work: _DwWork) -> float:
     """Exact L1 distance between the normal CDF and the step function that
     is 0 left of x[0], levels[i] on [x[i], x[i+1]] and 1 right of x[-1],
-    with the levels in `work.levels`.
+    with the levels in `work.levels`, which it overwrites.
 
     The tails are G(x[0]) and G(x[-1]) - x[-1]. On a segment [a, b] at level
     c, with D(t) = G(t) - c t: if Phi(b) <= c the segment adds D(a) - D(b),
     if Phi(a) >= c it adds D(b) - D(a), and otherwise Phi crosses c at the
     quantile zc inside the segment, where D(zc) = phi(zc), and it adds
     D(a) + D(b) - 2 phi(zc). The quantiles of all crossing segments are
-    computed in one call.
+    computed in one call. Everything read from the levels (the masks and the
+    crossing levels) is read before D(a) replaces them.
     """
     x, cdf, g = s.x, s.cdf, s.g
     total = g[0] + (g[-1] - x[-1])
     if len(x) > 1:
-        levels, da = work.levels[:-1], work.scratch[:-1]
-        seg, below, cross = work.seg, work.below, work.cross
-        np.subtract(g[:-1], np.multiply(levels, x[:-1], out=da), out=da)
-        np.subtract(g[1:], np.multiply(levels, x[1:], out=seg), out=seg)
-        np.subtract(seg, da, out=seg)
+        levels, seg = work.levels[:-1], work.seg[:-1]
+        below, cross = work.below, work.cross
         np.less_equal(cdf[1:], levels, out=below)
-        np.negative(seg, out=seg, where=below)
         # Phi(a) < c < Phi(b): below is the complement of c < Phi(b)
         np.greater(np.less(cdf[:-1], levels, out=cross), below, out=cross)
         idx = np.flatnonzero(cross)
+        c = levels[idx]
+        # D(b) into seg, then D(a) over the levels, which are no longer read
+        np.subtract(g[1:], np.multiply(levels, x[1:], out=seg), out=seg)
+        da = levels
+        np.subtract(g[:-1], np.multiply(da, x[:-1], out=da), out=da)
+        np.subtract(seg, da, out=seg)
+        np.negative(seg, out=seg, where=below)
         if idx.size:
-            c = levels[idx]
             zc = special.std_normal_quantile(c)
             db = g[idx + 1] - c * x[idx + 1]
             seg[idx] = da[idx] + db - 2.0 * _INV_SQRT_2PI * np.exp(-0.5 * zc * zc)
@@ -418,12 +420,10 @@ def _dw_segments(s: _SortedSample, work: _DwWork) -> float:
     return float(total)
 
 
-def _dw_sorted(s: _SortedSample, work: _DwWork | None = None) -> float:
+def _dw_sorted(s: _SortedSample, work: _DwWork) -> float:
     """dw of the sample itself: the levels i/R are those of the resample
     that draws every rank once."""
-    if work is None:
-        work = _DwWork.for_size(len(s.x))
-    work.scratch.view(np.int64).fill(1)
+    work.seg.view(np.int64).fill(1)
     _set_levels(work)
     return _dw_segments(s, work)
 
@@ -436,7 +436,8 @@ def empirical_dk(samples) -> float:
 def empirical_dw(samples) -> float:
     """Exact L1 distance between the sample's empirical CDF and the standard
     normal CDF (the 1-D Wasserstein distance to N(0,1))."""
-    return _dw_sorted(_sort_sample(samples, "empirical_dw"))
+    s = _sort_sample(samples, "empirical_dw")
+    return _dw_sorted(s, _DwWork.for_size(len(s.x)))
 
 
 def dkw_band(r: int) -> float:
@@ -446,7 +447,7 @@ def dkw_band(r: int) -> float:
     return math.sqrt(math.log(2.0 / _DKW_DELTA) / (2.0 * r))
 
 
-def _bootstrap_dw_se(s: _SortedSample, seed: int, work: _DwWork | None = None) -> float:
+def _bootstrap_dw_se(s: _SortedSample, seed: int, work: _DwWork) -> float:
     """Resampling standard error of the Wasserstein statistic.
 
     The bootstrap stream uses spawn key (R, 1), disjoint from every block's
@@ -456,15 +457,12 @@ def _bootstrap_dw_se(s: _SortedSample, seed: int, work: _DwWork | None = None) -
     its rank k was drawn, so its empirical CDF is the running sum of the
     rank counts over the sorted sample (segments between undrawn elements
     keep the previous level). Each resample is thus scored on the sample's
-    own Phi and G, with no sort and no CDF evaluation, in `work` (fresh
-    arrays if None), which every resample reuses: no full-length array is
-    allocated per resample.
+    own Phi and G, with no sort and no CDF evaluation, in `work`, which
+    every resample reuses: no full-length array is allocated per resample.
     """
     r = len(s.x)
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(r, 1))
     rng = np.random.Generator(np.random.PCG64(ss))
-    if work is None:
-        work = _DwWork.for_size(r)
     values = np.empty(_BOOTSTRAP_RESAMPLES)
     for b in range(_BOOTSTRAP_RESAMPLES):
         _resample_levels(rng, s.rank, work)
@@ -472,8 +470,11 @@ def _bootstrap_dw_se(s: _SortedSample, seed: int, work: _DwWork | None = None) -
     return float(np.std(values, ddof=1))
 
 
-def _draw_ranks(rng: np.random.Generator, rank: np.ndarray, out: np.ndarray) -> None:
-    """The ranks of one resample's R drawn indices, into the int64 `out`.
+def _resample_levels(rng: np.random.Generator, rank: np.ndarray, work: _DwWork) -> None:
+    """The empirical-CDF levels of one resample into `work.levels`: the
+    ranks of its R drawn indices go there, are counted into `seg` (in place,
+    where `np.bincount` would allocate the counts afresh), and are replaced
+    by the running counts over R.
 
     The indices are drawn in chunks of at most _DRAW_CHUNK, each replaced by
     its rank. The 32-bit draws behind integers(0, R) keep PCG64's spare
@@ -481,20 +482,12 @@ def _draw_ranks(rng: np.random.Generator, rank: np.ndarray, out: np.ndarray) -> 
     integers(0, R, size=R) call returns, and a chunk is small enough to come
     from reused heap memory rather than fresh pages."""
     r = len(rank)
+    drawn, counts = work.levels.view(rank.dtype)[:r], work.seg.view(np.int64)
     for lo in range(0, r, _DRAW_CHUNK):
         hi = min(r, lo + _DRAW_CHUNK)
         # every index is in range, so "clip" changes nothing; it spares the
-        # copy of `out` that the default mode makes
-        np.take(rank, rng.integers(0, r, size=hi - lo), out=out[lo:hi], mode="clip")
-
-
-def _resample_levels(rng: np.random.Generator, rank: np.ndarray, work: _DwWork) -> None:
-    """The empirical-CDF levels of one resample into `work.levels`: its
-    ranks are drawn there, counted into `scratch` (in place, where
-    `np.bincount` would allocate the counts afresh), and replaced by the
-    running counts over R."""
-    drawn, counts = work.levels.view(np.int64), work.scratch.view(np.int64)
-    _draw_ranks(rng, rank, drawn)
+        # copy of `drawn` that the default mode makes
+        np.take(rank, rng.integers(0, r, size=hi - lo), out=drawn[lo:hi], mode="clip")
     counts.fill(0)
     np.add.at(counts, drawn, 1)
     _set_levels(work)

@@ -740,6 +740,12 @@ class TestBoundPoint:
         with pytest.raises(ValueError, match=f"at least 2 tips, got n = {n}"):
             analytic.bound_point(YouParams(1.0), None, n)
 
+    def test_largest_representable_rate_is_finite(self):
+        # two tips: pochhammer_ratio's Stirling form loses its digits at far
+        # smaller rates once n > 64
+        for rep in analytic.bound_point(YouParams(1e102), None, 2).values():
+            assert 0.0 < rep.total < math.inf
+
 
 class TestBoundCurve:
     def test_grid_validation(self):
@@ -758,6 +764,20 @@ class TestBoundCurve:
         params = YouParams(alpha, 1.0, 2.0 ** -0.5)
         totals = [r[distance].total for r in analytic.bound_curve(params, None, grid)]
         assert all(b < a for a, b in zip(totals, totals[1:]))
+
+    def test_one_rate_table_per_curve(self, monkeypatch):
+        calls = []
+        zeta = special.zeta
+
+        def counted_zeta(s):
+            calls.append(s)
+            return zeta(s)
+
+        monkeypatch.setattr(special, "zeta", counted_zeta)
+        analytic.asymptotic_constants.cache_clear()
+        grid = np.unique(np.round(np.logspace(2, 7, 200)).astype(int))
+        analytic.bound_curve(YouParams(0.6), None, grid)
+        assert len(calls) == 1
 
     def test_partial_jump_probability_plateaus(self):
         params = YouParams(1.0, 1.0, 2.0 ** -0.5)
@@ -812,3 +832,10 @@ class TestLimitDistribution:
     def test_slow_regime_rejected(self):
         with pytest.raises(UnsupportedRegimeError):
             analytic.limit_distribution(YouParams(0.3))
+
+    def test_rates_beyond_the_vv_entry_keep_their_limit(self):
+        # only the ev entry is read, and it stays finite where vv does not
+        lim = analytic.limit_distribution(YouParams(1e300))
+        assert (lim.scaling, lim.variance) == ("sqrt(n)", 1.0)
+        with pytest.raises(ValueError, match="non-convergent"):
+            analytic.limit_distribution(YouParams(1e300), JumpSchedule.constant(0.5, 1.0))

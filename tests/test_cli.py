@@ -158,6 +158,23 @@ class TestBoundsCommand:
         assert len(totals) == 2
         assert all(0.0 < t < math.inf for t in totals)
 
+    @pytest.mark.parametrize("alpha", ["2e102", "1e155", "1e300"])
+    @pytest.mark.parametrize("model", [
+        pytest.param(["--model", "YOU"], id="YOU"),
+        pytest.param(["--model", "YOUj", "--p", "0.5", "--sigma-c2", "1"], id="YOUj-partial"),
+        pytest.param(["--model", "YOUj", "--p", "1", "--sigma-c2", "1"], id="YOUj-certain"),
+    ])
+    def test_rate_beyond_the_rate_table_refused(self, capsys, alpha, model):
+        # the vv constant's denominator (or its jump lead) overflows: the
+        # entry reads 0 or NaN, which printed bounds of 0, an internal
+        # invariant message or an OverflowError traceback
+        code = cli.main(["bounds", "--n", "2", "--alpha", alpha] + model)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: the rate table cannot hold vv at "
+                                       f"alpha = {float(alpha)!r}")
+
     def test_single_distance_selection(self, capsys):
         code = cli.main(["bounds", "--n", "100", "--alpha", "1.0",
                          "--distance", "kolmogorov"])

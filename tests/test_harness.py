@@ -459,7 +459,8 @@ def _assert_matches_oracles(z, seed: int) -> None:
     # absolute floor covers standard errors of resamples that are all equal
     dw = harness.empirical_dw(z)
     assert abs(dw - oracles.dw_by_level_curves(z)) <= 1e-12 * dw
-    se = harness._bootstrap_dw_se(harness._sort_sample(z, "test"), seed)
+    s = harness._sort_sample(z, "test")
+    se = harness._bootstrap_dw_se(s, seed, harness._DwWork.for_size(len(s.x)))
     reference = oracles.bootstrap_dw_se_by_resorting(z, seed)
     assert abs(se - reference) <= 1e-12 * reference + 1e-15
 
@@ -534,8 +535,9 @@ class TestGoldenStatistics:
     @pytest.mark.parametrize("kind", sorted(GOLDEN_R1000))
     def test_oracle_samples(self, kind):
         z = _oracle_sample(kind, 1000)
+        s = harness._sort_sample(z, "test")
         got = (harness.empirical_dk(z), harness.empirical_dw(z),
-               harness._bootstrap_dw_se(harness._sort_sample(z, "test"), 1000))
+               harness._bootstrap_dw_se(s, 1000, harness._DwWork.for_size(len(s.x))))
         assert got == GOLDEN_R1000[kind]
 
     @pytest.mark.parametrize("decimals", [None, 2])
@@ -548,10 +550,10 @@ class TestGoldenStatistics:
 
 class TestSandwichMemory:
     """Peak traced allocation of the full-length passes at R = 2e5, in units
-    of one float64 sample (8R bytes). The sorted sample keeps four such
-    arrays (x, Phi, G, ranks); dw and the bootstrap share two 8-byte work
-    arrays, the segment terms and two masks, which no resample adds to; dk
-    takes two arrays. A work array too many shows as a whole unit."""
+    of one float64 sample (8R bytes). The sorted sample keeps three such
+    arrays (x, Phi, G) and the 4-byte ranks; dw and the bootstrap share two
+    8-byte work arrays and two masks, which no resample adds to; dk takes
+    two arrays. A work array too many shows as a whole unit."""
 
     R = 200_000
 
@@ -570,7 +572,7 @@ class TestSandwichMemory:
 
     def test_sort_sample(self):
         z = np.random.default_rng(5).standard_normal(self.R)
-        assert self._peak_units(lambda: harness._sort_sample(z, "test")) <= 6.5
+        assert self._peak_units(lambda: harness._sort_sample(z, "test")) <= 5.0
 
     def test_dk(self):
         s = self._sample()
@@ -578,20 +580,22 @@ class TestSandwichMemory:
 
     def test_bootstrap(self):
         s = self._sample()
-        assert self._peak_units(lambda: harness._bootstrap_dw_se(s, 3)) <= 3.5
+        assert self._peak_units(lambda: harness._bootstrap_dw_se(
+            s, 3, harness._DwWork.for_size(len(s.x)))) <= 2.5
 
     def test_bootstrap_peak_does_not_grow_with_resamples(self, monkeypatch):
         s = self._sample()
         peaks = []
         for resamples in (2, 32):
             monkeypatch.setattr(harness, "_BOOTSTRAP_RESAMPLES", resamples)
-            peaks.append(self._peak_units(lambda: harness._bootstrap_dw_se(s, 3)))
+            peaks.append(self._peak_units(lambda: harness._bootstrap_dw_se(
+                s, 3, harness._DwWork.for_size(len(s.x)))))
         assert peaks[1] <= peaks[0] + 0.05
 
     def test_run_sandwich(self):
         config, data = _golden_sandwich_config(), _golden_sandwich_data(None)
         assert config.replicates == self.R
-        assert self._peak_units(lambda: harness.run_sandwich(config, data)) <= 7.5
+        assert self._peak_units(lambda: harness.run_sandwich(config, data)) <= 6.0
 
 
 class TestDkwBand:
@@ -612,30 +616,30 @@ class TestDkwBand:
 class TestBootstrapSE:
     def test_deterministic_and_positive(self):
         s = harness._sort_sample(np.random.default_rng(10).standard_normal(500), "test")
-        a = harness._bootstrap_dw_se(s, 99)
-        b = harness._bootstrap_dw_se(s, 99)
+        work = harness._DwWork.for_size(len(s.x))
+        a = harness._bootstrap_dw_se(s, 99, work)
+        b = harness._bootstrap_dw_se(s, 99, harness._DwWork.for_size(len(s.x)))
         assert a == b
         assert a > 0.0
-        assert harness._bootstrap_dw_se(s, 100) != a
+        assert harness._bootstrap_dw_se(s, 100, work) != a
 
 
 class TestBootstrapIndices:
     @pytest.mark.parametrize("chunk", [7, 8191, harness._DRAW_CHUNK])
     def test_chunked_draws_are_one_integers_call(self, chunk, monkeypatch):
         # chunks of an odd length leave PCG64's spare half-word in the
-        # generator for the next chunk, so they still give one call's indices
+        # generator for the next chunk, so they still give one call's
+        # indices, and the next resample starts where one call would leave it
         r = 20_000
         monkeypatch.setattr(harness, "_DRAW_CHUNK", chunk)
-        rank = np.random.default_rng(1).permutation(r)
-        ranks = rank[np.random.default_rng(7).integers(0, r, size=r)]
-        drawn = np.empty(r, dtype=np.int64)
-        harness._draw_ranks(np.random.default_rng(7), rank, drawn)
-        assert np.array_equal(drawn, ranks)
-        # the draw buffer then holds the levels, and the counts its scratch
+        rank = harness._sort_sample(np.random.default_rng(1).standard_normal(r), "test").rank
+        expected_rng, rng = np.random.default_rng(7), np.random.default_rng(7)
         work = harness._DwWork.for_size(r)
-        harness._resample_levels(np.random.default_rng(7), rank, work)
-        assert np.array_equal(work.levels[:-1],
-                              np.cumsum(np.bincount(ranks, minlength=r)[:-1]) / r)
+        for _ in range(2):
+            ranks = rank[expected_rng.integers(0, r, size=r)]
+            harness._resample_levels(rng, rank, work)
+            assert np.array_equal(work.levels[:-1],
+                                  np.cumsum(np.bincount(ranks, minlength=r)[:-1]) / r)
 
 
 class TestVerdict:
