@@ -548,7 +548,10 @@ def run_sandwich(config: ExperimentConfig, data: ReplicateData | None = None) ->
     Carlo mean of the variance penalty, evaluated on the same replicates.
     """
     n, params, schedule = config.n, config.params, config.schedule
-    # refuses configurations without closed-form bounds before any replicate runs
+    # refuses configurations without closed-form bounds, and rates the rate
+    # table cannot hold, before any replicate is drawn
+    upper = analytic.bound_point(params, schedule, n)
+    upper_dk, upper_dw = upper[stein.KOLMOGOROV], upper[stein.WASSERSTEIN]
     sigma2 = analytic.var_ybar_youj(n, params, schedule)
     if data is None:
         data = run_replicates(config)
@@ -567,9 +570,6 @@ def run_sandwich(config: ExperimentConfig, data: ReplicateData | None = None) ->
     dw_se = _bootstrap_dw_se(s, config.seed, work)
     del s, work
     band = dkw_band(config.replicates)
-
-    upper = analytic.bound_point(params, schedule, n)
-    upper_dk, upper_dw = upper[stein.KOLMOGOROV], upper[stein.WASSERSTEIN]
 
     t1 = analytic.var_cond_mean_exact(n, params)
     # the penalty is nonnegative in exact arithmetic; clamp the rounding fuzz
@@ -598,10 +598,13 @@ def run_sandwich(config: ExperimentConfig, data: ReplicateData | None = None) ->
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """One full run: moment estimates plus the sandwich check, both computed
     from a single pass of replicates. Where `analytic.closed_form_gap` finds
-    no bounds to check, the sandwich is None and its reason is kept."""
+    no bounds to check, the sandwich is None and its reason is kept; a rate
+    the rate table cannot hold is refused before any replicate is drawn."""
+    gap = analytic.closed_form_gap(config.params, config.schedule)
+    if gap is None:
+        analytic.bound_point(config.params, config.schedule, config.n)
     data = run_replicates(config)
     estimates = estimate_moment_summary(config, data)
-    gap = analytic.closed_form_gap(config.params, config.schedule)
     if gap is not None:
         return ExperimentResult(config, estimates, None, gap.reason)
     return ExperimentResult(config, estimates, run_sandwich(config, data))

@@ -175,29 +175,25 @@ def _draw_splits(n: int, rng: np.random.Generator, rows: int,
 
     That call runs Lemire's multiply-and-reject per value on 32-bit draws,
     and PCG64 hands those out as the low, then the high half of each 64-bit
-    word, keeping an unused high half for the next draw. Here the M values
+    word, keeping an unused high half for the next draw. Here the m values
     that need a draw (the bound-1 column needs none) take the halves of
-    ceil(M/2) raw words in that order as whole arrays: half h times bound k
+    ceil(m/2) raw words in that order as whole arrays: half h times bound k
     is a 64-bit product whose high word is the value. A value is rejected
     only if the product's low word is below (2^32 - k) mod k, which is below
     k, so that remainder is taken for the few low words below k only.
 
-    The values before the first rejected one stand. The generator is then
-    set to where they leave it: the saved state advanced by the words they
-    used, plus the spare high half if they used an odd number of halves.
-    The remaining values come from `rng.integers` itself, which also draws
-    all of them when the generator is not PCG64 or already holds a spare
-    half, or when a bound reaches 2^32.
+    The block stands whole if no value is rejected; otherwise the generator
+    goes back to its saved state and `rng.integers` draws all of it, as it
+    does when the generator is not PCG64 or already holds a spare half, or
+    when a bound reaches 2^32.
     """
     splits = buffers.array("splits", (rows, n - 1), np.int64)
-    total = splits.size
-    done = 0
+    width = n - 2
+    m = rows * width
     bits = getattr(rng, "bit_generator", None)
-    if total and type(bits) is np.random.PCG64 and n - 1 < 2**32:
+    if m > 0 and type(bits) is np.random.PCG64 and n - 1 < 2**32:
         saved = bits.state
         if not saved["has_uint32"]:
-            width = n - 2
-            m = rows * width
             words = bits.random_raw((m + 1) // 2)
             halves = buffers.array("split_halves", (rows, width), np.uint64)
             flat = halves.reshape(-1)
@@ -209,32 +205,22 @@ def _draw_splits(n: int, rng: np.random.Generator, rows: int,
             low = np.bitwise_and(product, 0xFFFFFFFF, out=halves)
             product >>= 32
             splits[:, 0] = 0
-            used = m
             suspect = np.less(low, bounds, out=buffers.array("split_suspect", low.shape,
                                                              np.bool_))
+            rejected = False
             if suspect.any():
                 at = np.flatnonzero(suspect)
                 k = bounds[at % width]
-                rejected = at[low.reshape(-1)[at] < (2**32 - k) % k]
-                if rejected.size:
-                    used = int(rejected[0])
-                    bits.state = saved
-                    bits.advance((used + 1) // 2)
-            if used:
+                rejected = (low.reshape(-1)[at] < (2**32 - k) % k).any()
+            if not rejected:
                 # NumPy keeps the last high half it took, spent or not
                 state = bits.state
-                state["has_uint32"] = used % 2
-                state["uinteger"] = int(words[(used - 1) // 2] >> 32)
+                state["has_uint32"] = m % 2
+                state["uinteger"] = int(words[-1] >> 32)
                 bits.state = state
-            done = total if used == m else used // width * (n - 1) + used % width + 1
-    if done < total:
-        row, col = divmod(done, n - 1)
-        if col:
-            splits[row, col:] = rng.integers(0, np.arange(col + 1, n), dtype=np.int64)
-            row += 1
-        if row < rows:
-            splits[row:] = rng.integers(0, np.arange(1, n), size=(rows - row, n - 1),
-                                        dtype=np.int64)
+                return splits
+            bits.state = saved
+    splits[...] = rng.integers(0, np.arange(1, n), size=(rows, n - 1), dtype=np.int64)
     return splits
 
 
@@ -246,9 +232,11 @@ def sample_tree(n: int, rng: np.random.Generator, rows: int = 1,
     The draws, in stream order: the (rows, n) period uniforms (re-drawing
     the measure-zero u = 0 cases, in row-major order, so every duration is
     strictly positive), then the (rows, n-1) splitting lineages, uniform over
-    the k alive at event k. The k-th period is the inverse-CDF Exp(k)
-    duration -log1p(-u)/k; event ages are the reverse cumulative sums of the
-    later periods.
+    the k alive at event k: the values and end state of one
+    rng.integers(0, np.arange(1, n), size=(rows, n - 1)) call, computed from
+    raw PCG64 words for the whole block or drawn by that call for all of it.
+    The k-th period is the inverse-CDF Exp(k) duration -log1p(-u)/k; event
+    ages are the reverse cumulative sums of the later periods.
     """
     if n < 1 or int(n) != n:
         raise ValueError(f"sample_tree requires an integer n >= 1, got {n}")

@@ -421,7 +421,7 @@ def criterion_8() -> CriterionResult:
     res = CriterionResult("8", "determinism: worker counts and the split stream")
     # sample_tree draws its splits from raw PCG64 words by NumPy's own rule;
     # at n = 1e5 this seed's one row meets a rejected draw, which hands the
-    # rest of the row to Generator.integers
+    # whole row to Generator.integers
     for n, rows in ((3, harness._block_size(3)), (200, harness._block_size(200)),
                     (5000, harness._block_size(5000)), (100_000, 1)):
         rng, replay = np.random.default_rng(_SEED), np.random.default_rng(_SEED)

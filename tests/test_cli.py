@@ -362,6 +362,17 @@ class TestSimulateCommand:
         assert code == 1
         assert "replicates" in capsys.readouterr().err
 
+    def test_rate_beyond_the_rate_table_refused_before_drawing(self, capsys, monkeypatch):
+        def no_draws(config):
+            raise AssertionError("a replicate was drawn")
+
+        monkeypatch.setattr(harness, "run_replicates", no_draws)
+        code = cli.main(["simulate", "--n", "2", "--alpha", "2e102",
+                         "--replicates", "1000", "--seed", "1"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "error: the rate table cannot hold vv at alpha = 2e+102")
+
     def test_json_document_shape(self, tmp_path):
         path = tmp_path / "run.json"
         assert cli.main(self.BASE + ["--json", str(path)]) == 0

@@ -751,6 +751,15 @@ class TestSandwich:
         with pytest.raises(ValueError, match="per-event"):
             harness.run_sandwich(config)
 
+    def test_rate_beyond_the_rate_table_refused_before_drawing(self, monkeypatch):
+        def no_draws(config):
+            raise AssertionError("a replicate was drawn")
+
+        monkeypatch.setattr(harness, "run_replicates", no_draws)
+        config = _you_config(n=2, alpha=2e102, replicates=100)
+        with pytest.raises(ValueError, match="cannot hold vv at alpha = 2e\\+102"):
+            harness.run_sandwich(config)
+
     @pytest.mark.parametrize("rows", [199, 201])
     def test_data_of_another_sample_size_rejected(self, rows):
         config = _you_config(n=20, replicates=200)

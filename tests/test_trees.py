@@ -12,6 +12,7 @@ that `verify` criterion 2 also uses.
 import copy
 import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -279,6 +280,12 @@ class TestDrawTree:
         assert rng.random() == replay.random()
 
 
+def _rng_holding_a_spare_half():
+    rng = np.random.default_rng(8)
+    rng.integers(0, 7)
+    return rng
+
+
 class TestSplitKernel:
     """The split draw of sample_tree against the Generator.integers call it
     replaces: the same values, and the generator left in the same state,
@@ -302,9 +309,26 @@ class TestSplitKernel:
     def test_rejection_tail(self, n):
         # a rejection is likely at n = 1e5 (seed 1 rejects, after an odd
         # number of halves) and certain at 3e5 (seed 0 after an even number),
-        # so the rest of the draw comes from Generator.integers
+        # so the whole draw comes from Generator.integers
         for seed in range(3):
             self._assert_matches_integers(n, 1, np.random.default_rng(seed))
+
+    @pytest.mark.parametrize("n, rows, make_rng", [
+        # row 0 rejects a draw for event 1825 (bound 1825)
+        pytest.param(5000, 6, partial(harness.replicate_rng, 12345, 14), id="n5000-block14"),
+        # row 146 rejects a draw for event 144
+        pytest.param(200, 163, partial(harness.replicate_rng, 12345, 3378), id="n200-block3378"),
+        pytest.param(200, 163, _rng_holding_a_spare_half, id="spare-half"),
+        pytest.param(1, 163, partial(harness.replicate_rng, 12345, 0), id="n1"),
+        pytest.param(2, 163, partial(harness.replicate_rng, 12345, 0), id="n2"),
+    ])
+    def test_engine_blocks_that_fall_back(self, n, rows, make_rng):
+        rng, replay = make_rng(), make_rng()
+        splits = trees.sample_tree(n, rng, rows).splits
+        replay.random((rows, n))
+        want = replay.integers(0, np.arange(1, n), size=(rows, n - 1), dtype=np.int64)
+        assert np.array_equal(splits, want)
+        assert rng.bit_generator.state == replay.bit_generator.state
 
     def test_generator_holding_a_spare_half_word(self):
         rng = np.random.default_rng(8)
