@@ -238,6 +238,13 @@ class TestBlockBuffers:
             for column, want in zip(got, expected):
                 assert len(column) == size
                 assert np.array_equal(column, want)
+            # every kernel, the oracle ones included, has now run on the shared
+            # buffers: no scratch array may alias what the block hands on
+            for field in dataclasses.fields(trees.TreeBlock):
+                assert np.array_equal(getattr(draws.tree, field.name),
+                                      getattr(fresh.tree, field.name)), (k, field.name)
+            if draws.flags is not None:
+                assert np.array_equal(draws.flags, fresh.flags)
 
     @pytest.mark.parametrize("collect_oracle", [False, True])
     @pytest.mark.parametrize("n", [50, 200, 5000])
@@ -261,6 +268,29 @@ class TestBlockBuffers:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * b * (n - 1) * np.dtype(np.int64).itemsize
+
+    @pytest.mark.parametrize("model,n,collect_oracle,units", [
+        ("YOUj", 200, False, 13.0),
+        ("YOUj", 200, True, 13.0),
+        ("YOU", 5000, False, 11.5),
+    ])
+    def test_chunk_peak(self, model, n, collect_oracle, units):
+        # a fresh 3-block chunk peaks at the named arrays a block hands on
+        # (times, splits, ages, counts, flags: 5.25 units of B(n-1) int64),
+        # the five shared scratch arrays (5 units, 6 with the jump uniforms)
+        # and the split draw's raw words and iterator buffers (about 1 unit)
+        schedule = JumpSchedule.constant(0.5, 1.0) if model == "YOUj" else JumpSchedule.none()
+        config = ExperimentConfig(model=model, n=n, params=YouParams(alpha=1.0, x0=0.7),
+                                  schedule=schedule, replicates=10, seed=SEED)
+        b = harness._block_size(n)
+        harness._run_chunk((config, 0, b, collect_oracle))
+        tracemalloc.start()
+        try:
+            harness._run_chunk((config, 0, 3 * b, collect_oracle))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= units * b * (n - 1) * np.dtype(np.int64).itemsize
 
 
 class TestTipAverageDraws:
