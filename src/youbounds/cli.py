@@ -24,22 +24,22 @@ from .analytic import (
 )
 from .harness import ExperimentConfig
 
-# every simulate flag has a config-file equivalent under the same name
-_CONFIG_CONVERTERS = {
-    "model": str,
-    "n": int,
-    "alpha": float,
-    "sigma_a2": float,
-    "x0": float,
-    "p": float,
-    "sigma_c2": float,
-    "schedule_file": str,
-    "replicates": int,
-    "seed": int,
-    "workers": int,
-    "json": str,
-    "csv": str,
-    "dump_tree": str,
+# simulate's settings in --help order, flag and config key: add_argument keywords
+_SETTINGS = {
+    "model": {"type": str, "choices": [MODEL_YOU, MODEL_YOUJ]},
+    "n": {"type": int},
+    "alpha": {"type": float},
+    "sigma_a2": {"type": float},
+    "x0": {"type": float},
+    "p": {"type": float},
+    "sigma_c2": {"type": float},
+    "schedule_file": {"type": str, "help": "per-event jump file: n-1 lines of 'p sigma_c2'"},
+    "replicates": {"type": int},
+    "seed": {"type": int, "help": "required; no silent nondeterminism"},
+    "workers": {"type": int},
+    "json": {"type": str, "help": "write the JSON summary here"},
+    "csv": {"type": str, "help": "write the estimates CSV here"},
+    "dump_tree": {"type": str, "help": "write the first replicate's tree as a debug dump"},
 }
 
 
@@ -64,7 +64,7 @@ def parse_config_file(path: str) -> dict[str, str]:
                     f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
             key, _, text = line.partition("=")
             key, text = key.strip(), text.strip()
-            if key not in _CONFIG_CONVERTERS:
+            if key not in _SETTINGS:
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
             if not text:
                 raise ValueError(f"{path}:{lineno}: empty value for key {key!r}")
@@ -73,19 +73,25 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 
 def _resolve_settings(args: argparse.Namespace) -> dict:
-    """Config-file values with command-line flags overriding on conflict."""
-    settings: dict = {}
-    if args.config:
+    """The command's settings: the model YOU, then config-file values (for
+    commands that take --config), then the flags given, each overriding the
+    ones before it key by key."""
+    settings: dict = {"model": MODEL_YOU}
+    if getattr(args, "config", None):
         for key, text in parse_config_file(args.config).items():
             try:
-                settings[key] = _CONFIG_CONVERTERS[key](text)
+                settings[key] = _SETTINGS[key]["type"](text)
             except ValueError:
                 raise ValueError(f"config key {key!r}: cannot parse value {text!r}")
-    for key in _CONFIG_CONVERTERS:
-        flag_value = getattr(args, key)
-        if flag_value is not None:
-            settings[key] = flag_value
+    settings.update((key, value) for key, value in vars(args).items()
+                    if key in _SETTINGS and value is not None)
     return settings
+
+
+def _you_params(settings: dict) -> YouParams:
+    """YouParams from the settings' alpha, sigma_a2 and x0; YouParams
+    supplies the defaults of those not set."""
+    return YouParams(**{k: settings[k] for k in ("alpha", "sigma_a2", "x0") if k in settings})
 
 
 def parse_schedule_file(path: str, n: int) -> JumpSchedule:
@@ -107,11 +113,11 @@ def parse_schedule_file(path: str, n: int) -> JumpSchedule:
     return JumpSchedule.per_event(tuple(pairs))
 
 
-def _build_schedule(model: str, settings: dict, n: int, file_flag: bool) -> JumpSchedule:
+def _build_schedule(settings: dict, n: int, file_flag: bool) -> JumpSchedule:
     """The settings' jump schedule; file_flag: the command takes --schedule-file."""
     jump_flags = [f"--{k.replace('_', '-')}" for k in ("p", "sigma_c2", "schedule_file")
                   if k in settings]
-    if model == MODEL_YOU:
+    if settings["model"] == MODEL_YOU:
         if jump_flags:
             raise ValueError(
                 f"jump settings {', '.join(jump_flags)} require model YOUj, not YOU")
@@ -146,18 +152,14 @@ def _print_report(report: stein.BoundReport) -> None:
     print(f"  notes: {'; '.join(report.notes)}")
 
 
-def _jump_settings(args: argparse.Namespace) -> dict:
-    """The --p and --sigma-c2 flags given on the command line."""
-    return {k: getattr(args, k) for k in ("p", "sigma_c2") if getattr(args, k) is not None}
-
-
 def cmd_bounds(args: argparse.Namespace) -> int:
-    params = YouParams(alpha=args.alpha, sigma_a2=args.sigma_a2, x0=args.x0)
-    schedule = _build_schedule(args.model, _jump_settings(args), args.n, file_flag=False)
+    settings = _resolve_settings(args)
+    params = _you_params(settings)
+    schedule = _build_schedule(settings, args.n, file_flag=False)
     point = analytic.bound_point(params, schedule, args.n)
     reports = point.values() if args.distance == "both" else [point[args.distance]]
-    print(f"model {args.model}  n {args.n}  alpha {_fmt(args.alpha)}  "
-          f"sigma_a2 {_fmt(args.sigma_a2)}  x0 {_fmt(args.x0)}  "
+    print(f"model {settings['model']}  n {args.n}  alpha {_fmt(params.alpha)}  "
+          f"sigma_a2 {_fmt(params.sigma_a2)}  x0 {_fmt(params.x0)}  "
           f"regime {_regime_cell(params, schedule)}")
     for report in reports:
         _print_report(report)
@@ -170,13 +172,11 @@ def cmd_bounds(args: argparse.Namespace) -> int:
 CURVES_HEADER = "model,alpha,n,distance,term1,term2,term3,term4,total,regime"
 
 
-def _curve_rows(model: str, alphas: list[float], distances: list[str],
-                grid: list[int], sigma_a2: float, x0: float | None,
-                schedule: JumpSchedule) -> list[str]:
+def _curve_rows(settings: dict, alphas: list[float], distances: list[str],
+                grid: list[int], schedule: JumpSchedule) -> list[str]:
     rows = []
     for alpha in alphas:
-        params = YouParams(alpha=alpha, sigma_a2=sigma_a2,
-                           x0=(2.0 * alpha) ** -0.5 if x0 is None else x0)
+        params = _you_params({"x0": (2.0 * alpha) ** -0.5, **settings, "alpha": alpha})
         cell = _regime_cell(params, schedule)
         curve = analytic.bound_curve(params, schedule, grid)
         for distance in distances:
@@ -184,7 +184,7 @@ def _curve_rows(model: str, alphas: list[float], distances: list[str],
                 report = point[distance]
                 terms = list(report.term_values()) + [math.nan] * (4 - len(report.terms))
                 rows.append(",".join(
-                    [model, _fmt(alpha), str(n), distance]
+                    [settings["model"], _fmt(alpha), str(n), distance]
                     + [_fmt(t) for t in terms]
                     + [_fmt(report.total), cell]))
     return rows
@@ -226,10 +226,11 @@ def cmd_curves(args: argparse.Namespace) -> int:
     if args.n_min < 2 or args.n_max <= args.n_min or args.points < 2:
         raise ValueError("need 2 <= n-min < n-max and points >= 2")
     grid = sorted({int(round(v)) for v in np.geomspace(args.n_min, args.n_max, args.points)})
-    defaults = {"p": 0.5, "sigma_c2": 1.0} if args.model == MODEL_YOUJ else {}
-    schedule = _build_schedule(args.model, {**defaults, **_jump_settings(args)}, args.n_max,
-                               file_flag=False)
-    rows = _curve_rows(args.model, alphas, distances, grid, args.sigma_a2, args.x0, schedule)
+    settings = _resolve_settings(args)
+    if settings["model"] == MODEL_YOUJ:
+        settings = {"p": 0.5, "sigma_c2": 1.0, **settings}
+    schedule = _build_schedule(settings, args.n_max, file_flag=False)
+    rows = _curve_rows(settings, alphas, distances, grid, schedule)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(CURVES_HEADER + "\n")
         fh.write("\n".join(rows) + "\n")
@@ -326,13 +327,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             raise ValueError(
                 f"missing required setting {key!r} (flag --{key.replace('_', '-')} "
                 f"or config key {key})")
-    model = settings.get("model", MODEL_YOU)
     n = settings["n"]
-    params = YouParams(alpha=settings["alpha"],
-                       sigma_a2=settings.get("sigma_a2", 1.0),
-                       x0=settings.get("x0", 0.0))
-    schedule = _build_schedule(model, settings, n, file_flag=True)
-    config = ExperimentConfig(model=model, n=n, params=params, schedule=schedule,
+    config = ExperimentConfig(model=settings["model"], n=n, params=_you_params(settings),
+                              schedule=_build_schedule(settings, n, file_flag=True),
                               replicates=settings["replicates"], seed=settings["seed"],
                               workers=harness.resolve_workers(settings.get("workers"), 1))
 
@@ -376,6 +373,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+def _add_flags(parser: argparse.ArgumentParser, keys, **extra: dict) -> None:
+    """A flag with no default for each named setting of _SETTINGS; extra:
+    add_argument keywords for a key, added to or replacing the table's."""
+    for key in keys:
+        spec = {**_SETTINGS[key], **extra.get(key, {})}
+        parser.add_argument("--" + key.replace("_", "-"), **spec)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="youbounds",
@@ -383,20 +388,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_bounds = sub.add_parser("bounds", help="evaluate the upper bound at one point")
-    p_bounds.add_argument("--model", choices=[MODEL_YOU, MODEL_YOUJ], default=MODEL_YOU)
-    p_bounds.add_argument("--n", type=int, required=True)
-    p_bounds.add_argument("--alpha", type=float, required=True)
-    p_bounds.add_argument("--sigma-a2", type=float, default=1.0)
-    p_bounds.add_argument("--x0", type=float, default=0.0)
-    p_bounds.add_argument("--p", type=float, default=None)
-    p_bounds.add_argument("--sigma-c2", type=float, default=None)
+    _add_flags(p_bounds, ["model", "n", "alpha", "sigma_a2", "x0", "p", "sigma_c2"],
+               n={"required": True}, alpha={"required": True})
     p_bounds.add_argument("--distance",
                           choices=[stein.KOLMOGOROV, stein.WASSERSTEIN, "both"],
                           default="both")
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_curves = sub.add_parser("curves", help="emit bound curves over n as CSV")
-    p_curves.add_argument("--model", choices=[MODEL_YOU, MODEL_YOUJ], default=MODEL_YOU)
+    _add_flags(p_curves, ["model"])
     p_curves.add_argument("--alphas", default="0.5,0.75,1,2",
                           help="comma-separated adaptation rates")
     p_curves.add_argument("--distance",
@@ -405,13 +405,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_curves.add_argument("--n-min", type=int, default=100)
     p_curves.add_argument("--n-max", type=int, default=1_000_000)
     p_curves.add_argument("--points", type=int, default=25)
-    p_curves.add_argument("--sigma-a2", type=float, default=1.0)
-    p_curves.add_argument("--x0", type=float, default=None,
-                          help="ancestral offset; default (2 alpha)^{-1/2} per alpha")
-    p_curves.add_argument("--p", type=float, default=None,
-                          help="jump probability (jump model only; default 0.5)")
-    p_curves.add_argument("--sigma-c2", type=float, default=None,
-                          help="jump variance (jump model only; default 1)")
+    _add_flags(p_curves, ["sigma_a2", "x0", "p", "sigma_c2"],
+               x0={"help": "ancestral offset; default (2 alpha)^{-1/2} per alpha"},
+               p={"help": "jump probability (jump model only; default 0.5)"},
+               sigma_c2={"help": "jump variance (jump model only; default 1)"})
     p_curves.add_argument("--out", required=True)
     p_curves.add_argument("--gnuplot", default=None,
                           help="also write a gnuplot command file here")
@@ -419,23 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo experiment")
     p_sim.add_argument("--config", default=None, help="key = value settings file")
-    p_sim.add_argument("--model", choices=[MODEL_YOU, MODEL_YOUJ], default=None)
-    p_sim.add_argument("--n", type=int, default=None)
-    p_sim.add_argument("--alpha", type=float, default=None)
-    p_sim.add_argument("--sigma-a2", type=float, default=None)
-    p_sim.add_argument("--x0", type=float, default=None)
-    p_sim.add_argument("--p", type=float, default=None)
-    p_sim.add_argument("--sigma-c2", type=float, default=None)
-    p_sim.add_argument("--schedule-file", default=None,
-                       help="per-event jump file: n-1 lines of 'p sigma_c2'")
-    p_sim.add_argument("--replicates", type=int, default=None)
-    p_sim.add_argument("--seed", type=int, default=None,
-                       help="required; no silent nondeterminism")
-    p_sim.add_argument("--workers", type=int, default=None)
-    p_sim.add_argument("--json", default=None, help="write the JSON summary here")
-    p_sim.add_argument("--csv", default=None, help="write the estimates CSV here")
-    p_sim.add_argument("--dump-tree", default=None,
-                       help="write the first replicate's tree as a debug dump")
+    _add_flags(p_sim, _SETTINGS)
     p_sim.set_defaults(func=cmd_simulate)
 
     p_verify = sub.add_parser("verify", help="run the self-verification suite")

@@ -741,10 +741,25 @@ class TestBoundPoint:
             analytic.bound_point(YouParams(1.0), None, n)
 
     def test_largest_representable_rate_is_finite(self):
-        # two tips: pochhammer_ratio's Stirling form loses its digits at far
-        # smaller rates once n > 64
         for rep in analytic.bound_point(YouParams(1e102), None, 2).values():
             assert 0.0 < rep.total < math.inf
+
+    def test_every_rate_gets_bounds_or_a_message(self):
+        # 400 log-spaced rates up to 1e300: from about 1.2e17 the Stirling form
+        # of the height transform cancelled to a negative sum, which ended in an
+        # OverflowError or a negative ev; the rate table overflows from 6.5e102
+        schedules = (None, JumpSchedule.constant(0.5, 1.0), JumpSchedule.constant(1.0, 1.0))
+        for alpha in np.geomspace(0.5, 1e300, 400).tolist():
+            for n in (2, 3, 10, 100, 10**3, 10**5, 10**7):
+                for schedule in schedules:
+                    try:
+                        point = analytic.bound_point(YouParams(alpha, 1.0, 1.0), schedule, n)
+                    except ValueError as exc:
+                        assert f"alpha = {alpha!r}" in str(exc)
+                        continue
+                    for rep in point.values():
+                        assert 0.0 < rep.total < math.inf
+                        assert all(math.isfinite(v) for v in rep.term_values())
 
 
 class TestBoundCurve:

@@ -81,6 +81,59 @@ class TestFlagPrecedence:
             cli._resolve_settings(args)
 
 
+class TestOneSettingsPath:
+    """The simulate settings table and the trait defaults, seen only through
+    the command line."""
+
+    @pytest.mark.parametrize("jump_keys", [
+        pytest.param({"p": "0.5", "sigma_c2": "2"}, id="constant-schedule"),
+        pytest.param({"schedule_file": "jumps.txt"}, id="schedule-file"),
+    ])
+    def test_config_file_writes_what_flags_write(self, tmp_path, monkeypatch, jump_keys):
+        # the two cases hold all 14 keys between them: a schedule file
+        # replaces p and sigma_c2
+        monkeypatch.chdir(tmp_path)
+        _write(tmp_path / "jumps.txt", "0.5 2\n" * 11)
+        common = {"model": "YOUj", "n": "12", "alpha": "1.5", "sigma_a2": "2", "x0": "0.3",
+                  **jump_keys, "replicates": "80", "seed": "9", "workers": "2"}
+        blobs = []
+        for route in ("flags", "config"):
+            (tmp_path / route).mkdir()
+            given = {**common, "json": f"{route}/run.json", "csv": f"{route}/est.csv",
+                     "dump_tree": f"{route}/tree.txt"}
+            if route == "flags":
+                argv = [a for k, v in given.items() for a in (f"--{k.replace('_', '-')}", v)]
+            else:
+                text = "".join(f"{k} = {v}\n" for k, v in given.items())
+                argv = ["--config", _write(tmp_path / "run.cfg", text)]
+            assert cli.main(["simulate"] + argv) == 0
+            blobs.append([(tmp_path / given[k]).read_bytes()
+                          for k in ("json", "csv", "dump_tree")])
+        assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("argv,defaults", [
+        pytest.param(["bounds", "--n", "500", "--alpha", "1.5"],
+                     ["--sigma-a2", "1", "--x0", "0"], id="bounds"),
+        pytest.param(["bounds", "--model", "YOUj", "--p", "1", "--sigma-c2", "1", "--n", "500",
+                      "--alpha", "1.5"], ["--sigma-a2", "1", "--x0", "0"], id="bounds-YOUj"),
+        # curves' offset defaults to (2 alpha)^-1/2 for each rate: 0.5 at alpha 2
+        pytest.param(["curves", "--alphas", "2", "--points", "3", "--n-max", "1000",
+                      "--out", "OUT"], ["--sigma-a2", "1", "--x0", "0.5"], id="curves"),
+        pytest.param(["simulate", "--n", "20", "--alpha", "1.5", "--replicates", "60",
+                      "--seed", "3", "--json", "OUT"], ["--sigma-a2", "1", "--x0", "0"],
+                     id="simulate"),
+    ])
+    def test_omitted_trait_flags_take_the_defaults(self, tmp_path, capsys, argv, defaults):
+        out = tmp_path / "out"
+        runs = []
+        for extra in ([], defaults):
+            assert cli.main([str(out) if a == "OUT" else a for a in argv] + extra) == 0
+            text = out.read_text(encoding="utf-8") if out.exists() else None
+            runs.append((capsys.readouterr().out, text))
+            out.unlink(missing_ok=True)
+        assert runs[0] == runs[1]
+
+
 class TestWorkerDefaults:
     def test_explicit_setting_wins(self, monkeypatch):
         monkeypatch.setenv("YOUBOUNDS_WORKERS", "3")

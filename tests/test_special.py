@@ -19,6 +19,23 @@ import oracles
 # value frozen from an independent 1e8-term partial sum plus integral tail
 ZETA_3_2 = 2.612375348685488
 
+# sum_{k=k0..n} log1p(x/k) = lgamma(n+1+x) - lgamma(k0+x) - lgamma(n+1) +
+# lgamma(k0) above x = 2^53, frozen from mpmath's loggamma at 60 + log10(x)
+# digits; x is 2 alpha (k0 = 1) or 2 alpha - 1 (k0 = 3), from 2^53 to 1e300
+LOG1P_SUM_LARGE_X = [
+    (65, 9007199254740994.0, 1, 2178.549450276475),
+    (100, 1.1566976396472284e+18, 1, 3795.470700106232),
+    (101, 1.1566976396472284e+18, 3, 3749.956626013333),
+    (1000, 2e+19, 1, 38530.13576895865),
+    (1001, 2e+19, 3, 38479.47789741245),
+    (1000, 6.705e+21, 1, 44345.01229112044),
+    (100001, 2.669861582183586e+50, 3, 10559701.974920494),
+    (10000000, 1.24671400386e+27, 1, 472722122.5513042),
+    (10000001, 1.24671400386e+27, 3, 472722044.73604685),
+    (65, 1e+300, 1, 44691.066726631354),
+    (10000000, 1e+300, 3, 6756572932.636659),
+]
+
 
 class TestPochhammerRatio:
     def test_trivial_values(self):
@@ -66,6 +83,12 @@ class TestPochhammerRatio:
         for x in (0.5, 1.0, 2.0):
             ratio = 1e6 ** x * special.pochhammer_ratio(1_000_000, x)
             assert ratio == pytest.approx(math.gamma(x + 1.0), rel=1e-3)
+
+    @pytest.mark.parametrize("n,x,k0,exact", LOG1P_SUM_LARGE_X)
+    def test_log1p_sum_at_large_x(self, n, x, k0, exact):
+        # the Stirling difference in x cancelled here, to a sum of the
+        # wrong size or sign
+        assert abs(special._log1p_sum(n, x, k0) - exact) <= 1e-15 * exact
 
     def test_domain(self):
         with pytest.raises(ValueError):
