@@ -13,9 +13,10 @@ constants (the only source for the variance of its conditional variance,
 the limit variance and the plateau rule), and assembled distance-bound
 curves.
 
-`closed_form_gap` is the one rule for where bounds exist: not below the
-critical rate alpha = 1/2, where no normal limit is expected, and not for
-active per-event jump schedules.
+One gate, `_closed_form_schedule`, decides where closed forms exist: not
+for active per-event jump schedules, and not below the critical rate
+alpha = 1/2, where no normal limit is expected. Every closed form that needs
+it asks it, so they all refuse the same configurations the same way.
 """
 
 from __future__ import annotations
@@ -57,8 +58,8 @@ class YouParams:
     """Trait-process parameters.
 
     alpha is the mean-reversion rate, sigma_a2 the diffusion variance, x0 the
-    ancestral state. The derived dimensionless offset delta = x0 *
-    sqrt(2 alpha / sigma_a2) is what all normalized formulas depend on.
+    ancestral state. All normalized formulas depend on the dimensionless
+    offset delta = x0 sqrt(2 alpha / sigma_a2), whose square must be finite.
     """
 
     alpha: float
@@ -72,6 +73,9 @@ class YouParams:
             raise ValueError(f"sigma_a2 must be finite and > 0, got {self.sigma_a2}")
         if not math.isfinite(self.x0):
             raise ValueError(f"x0 must be finite, got {self.x0}")
+        if not math.isfinite(self.delta * self.delta):
+            raise ValueError(f"offset x0 sqrt(2 alpha / sigma_a2) has no finite square at x0 = "
+                             f"{self.x0!r}, alpha = {self.alpha!r}, sigma_a2 = {self.sigma_a2!r}")
 
     @property
     def delta(self) -> float:
@@ -203,7 +207,7 @@ def var_ybar_you(n: int, params: YouParams) -> float:
     """
     if n < 2:
         raise ValueError(f"var_ybar_you requires n >= 2, got {n}")
-    _require_closed_form(params, None)
+    _closed_form_schedule(params, None)
     two_alpha = 2.0 * params.alpha
     pair = laplace_pair_time(n, two_alpha)
     height = special.pochhammer_ratio(n, two_alpha)
@@ -263,33 +267,20 @@ def _below_critical(alpha: float) -> bool:
     return alpha <= 0.0 or classify_regime(alpha).kind == "slow"
 
 
-def _normalize_schedule(schedule: JumpSchedule | None) -> JumpSchedule:
-    """An absent or inactive schedule is no schedule: no jumps."""
+def _closed_form_schedule(params: YouParams, schedule: JumpSchedule | None) -> JumpSchedule:
+    """The gate of the closed forms: the schedule they read, an absent or
+    inactive one being no jumps. Refuses an active per-event schedule first,
+    then a rate below the critical one; each error's `reason` says why."""
     if schedule is None or schedule.is_inactive:
-        return JumpSchedule.none()
-    return schedule
-
-
-def closed_form_gap(params: YouParams, schedule: JumpSchedule | None) -> ValueError | None:
-    """None where the closed-form bounds exist, else the error refusing them,
-    whose `reason` says why: an active per-event schedule (named first) or a
-    rate below the critical one."""
-    if _normalize_schedule(schedule).kind == "per_event":
-        return PerEventScheduleError(
+        schedule = JumpSchedule.none()
+    elif schedule.kind == "per_event":
+        raise PerEventScheduleError(
             "per-event jump schedules have no closed form; run them through "
             "the Monte Carlo harness instead"
         )
     if _below_critical(params.alpha):
-        return UnsupportedRegimeError(UNSUPPORTED_REGIME_MSG)
-    return None
-
-
-def _require_closed_form(params: YouParams, schedule: JumpSchedule | None) -> JumpSchedule:
-    """The normalized schedule, or the closed-form gap raised."""
-    gap = closed_form_gap(params, schedule)
-    if gap is not None:
-        raise gap
-    return _normalize_schedule(schedule)
+        raise UnsupportedRegimeError(UNSUPPORTED_REGIME_MSG)
+    return schedule
 
 
 def var_ybar_youj(n: int, params: YouParams, schedule: JumpSchedule | None) -> float:
@@ -299,7 +290,7 @@ def var_ybar_youj(n: int, params: YouParams, schedule: JumpSchedule | None) -> f
     Jump-free value plus (1/n) scale jsm_single + (1 - 1/n) scale jsm_pair,
     where scale = (2 alpha / sigma_a2) sigma_c2.
     """
-    schedule = _require_closed_form(params, schedule)
+    schedule = _closed_form_schedule(params, schedule)
     base = var_ybar_you(n, params)
     if schedule.kind == "none":
         return base
@@ -375,7 +366,7 @@ def asymptotic_constants(params: YouParams,
     double precision (at rates above about 1.4e102) the vv entry is 0, inf or
     NaN; `bound_point` refuses it, while the ev entry stays usable.
     """
-    schedule = _require_closed_form(params, schedule)
+    schedule = _closed_form_schedule(params, schedule)
     regime = classify_regime(params.alpha)
     alpha = params.alpha
     jump_lift = 1.0 + 2.0 * schedule.p * schedule.sigma_c2 / params.sigma_a2

@@ -83,6 +83,9 @@ def _resolve_settings(args: argparse.Namespace) -> dict:
                 settings[key] = _SETTINGS[key]["type"](text)
             except ValueError:
                 raise ValueError(f"config key {key!r}: cannot parse value {text!r}")
+            choices = _SETTINGS[key].get("choices")
+            if choices and settings[key] not in choices:
+                raise ValueError(f"config key {key!r}: {text!r} is not one of {choices}")
     settings.update((key, value) for key, value in vars(args).items()
                     if key in _SETTINGS and value is not None)
     return settings
@@ -102,11 +105,12 @@ def parse_schedule_file(path: str, n: int) -> JumpSchedule:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            parts = line.split()
-            if len(parts) != 2:
+            try:
+                p, sigma_c2 = map(float, line.split())
+            except ValueError:  # not two fields, or not two numbers
                 raise ValueError(
                     f"{path}:{lineno}: expected 'p sigma_c2', got {raw.strip()!r}")
-            pairs.append((float(parts[0]), float(parts[1])))
+            pairs.append((p, sigma_c2))
     if len(pairs) != n - 1:
         raise ValueError(
             f"{path}: has {len(pairs)} schedule rows, expected n-1 = {n - 1}")
@@ -218,7 +222,10 @@ def _gnuplot_text(csv_rows: list[str]) -> str:
 
 
 def cmd_curves(args: argparse.Namespace) -> int:
-    alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
+    try:
+        alphas = [float(a) for a in args.alphas.split(",") if a.strip()]
+    except ValueError:
+        raise ValueError(f"--alphas must be comma-separated numbers, got {args.alphas!r}")
     if not alphas:
         raise ValueError("--alphas must name at least one rate")
     distances = ([stein.KOLMOGOROV, stein.WASSERSTEIN]

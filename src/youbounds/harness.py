@@ -597,17 +597,20 @@ def run_sandwich(config: ExperimentConfig, data: ReplicateData | None = None) ->
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """One full run: moment estimates plus the sandwich check, both computed
-    from a single pass of replicates. Where `analytic.closed_form_gap` finds
-    no bounds to check, the sandwich is None and its reason is kept; a rate
-    the rate table cannot hold is refused before any replicate is drawn."""
-    gap = analytic.closed_form_gap(config.params, config.schedule)
-    if gap is None:
+    from a single pass of replicates. The bounds are asked for before any
+    replicate is drawn. Where the closed forms refuse the configuration (an
+    active per-event schedule, a rate below the critical one), the sandwich
+    is None and the refusal's reason is kept; any other refusal, such as a
+    rate the rate table cannot hold, ends the run."""
+    try:
         analytic.bound_point(config.params, config.schedule, config.n)
+        omitted = None
+    except (analytic.PerEventScheduleError, analytic.UnsupportedRegimeError) as refusal:
+        omitted = refusal.reason
     data = run_replicates(config)
     estimates = estimate_moment_summary(config, data)
-    if gap is not None:
-        return ExperimentResult(config, estimates, None, gap.reason)
-    return ExperimentResult(config, estimates, run_sandwich(config, data))
+    sandwich = None if omitted is not None else run_sandwich(config, data)
+    return ExperimentResult(config, estimates, sandwich, omitted)
 
 
 @dataclass(frozen=True)
@@ -630,36 +633,26 @@ def _z_score(estimate: float, closed_form: float, se: float) -> float:
 
 def oracle_checks(config: ExperimentConfig) -> list[OracleCheck]:
     """Every closed form this package trusts, tested against its own Monte
-    Carlo estimate at |z| <= 4. Where `analytic.closed_form_gap` finds no
-    closed forms, its error is raised before anything is drawn."""
-    gap = analytic.closed_form_gap(config.params, config.schedule)
-    if gap is not None:
-        raise gap
-    data = run_replicates(config, collect_oracle=True)
-    n, params = config.n, config.params
+    Carlo estimate at |z| <= 4. The closed forms are evaluated before
+    anything is drawn, `analytic.var_ybar_youj` first, so a configuration
+    without them is refused by its gate with nothing drawn."""
+    n, params, schedule = config.n, config.params, config.schedule
+    cond_var_mean = analytic.var_ybar_youj(n, params, schedule)
     two_alpha = 2.0 * params.alpha
-    assert data.oracle is not None
-    checks: list[tuple[str, float, EstimateWithSE]] = [
-        ("height_laplace[x=1]", analytic.laplace_height(n, 1.0),
-         _mean_estimate(data.oracle["exp_height_1"])),
-        ("height_laplace[x=2a]", analytic.laplace_height(n, two_alpha),
-         _mean_estimate(data.oracle["exp_height_2a"])),
-        ("pair_laplace[y=1]", analytic.laplace_pair_time(n, 1.0),
-         _mean_estimate(data.oracle["pair_1"])),
-        ("pair_laplace[y=2a]", analytic.laplace_pair_time(n, two_alpha),
-         _mean_estimate(data.oracle["pair_2a"])),
-    ]
+    closed = [analytic.laplace_height(n, 1.0), analytic.laplace_height(n, two_alpha),
+              analytic.laplace_pair_time(n, 1.0), analytic.laplace_pair_time(n, two_alpha)]
     if config.model == MODEL_YOUJ:
-        checks.append(("jump_single_mean",
-                       analytic.jump_single_lineage_mean(n, params.alpha, config.schedule.p),
-                       _mean_estimate(data.oracle["jump_single"])))
-        checks.append(("jump_pair_mean",
-                       analytic.jump_pair_shared_mean(n, params.alpha, config.schedule.p),
-                       _mean_estimate(data.oracle["jump_pair"])))
-    checks.append(("cond_var_mean", analytic.var_ybar_youj(n, params, config.schedule),
-                   _mean_estimate(data.cond_var)))
-    checks.append(("cond_mean_var", analytic.var_cond_mean_exact(n, params),
-                   _variance_estimate(data.cond_mean)))
+        closed += [analytic.jump_single_lineage_mean(n, params.alpha, schedule.p),
+                   analytic.jump_pair_shared_mean(n, params.alpha, schedule.p)]
+    cond_mean_var = analytic.var_cond_mean_exact(n, params)
+    data = run_replicates(config, collect_oracle=True)
+    # one name per oracle column, in the order of _oracle_keys
+    names = ("height_laplace[x=1]", "height_laplace[x=2a]", "pair_laplace[y=1]",
+             "pair_laplace[y=2a]", "jump_single_mean", "jump_pair_mean")
+    checks = [(name, value, _mean_estimate(column))
+              for name, value, column in zip(names, closed, data.oracle.values())]
+    checks.append(("cond_var_mean", cond_var_mean, _mean_estimate(data.cond_var)))
+    checks.append(("cond_mean_var", cond_mean_var, _variance_estimate(data.cond_mean)))
 
     out = []
     for name, closed_form, est in checks:

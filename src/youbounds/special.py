@@ -194,7 +194,7 @@ def std_normal_cdf_array(z: np.ndarray) -> np.ndarray:
     numpy-only erfc (rational approximations such as Cody's) would be
     several times faster, but it rounds differently and would move every
     empirical dk and dw by ulps; it is left for the conditional-CDF
-    statistics that need many more evaluations (ROADMAP item 3).
+    statistics that need many more evaluations (ROADMAP item 6).
     """
     flat = np.asarray(z, dtype=np.float64).ravel()
     out = np.empty(flat.size)

@@ -15,14 +15,14 @@ log2 of the slot-tree depth). `sample_tree` draws and builds a block,
 kernel. The Monte Carlo harness calls them once per block of replicates; a
 single tree is a block with B = 1.
 
-Every kernel works in a `BlockBuffers`: what a block hands on (the
-`TreeBlock` fields and the jump flags) goes into named arrays, which last
-until the next block is drawn into the same buffers, and temporaries go into
-a few numbered scratch arrays that all kernels share, which last only until
-the kernel that asked for them returns. The harness keeps one `BlockBuffers`
-for all the blocks of a chunk, so a block reuses the previous block's pages
-instead of faulting in fresh ones; every other caller gets a fresh one per
-call, through the same code.
+Every kernel takes its arrays from a `BlockBuffers`, one grow-only byte
+buffer per key: what a block hands on (the `TreeBlock` fields and the jump
+flags) goes under named keys and lasts until the next block is drawn into
+the same buffers, and temporaries go under a few numbered keys that all
+kernels share and last only until the kernel that asked for them returns.
+The harness keeps one `BlockBuffers` for all the blocks of a chunk, so a
+block reuses the previous block's pages instead of faulting in fresh ones;
+every other caller gets a fresh one per call, through the same code.
 
 Daughter counts come from the slot tree. Event k keeps the split lineage in
 its slot splits[k-1] and puts the new lineage in slot k, so slot k hangs below
@@ -53,45 +53,36 @@ from .analytic import JumpSchedule, YouParams
 class BlockBuffers:
     """The work arrays of the block kernels, kept from one block to the next.
 
-    Named arrays hold what a block hands on: the `TreeBlock` fields and the
-    jump flags. A kernel asks for one by name, shape and dtype. The first
-    request allocates it; a later request with the same shape and dtype
-    returns the same array, uninitialised as far as the kernel is concerned,
-    and any other request replaces it. Each name has one owner, so a named
-    array stays intact until its kernel runs again, on the next block.
+    A kernel asks for an array by key, shape and dtype, and gets a view of
+    the key's byte buffer, uninitialised as far as the kernel is concerned.
+    A byte buffer grows to the largest request it has met and then serves
+    every later one, each shape and dtype through one cached view, so a
+    lookup costs one dict get.
 
-    Scratch arrays hold the temporaries. Scratch array k is a view of the
-    k-th of a few byte buffers that every kernel shares, so it is valid only
-    inside the kernel that asked for it: a kernel hands none on, and holds
-    none across a call to another kernel. A byte buffer grows to the largest
-    request it has met and then serves every later one, each shape and dtype
-    through one cached view, so a lookup costs one dict get. The kernels use
-    k = 0 to 4 (`daughter_counts` all five, the others at most three).
+    A named key holds what a block hands on: `times`, `splits`, `ages` and
+    `counts` (the `TreeBlock` fields) and `flags`. Each name has one owner,
+    so its array stays intact until its kernel runs again, on the next
+    block. A numbered key holds a temporary that every kernel shares, so it
+    is valid only inside the kernel that asked for it: a kernel hands none
+    on, and holds none across a call to another kernel. The kernels use
+    0 to 4 (`daughter_counts` all five, the others at most three).
     """
 
     def __init__(self) -> None:
-        self._arrays: dict[str, np.ndarray] = {}
-        self._raw: dict[int, np.ndarray] = {}
+        self._raw: dict[str | int, np.ndarray] = {}
         self._views: dict[tuple, np.ndarray] = {}
 
-    def array(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-        held = self._arrays.get(name)
-        if held is None or held.shape != shape or held.dtype != dtype:
-            held = self._arrays[name] = np.empty(shape, dtype)
-        return held
-
-    def scratch(self, k: int, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-        key = (k, shape, dtype)
-        view = self._views.get(key)
+    def array(self, key: str | int, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        view = self._views.get((key, shape, dtype))
         if view is None:
             nbytes = math.prod(shape) * np.dtype(dtype).itemsize
-            raw = self._raw.get(k)
+            raw = self._raw.get(key)
             if raw is None or raw.nbytes < nbytes:
                 # let go of the old bytes, and every view of them, before taking more
-                self._views = {other: v for other, v in self._views.items() if other[0] != k}
-                self._raw[k] = raw = None
-                raw = self._raw[k] = np.empty(nbytes, np.uint8)
-            view = self._views[key] = raw[:nbytes].view(dtype).reshape(shape)
+                self._views = {other: v for other, v in self._views.items() if other[0] != key}
+                self._raw[key] = raw = None
+                raw = self._raw[key] = np.empty(nbytes, np.uint8)
+            view = self._views[key, shape, dtype] = raw[:nbytes].view(dtype).reshape(shape)
         return view
 
 
@@ -156,10 +147,10 @@ def daughter_counts(splits: np.ndarray, buffers: BlockBuffers | None = None) -> 
     b, m = splits.shape
     n = m + 1
     total = b * n
-    jump = buffers.scratch(0, (total + 1,), np.intp)
-    spare = buffers.scratch(1, (total + 1,), np.intp)
-    size = buffers.scratch(2, (total + 1,), np.int64)
-    below = buffers.scratch(3, (total + 1,), np.int64)
+    jump = buffers.array(0, (total + 1,), np.intp)
+    spare = buffers.array(1, (total + 1,), np.intp)
+    size = buffers.array(2, (total + 1,), np.int64)
+    below = buffers.array(3, (total + 1,), np.int64)
     slots = jump[:total].reshape(b, n)
     slots[:, 0] = total
     slots[:, 1:] = _parent_slots(splits, spare[:b * m].reshape(b, m), below[:b * m].reshape(b, m))
@@ -190,7 +181,7 @@ def daughter_counts(splits: np.ndarray, buffers: BlockBuffers | None = None) -> 
     wide += step  # a child's slot is its row's offset, still in step,
     np.copyto(step, np.arange(1, n))
     wide += step  # plus its event number
-    keys = buffers.scratch(3, (b * m,), np.uint32 if shift <= 16 else np.uint64)
+    keys = buffers.array(3, (b * m,), np.uint32 if shift <= 16 else np.uint64)
     np.copyto(keys, wide.reshape(-1), casting="unsafe")
     keys.sort()
     parent = np.right_shift(keys, shift, out=spare[:b * m], casting="unsafe")
@@ -200,7 +191,7 @@ def daughter_counts(splits: np.ndarray, buffers: BlockBuffers | None = None) -> 
     size -= 1
     np.cumsum(size, out=size)
     size += 1
-    left = np.take(size, parent, out=buffers.scratch(4, (b * m,), np.int64), mode="clip")
+    left = np.take(size, parent, out=buffers.array(4, (b * m,), np.int64), mode="clip")
     left -= through
     size[child] = left
     counts[:, :, 0] = size[:total].reshape(b, n)[:, 1:]
@@ -236,7 +227,7 @@ def _draw_splits(n: int, rng: np.random.Generator, rows: int,
         saved = bits.state
         if not saved["has_uint32"]:
             words = bits.random_raw((m + 1) // 2)
-            halves = buffers.scratch(0, (rows, width), np.uint64)
+            halves = buffers.array(0, (rows, width), np.uint64)
             flat = halves.reshape(-1)
             np.bitwise_and(words, 0xFFFFFFFF, out=flat[0::2])
             np.right_shift(words[:m // 2], 32, out=flat[1::2])
@@ -246,7 +237,7 @@ def _draw_splits(n: int, rng: np.random.Generator, rows: int,
             low = np.bitwise_and(product, 0xFFFFFFFF, out=halves)
             product >>= 32
             splits[:, 0] = 0
-            suspect = np.less(low, bounds, out=buffers.scratch(1, low.shape, np.bool_))
+            suspect = np.less(low, bounds, out=buffers.array(1, low.shape, np.bool_))
             rejected = False
             if suspect.any():
                 at = np.flatnonzero(suspect)
@@ -317,7 +308,7 @@ def sample_jumps(jump_ps: np.ndarray, rng: np.random.Generator, rows: int = 1,
     """
     buffers = BlockBuffers() if buffers is None else buffers
     shape = (rows, len(jump_ps), 2)
-    uniforms = rng.random(out=buffers.scratch(0, shape))
+    uniforms = rng.random(out=buffers.array(0, shape))
     flags = buffers.array("flags", shape, np.bool_)
     # one flat comparison per row: an inner loop of length 2(n-1), not 2
     np.less(uniforms.reshape(rows, -1), np.repeat(jump_ps, 2), out=flags.reshape(rows, -1))
@@ -339,8 +330,8 @@ def pair_mean_exp(block: TreeBlock, y: float,
     buffers = BlockBuffers() if buffers is None else buffers
     counts, ages = block.daughter_counts, block.coalescence_ages
     pairs = np.multiply(counts[..., 0], counts[..., 1],
-                        out=buffers.scratch(0, ages.shape, np.int64))
-    weighted = np.multiply(-y, ages, out=buffers.scratch(1, ages.shape))
+                        out=buffers.array(0, ages.shape, np.int64))
+    weighted = np.multiply(-y, ages, out=buffers.array(1, ages.shape))
     np.exp(weighted, out=weighted)
     np.multiply(pairs, weighted, out=weighted)
     return weighted.sum(axis=1) / (n * (n - 1) / 2.0)
@@ -381,12 +372,12 @@ def conditional_moments_youj(block: TreeBlock, flags: np.ndarray, variances: np.
     buffers = BlockBuffers() if buffers is None else buffers
     cond_mean, cond_var = conditional_moments_you(block, params, buffers)
     counts, ages = block.daughter_counts, block.coalescence_ages
-    flagged = np.square(counts[..., 0], out=buffers.scratch(0, ages.shape, np.int64))
+    flagged = np.square(counts[..., 0], out=buffers.array(0, ages.shape, np.int64))
     flagged *= flags[..., 0]
-    right = np.square(counts[..., 1], out=buffers.scratch(1, ages.shape, np.int64))
+    right = np.square(counts[..., 1], out=buffers.array(1, ages.shape, np.int64))
     right *= flags[..., 1]
     flagged += right
-    weight = np.multiply(-2.0 * params.alpha, ages, out=buffers.scratch(2, ages.shape))
+    weight = np.multiply(-2.0 * params.alpha, ages, out=buffers.array(2, ages.shape))
     np.exp(weight, out=weight)
     weight *= variances
     np.multiply(flagged, weight, out=weight)
@@ -410,10 +401,10 @@ def jump_exposure_sums(block: TreeBlock, flags: np.ndarray, alpha: float,
         return np.zeros(len(block.heights)), np.zeros(len(block.heights))
     buffers = BlockBuffers() if buffers is None else buffers
     counts, ages = block.daughter_counts, block.coalescence_ages
-    decay = np.multiply(-2.0 * alpha, ages, out=buffers.scratch(1, ages.shape))
+    decay = np.multiply(-2.0 * alpha, ages, out=buffers.array(1, ages.shape))
     np.exp(decay, out=decay)
-    slots = np.multiply(flags, counts, out=buffers.scratch(0, counts.shape))
-    per_event = np.sum(slots, axis=2, out=buffers.scratch(2, ages.shape))
+    slots = np.multiply(flags, counts, out=buffers.array(0, counts.shape))
+    per_event = np.sum(slots, axis=2, out=buffers.array(2, ages.shape))
     per_event *= decay
     single = per_event.sum(axis=1) / n
     np.subtract(counts, 1.0, out=slots)

@@ -283,6 +283,22 @@ def criterion_4_critical() -> CriterionResult:
     return res
 
 
+def criterion_4_second_order() -> CriterionResult:
+    """4b's gaps times ln n. At alpha = 1/2, n var = 2 H_n - 3 + 3/(n+1), and with
+    jumps (p = 1/2, sigma_c2 = 1) 4 H_n - 7 + 7/(n+1); H_n - ln n tends to gamma."""
+    res = CriterionResult("4c", "second-order approach to the critical limits")
+    n, log_n, gamma = 1_000_000, math.log(1_000_000), float(np.euler_gamma)
+    for text, schedule, lead, limit in (
+            ("(2 - (n/ln n)*var)*ln n at n=1e6, a=1/2; limit 3 - 2 gamma", None, 2.0,
+             3.0 - 2.0 * gamma),
+            ("jump model (4 - (n/ln n)*var)*ln n at n=1e6, a=1/2 p=1/2 sc2=1; limit 7 - 4 gamma",
+             JumpSchedule.constant(0.5, 1.0), 4.0, 7.0 - 4.0 * gamma)):
+        value = (lead - n / log_n * analytic.var_ybar_youj(n, YouParams(0.5), schedule)) * log_n
+        res.add(abs(value - limit) <= 1e-4, f"{text}: value {value:.7f}, limit {limit:.7f}, "
+                                            f"gap {abs(value - limit):.1e} (tolerance 1e-4)")
+    return res
+
+
 # ---------------------------------------------------------------------------
 # criterion 5: rate checks on the bound curves
 
@@ -469,6 +485,7 @@ def full_suite(workers: int = 1) -> list[Callable[[], CriterionResult]]:
         partial(criterion_3, workers),
         criterion_4_fast,
         criterion_4_critical,
+        criterion_4_second_order,
         criterion_5,
         partial(criterion_6, workers),
         criterion_7,

@@ -48,6 +48,10 @@ def test_criterion_4_critical_regime_limits():
     _run(verify.criterion_4_critical())
 
 
+def test_criterion_4c_critical_second_order():
+    _run(verify.criterion_4_second_order())
+
+
 def test_criterion_5_bound_curve_rates():
     _run(verify.criterion_5())
 

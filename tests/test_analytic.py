@@ -2,6 +2,7 @@
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -57,6 +58,23 @@ class TestYouParams:
     def test_rejects_bad_x0(self):
         with pytest.raises(ValueError):
             YouParams(alpha=1.0, x0=math.inf)
+
+    @pytest.mark.parametrize("alpha,sigma_a2,x0", [
+        (1.0, 1.0, 1e155),     # delta^2 overflows
+        (1.0, 1.0, -1e155),
+        (1.0, 1e-320, 0.0),    # 2 alpha / sigma_a2 overflows, delta = 0 * inf is NaN
+        (1e300, 1e-300, 1.0),  # delta overflows
+    ])
+    def test_rejects_offset_without_finite_square(self, alpha, sigma_a2, x0):
+        with pytest.raises(ValueError, match=re.escape(
+                f"has no finite square at x0 = {x0!r}, alpha = {alpha!r}, "
+                f"sigma_a2 = {sigma_a2!r}")):
+            YouParams(alpha, sigma_a2, x0)
+
+    def test_largest_offsets_accepted(self):
+        # delta^2 just below the largest double, and the sweep's largest rate
+        assert math.isfinite(YouParams(1.0, 1.0, 9e153).delta ** 2)
+        assert math.isfinite(YouParams(1e300, 1.0, 1.0).delta ** 2)
 
 
 class TestJumpSchedule:
@@ -579,52 +597,81 @@ class TestIsNonconvergent:
             nonconvergent(YouParams(0.3), None)
 
 
+class TestCriticalSecondOrder:
+    """At alpha = 1/2 the mean conditional variance is (2 H_n - 3 + 3/(n+1)) / n,
+    and with jumps (p = 1/2, sigma_c2 = 1) (4 H_n - 7 + 7/(n+1)) / n: the
+    identities behind criterion 4c, checked against Fraction H_n."""
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 50, 57, 64, 65, 300, 1000])
+    def test_identities(self, n):
+        h = oracles.harmonic_fraction(n)
+        half = YouParams(0.5)
+        you = (2 * h - 3 + Fraction(3, n + 1)) / n
+        youj = (4 * h - 7 + Fraction(7, n + 1)) / n
+        # measured over every n <= 1000: at most 6 ulp (jump-free, n = 57) and
+        # 5 ulp (jumps, n = 50) of the exact value
+        for got, exact in ((analytic.var_ybar_you(n, half), you),
+                           (analytic.var_ybar_youj(n, half, JumpSchedule.constant(0.5, 1.0)),
+                            youj)):
+            assert abs(got - float(exact)) <= 16 * math.ulp(float(exact))
+
+
+PER_EVENT_MSG = ("per-event jump schedules have no closed form; run them through "
+                 "the Monte Carlo harness instead")
+
+
 class TestClosedFormGap:
+    """Where the closed forms refuse: every public closed form that needs the
+    gate raises the same error, with the same message and reason."""
+
     def test_rule(self):
         per_event = JumpSchedule.per_event([(0.5, 1.0)] * 9)
-        assert analytic.closed_form_gap(YouParams(1.0), None) is None
-        assert analytic.closed_form_gap(YouParams(0.5), JumpSchedule.constant(0.5, 1.0)) is None
-        assert analytic.closed_form_gap(
-            YouParams(1.0), JumpSchedule.per_event([(0.0, 1.0)] * 9)) is None
-        gap = analytic.closed_form_gap(YouParams(1.0), per_event)
-        assert isinstance(gap, analytic.PerEventScheduleError)
-        assert gap.reason == "per-event schedules have no closed-form bounds"
-        gap = analytic.closed_form_gap(YouParams(0.3), None)
-        assert isinstance(gap, UnsupportedRegimeError)
-        assert str(gap) == analytic.UNSUPPORTED_REGIME_MSG
-        assert gap.reason == "no normal limit expected below the critical rate"
+        base = analytic.var_ybar_you(10, YouParams(1.0))
+        assert analytic.var_ybar_youj(10, YouParams(1.0), None) == base
+        assert analytic.var_ybar_youj(
+            10, YouParams(1.0), JumpSchedule.per_event([(0.0, 1.0)] * 9)) == base
+        assert analytic.var_ybar_youj(10, YouParams(0.5), JumpSchedule.constant(0.5, 1.0)) > 0.0
+        with pytest.raises(analytic.PerEventScheduleError) as raised:
+            analytic.var_ybar_youj(10, YouParams(1.0), per_event)
+        assert str(raised.value) == PER_EVENT_MSG
+        assert raised.value.reason == "per-event schedules have no closed-form bounds"
+        with pytest.raises(UnsupportedRegimeError) as raised:
+            analytic.var_ybar_youj(10, YouParams(0.3), None)
+        assert str(raised.value) == analytic.UNSUPPORTED_REGIME_MSG
+        assert raised.value.reason == "no normal limit expected below the critical rate"
         # a per-event schedule is named first
-        assert isinstance(analytic.closed_form_gap(YouParams(0.3), per_event),
-                          analytic.PerEventScheduleError)
+        with pytest.raises(analytic.PerEventScheduleError):
+            analytic.var_ybar_youj(10, YouParams(0.3), per_event)
 
     def test_refusals_raise_the_gap(self):
         per_event = JumpSchedule.per_event([(0.5, 1.0)] * 99)
-        for params, schedule in ((YouParams(1.0), per_event), (YouParams(0.3), None)):
-            gap = analytic.closed_form_gap(params, schedule)
+        for params, schedule, error, message in (
+                (YouParams(1.0), per_event, analytic.PerEventScheduleError, PER_EVENT_MSG),
+                (YouParams(0.3), None, UnsupportedRegimeError,
+                 analytic.UNSUPPORTED_REGIME_MSG)):
             for refusal in (lambda: analytic.asymptotic_constants(params, schedule),
                             lambda: analytic.limit_distribution(params, schedule),
                             lambda: analytic.var_ybar_youj(100, params, schedule),
                             lambda: analytic.bound_point(params, schedule, 100)):
-                with pytest.raises(type(gap), match=re.escape(str(gap))):
+                with pytest.raises(error, match=f"^{re.escape(message)}$"):
                     refusal()
 
     @pytest.mark.parametrize("inside,outside", CRITICAL_EDGES)
     def test_critical_window_edges(self, inside, outside):
-        # the pair-time and jump closed forms refuse exactly the rates the
-        # gap refuses, and are continuous into the window from either side
+        # the pair-time and jump closed forms refuse exactly the rates below
+        # the critical window, and are continuous into it from either side
         assert analytic.classify_regime(inside).kind == "critical"
         schedule = JumpSchedule.constant(0.5, 1.0)
         n = 1000
         half = YouParams(0.5)
         for alpha in (inside, outside):
             params = YouParams(alpha)
-            gap = analytic.closed_form_gap(params, schedule)
             calls = (lambda: analytic.var_ybar_you(n, params),
                      lambda: analytic.var_ybar_youj(n, params, schedule),
                      lambda: analytic.bound_point(params, schedule, n),
                      lambda: analytic.laplace_pair_time(n, 2.0 * alpha),
                      lambda: analytic.jump_pair_shared_mean(n, alpha, 0.5))
-            if gap is not None:
+            if analytic.classify_regime(alpha).kind == "slow":
                 assert alpha == outside < 0.5
                 for call in calls:
                     with pytest.raises(UnsupportedRegimeError):

@@ -81,6 +81,15 @@ class TestFlagPrecedence:
             cli._resolve_settings(args)
 
 
+    def test_config_value_outside_its_choices_is_named(self, tmp_path, capsys):
+        # the message names the key, the value and the choices
+        path = _write(tmp_path / "run.cfg",
+                      "model = you\nn = 6\nalpha = 1\nreplicates = 10\nseed = 1\n")
+        assert cli.main(["simulate", "--config", path]) == 1
+        assert capsys.readouterr().err == (
+            "error: config key 'model': 'you' is not one of ['YOU', 'YOUj']\n")
+
+
 class TestOneSettingsPath:
     """The simulate settings table and the trait defaults, seen only through
     the command line."""
@@ -392,6 +401,12 @@ class TestCurvesCommand:
         assert code == 1
         assert "at least one rate" in capsys.readouterr().err
 
+    def test_bad_rate_names_the_flag(self, tmp_path, capsys):
+        code, _ = self._run(tmp_path, "--alphas", "1,abc")
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: --alphas must be comma-separated numbers, got '1,abc'\n")
+
     def test_unwritable_path_is_io_error(self, tmp_path, capsys):
         code = cli.main(["curves", "--out",
                          str(tmp_path / "no_such_dir" / "x.csv")])
@@ -587,6 +602,16 @@ dump_tree = {dump_path}
         assert code == 1
         assert "expected 'p sigma_c2'" in capsys.readouterr().err
 
+    def test_bad_number_in_schedule_names_path_and_line(self, tmp_path, capsys):
+        schedule = _write(tmp_path / "jumps.txt",
+                          "0.5 1.0\n# comment\n0.5 x\n" + "0.5 1.0\n" * 3)
+        code = cli.main(["simulate", "--model", "YOUj", "--n", "6",
+                         "--alpha", "1.0", "--schedule-file", schedule,
+                         "--replicates", "100", "--seed", "4"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {schedule}:3: expected 'p sigma_c2', got '0.5 x'\n")
+
     def test_jump_model_requires_jump_settings(self, capsys):
         code = cli.main(["simulate", "--model", "YOUj", "--n", "6",
                          "--alpha", "1.0", "--replicates", "100", "--seed", "4"])
@@ -605,6 +630,30 @@ dump_tree = {dump_path}
         assert doc["jump_p"] == 1.0
         assert doc["jump_sigma_c2"] == 1.0
         assert "empirical" in doc
+
+
+class TestOffsetWithoutFiniteSquare:
+    """An offset x0 sqrt(2 alpha / sigma_a2) that is NaN or whose square
+    overflows is refused by name, before any bound or draw."""
+
+    @pytest.mark.parametrize("argv,x0,alpha,sigma_a2", [
+        (["bounds", "--n", "100", "--alpha", "1", "--x0", "1e155"], 1e155, 1.0, 1.0),
+        (["bounds", "--n", "100", "--alpha", "1", "--sigma-a2", "1e-320"], 0.0, 1.0, 1e-320),
+        (["curves", "--alphas", "1", "--x0", "1e200"], 1e200, 1.0, 1.0),
+        (["simulate", "--n", "50", "--alpha", "0.3", "--replicates", "10", "--seed", "1",
+          "--x0", "1e200"], 1e200, 0.3, 1.0),
+    ], ids=["bounds-x0", "bounds-sigma_a2", "curves", "simulate"])
+    def test_refused_by_name(self, tmp_path, capsys, argv, x0, alpha, sigma_a2):
+        out = tmp_path / "out"
+        argv = argv + (["--out", str(out)] if argv[0] == "curves" else [])
+        argv = argv + (["--json", str(out)] if argv[0] == "simulate" else [])
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: offset x0 sqrt(2 alpha / sigma_a2) has no finite square at "
+            f"x0 = {x0!r}, alpha = {alpha!r}, sigma_a2 = {sigma_a2!r}\n")
+        assert not out.exists()
 
 
 class TestVerifyCommand:

@@ -239,7 +239,7 @@ class TestBlockBuffers:
                 assert len(column) == size
                 assert np.array_equal(column, want)
             # every kernel, the oracle ones included, has now run on the shared
-            # buffers: no scratch array may alias what the block hands on
+            # buffers: no numbered temporary may alias what the block hands on
             for field in dataclasses.fields(trees.TreeBlock):
                 assert np.array_equal(getattr(draws.tree, field.name),
                                       getattr(fresh.tree, field.name)), (k, field.name)
@@ -275,9 +275,9 @@ class TestBlockBuffers:
         ("YOU", 5000, False, 11.5),
     ])
     def test_chunk_peak(self, model, n, collect_oracle, units):
-        # a fresh 3-block chunk peaks at the named arrays a block hands on
+        # a fresh 3-block chunk peaks at the named keys' arrays a block hands on
         # (times, splits, ages, counts, flags: 5.25 units of B(n-1) int64),
-        # the five shared scratch arrays (5 units, 6 with the jump uniforms)
+        # the five shared numbered temporaries (5 units, 6 with the jump uniforms)
         # and the split draw's raw words and iterator buffers (about 1 unit)
         schedule = JumpSchedule.constant(0.5, 1.0) if model == "YOUj" else JumpSchedule.none()
         config = ExperimentConfig(model=model, n=n, params=YouParams(alpha=1.0, x0=0.7),
@@ -816,6 +816,13 @@ class TestSandwich:
         assert result.sandwich_omitted == "no normal limit expected below the critical rate"
         assert result.estimates.ev.r_used == 50
 
+    def test_run_experiment_names_a_per_event_schedule_first(self):
+        config = ExperimentConfig(
+            model="YOUj", n=5, params=YouParams(alpha=0.3),
+            schedule=JumpSchedule.per_event([(0.5, 1.0)] * 4), replicates=50, seed=SEED)
+        assert harness.run_experiment(config).sandwich_omitted == (
+            "per-event schedules have no closed-form bounds")
+
     def test_inactive_per_event_schedule_is_sandwiched_as_jump_free(self):
         config = ExperimentConfig(
             model="YOUj", n=5, params=YouParams(alpha=1.0),
@@ -885,10 +892,12 @@ class TestOracleChecks:
         monkeypatch.setattr(harness, "run_replicates", no_draws)
         config = ExperimentConfig(model=model, n=6, params=YouParams(alpha=alpha),
                                   schedule=schedule, replicates=20000, seed=SEED)
-        expected = analytic.closed_form_gap(config.params, config.schedule)
+        with pytest.raises(error) as expected:
+            analytic.var_ybar_youj(config.n, config.params, config.schedule)
         with pytest.raises(error) as raised:
             harness.oracle_checks(config)
-        assert str(raised.value) == str(expected)
+        assert str(raised.value) == str(expected.value)
+        assert raised.value.reason == expected.value.reason
 
     def test_jump_model_adds_exposure_checks(self):
         params = YouParams(alpha=1.0, x0=0.7)

@@ -250,8 +250,8 @@ class TestBlockBuffers:
             for got, expected in (you, youj, sums):
                 assert np.array_equal(got[0], expected[0])
                 assert np.array_equal(got[1], expected[1])
-            # every kernel has now run on the shared buffers: no scratch array
-            # may alias what the block hands on
+            # every kernel has now run on the shared buffers: no numbered
+            # temporary may alias what the block hands on
             for field in dataclasses.fields(trees.TreeBlock):
                 assert np.array_equal(getattr(tree, field.name),
                                       getattr(fresh, field.name)), (k, field.name)
