@@ -423,8 +423,8 @@ def bound_point(params: YouParams, schedule: JumpSchedule | None,
         raise ValueError(f"the rate table cannot hold vv at alpha = {params.alpha!r} "
                          f"(sigma_a2 = {params.sigma_a2!r}): its leading constant is "
                          f"{table.vv.value!r} in double precision")
-    ms = MomentSummary(mean=mean_ybar(n, params), ev=var_ybar_youj(n, params, schedule),
-                       vv=table.vv.at(n), ve=var_cond_mean_exact(n, params))
+    ms = MomentSummary(ev=var_ybar_youj(n, params, schedule), vv=table.vv.at(n),
+                       ve=var_cond_mean_exact(n, params))
     notes = (
         f"regime={table.regime.kind}/{table.regime.band}",
         "ev exact",

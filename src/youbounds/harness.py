@@ -102,7 +102,7 @@ class EstimateWithSE:
 
 @dataclass(frozen=True)
 class MomentEstimates:
-    """Monte Carlo estimates of the four bound ingredients."""
+    """Monte Carlo estimates of the mean and the three bound ingredients."""
 
     mean: EstimateWithSE
     ev: EstimateWithSE
@@ -275,10 +275,16 @@ def _variance_estimate(x: np.ndarray) -> EstimateWithSE:
     if r < 4:
         return EstimateWithSE(value, float("nan"), r)
     dev2 = x - np.mean(x)
+    # where the summed fourth powers could overflow, scale the deviations by
+    # an exact power of two and the error back by its square
+    peak = max(float(dev2.max()), -float(dev2.min()))
+    shift = math.frexp(peak)[1] if peak > (np.finfo(np.float64).max / r) ** 0.25 else 0
+    if shift:
+        dev2 *= math.ldexp(1.0, -shift)
     dev2 *= dev2
     m2 = float(np.mean(dev2))
     m4 = float(np.mean(dev2 * dev2))
-    se = math.sqrt((m4 - m2 * m2 * (r - 3.0) / (r - 1.0)) / r)
+    se = math.ldexp(math.sqrt((m4 - m2 * m2 * (r - 3.0) / (r - 1.0)) / r), 2 * shift)
     return EstimateWithSE(value, se, r)
 
 

@@ -1,10 +1,9 @@
 """Distance bounds for mixtures of normals against a matched normal.
 
 A random variable whose conditional law given some sigma-algebra is normal
-(with random mean and variance) is a mixture of normals. Four scalars drive
+(with random mean and variance) is a mixture of normals. Three scalars drive
 every bound here:
 
-    mean  expectation of the variable
     ev    mean of the conditional variance
     vv    variance of the conditional variance
     ve    variance of the conditional mean
@@ -33,9 +32,8 @@ def _check_distance(distance: str) -> str:
 
 @dataclass(frozen=True)
 class MomentSummary:
-    """The four conditional-moment scalars of a normal mixture."""
+    """The three conditional-moment scalars of a normal mixture."""
 
-    mean: float
     ev: float
     vv: float
     ve: float
@@ -53,21 +51,17 @@ class MomentSummary:
 class BoundReport:
     """One distance bound, broken into labeled terms.
 
-    For kind "upper" the total is the plain sum of the terms. For kind
-    "lower" the terms record the ingredients (numerator pieces and the
-    constant) and the total is the assembled quotient.
+    An upper bound's total is the plain sum of its terms; the lower bound's
+    terms are its ingredients and constant, its total the assembled quotient.
     """
 
     distance: str
-    kind: str
     terms: tuple[tuple[str, float], ...]
     total: float
     notes: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
         _check_distance(self.distance)
-        if self.kind not in ("upper", "lower"):
-            raise ValueError(f"kind must be 'upper' or 'lower', got {self.kind!r}")
         for label, value in self.terms:
             if value < 0.0 or not math.isfinite(value):
                 raise ValueError(f"term {label!r} must be finite and >= 0, got {value}")
@@ -109,7 +103,7 @@ def kolmogorov_upper(ms: MomentSummary) -> BoundReport:
         ("ve/ev", t2),
         ("sqrt(2/pi) sqrt(ve) vv^1/4 / ev", t3),
     )
-    return BoundReport(KOLMOGOROV, "upper", terms, t1 + t2 + t3)
+    return BoundReport(KOLMOGOROV, terms, t1 + t2 + t3)
 
 
 def wasserstein_upper(ms: MomentSummary) -> BoundReport:
@@ -129,7 +123,7 @@ def wasserstein_upper(ms: MomentSummary) -> BoundReport:
         ("ve/ev", t3),
         ("sqrt(2/pi) sqrt(ve) vv^1/4 / ev", t4),
     )
-    return BoundReport(WASSERSTEIN, "upper", terms, t1 + t2 + t3 + t4)
+    return BoundReport(WASSERSTEIN, terms, t1 + t2 + t3 + t4)
 
 
 def variance_penalty(x, sigma2):
@@ -187,4 +181,4 @@ def stein_lower_bound(inputs: LowerBoundInputs, distance: str) -> BoundReport:
         ("t2 (variance-penalty proxy)", inputs.t2),
         ("constant", constant),
     )
-    return BoundReport(distance, "lower", terms, total, notes=("asymptotic lower bound",))
+    return BoundReport(distance, terms, total, notes=("asymptotic lower bound",))

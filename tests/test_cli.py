@@ -1,9 +1,11 @@
 """Tests for the command-line surface: config parsing, flag precedence,
 subcommand behavior, output schemas and the verification entry point."""
 
+import hashlib
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -654,6 +656,30 @@ class TestOffsetWithoutFiniteSquare:
             f"error: offset x0 sqrt(2 alpha / sigma_a2) has no finite square at "
             f"x0 = {x0!r}, alpha = {alpha!r}, sigma_a2 = {sigma_a2!r}\n")
         assert not out.exists()
+
+
+class TestHugeOffsetErrors:
+    """Offsets that `YouParams` accepts but whose conditional-mean fourth
+    moments overflow still get a finite ve standard error."""
+
+    ARGV = ["simulate", "--n", "50", "--alpha", "1", "--replicates", "100", "--seed", "1"]
+
+    @pytest.mark.parametrize("x0", ["1e100", "1e153"])
+    def test_ve_error_is_finite(self, tmp_path, x0):
+        path = tmp_path / "run.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(self.ARGV + ["--x0", x0, "--json", str(path)]) == 0
+        ve = json.loads(path.read_text(encoding="utf-8"))["estimates"]["ve"]
+        assert math.isfinite(ve["se"]) and ve["se"] > 0.0
+
+    def test_unscaled_offset_keeps_its_bytes(self, tmp_path):
+        # at x0 = 1e76 the fourth powers still fit: the document is the one
+        # the unscaled arithmetic always wrote
+        path = tmp_path / "run.json"
+        assert cli.main(self.ARGV + ["--x0", "1e76", "--json", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "a9b5c0b5ca96fd730a19e78b212bcec72f6bedc9abf5af139c4021db197b68a0")
 
 
 class TestVerifyCommand:

@@ -383,6 +383,17 @@ class TestMomentEstimates:
         est = harness._variance_estimate(np.random.default_rng(7).beta(1.0, n, size=r))
         assert 0.8 <= est.se / exact <= 1.25
 
+    def test_huge_deviations_scale_by_an_exact_power_of_two(self):
+        # deviations near 1e-10 times 2^500 pass 1e140, where their summed
+        # fourth powers overflow; the scaled route must give the unscaled
+        # sample's value and error times 2^1000, bit for bit
+        x = 1.0 + 1e-10 * np.random.default_rng(11).normal(size=1000)
+        small = harness._variance_estimate(x)
+        big = harness._variance_estimate(x * 2.0 ** 500)
+        assert math.isfinite(small.se) and small.se > 0.0
+        assert big.value == small.value * 2.0 ** 1000
+        assert big.se == small.se * 2.0 ** 1000
+
     def test_reuses_precomputed_replicates(self):
         config = _you_config(n=15, x0=0.4, replicates=200)
         data = harness.run_replicates(config)
