@@ -8,6 +8,7 @@ emitted next to the curves CSV.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -252,10 +253,6 @@ def cmd_curves(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # simulate
 
-def _estimate_doc(est: harness.EstimateWithSE) -> dict:
-    return {"value": est.value, "se": est.se, "r_used": est.r_used}
-
-
 def _bound_doc(report: stein.BoundReport) -> dict:
     return {
         "total": report.total,
@@ -281,13 +278,7 @@ def render_result_json(result: harness.ExperimentResult) -> str:
         doc["jump_schedule"] = f"per-event ({len(config.schedule.pairs)} entries)"
     doc["replicates"] = config.replicates
     doc["seed"] = config.seed
-    est = result.estimates
-    doc["estimates"] = {
-        "mean": _estimate_doc(est.mean),
-        "ev": _estimate_doc(est.ev),
-        "vv": _estimate_doc(est.vv),
-        "ve": _estimate_doc(est.ve),
-    }
+    doc["estimates"] = dataclasses.asdict(result.estimates)
     if result.sandwich_omitted:
         doc["note"] = f"sandwich omitted: {result.sandwich_omitted}"
     sandwich = result.sandwich
@@ -314,10 +305,9 @@ ESTIMATES_HEADER = "quantity,value,se,r_used"
 
 def render_estimates_csv(result: harness.ExperimentResult) -> str:
     r = result.config.replicates
-    est = result.estimates
     rows = [ESTIMATES_HEADER]
-    for name, e in (("mean", est.mean), ("ev", est.ev), ("vv", est.vv), ("ve", est.ve)):
-        rows.append(f"{name},{_fmt(e.value)},{_fmt(e.se)},{e.r_used}")
+    for name, e in dataclasses.asdict(result.estimates).items():
+        rows.append(f"{name},{_fmt(e['value'])},{_fmt(e['se'])},{e['r_used']}")
     sandwich = result.sandwich
     if sandwich is not None:
         rows.append(f"kappa_mean,{_fmt(sandwich.kappa_mean)},nan,{r}")

@@ -63,6 +63,13 @@ _LOWER_BOUND_TRUST_N = 1000
 _BLOCK_ELEMENTS = 2 ** 15
 _WORKERS_ENV = "YOUBOUNDS_WORKERS"
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# (ReplicateData.oracle key, oracle check name) per model, in the order
+# _run_block appends the oracle columns
+_YOU_ORACLE = (("exp_height_1", "height_laplace[x=1]"), ("exp_height_2a", "height_laplace[x=2a]"),
+               ("pair_1", "pair_laplace[y=1]"), ("pair_2a", "pair_laplace[y=2a]"))
+_ORACLE_COLUMNS = {MODEL_YOU: _YOU_ORACLE,
+                   MODEL_YOUJ: _YOU_ORACLE + (("jump_single", "jump_single_mean"),
+                                              ("jump_pair", "jump_pair_mean"))}
 
 
 @dataclass(frozen=True)
@@ -180,13 +187,6 @@ def draw_block(config: ExperimentConfig, block: int, jump_ps: np.ndarray | None 
     return BlockDraws(tree, flags, rng.standard_normal(rows))
 
 
-def _oracle_keys(config: ExperimentConfig) -> list[str]:
-    keys = ["exp_height_1", "exp_height_2a", "pair_1", "pair_2a"]
-    if config.model == MODEL_YOUJ:
-        keys += ["jump_single", "jump_pair"]
-    return keys
-
-
 def _block_size(n: int) -> int:
     """Replicates per block: about 2^15 array elements per (B, n) array."""
     return max(1, _BLOCK_ELEMENTS // n)
@@ -225,7 +225,7 @@ def _run_chunk(args) -> list[np.ndarray]:
     jump_arrays = None
     if config.model == MODEL_YOUJ:
         jump_arrays = trees.jump_event_arrays(config.schedule, config.n)
-    width = 3 + (len(_oracle_keys(config)) if collect_oracle else 0)
+    width = 3 + (len(_ORACLE_COLUMNS[config.model]) if collect_oracle else 0)
     columns = np.empty((width, stop - start))
     step = _block_size(config.n)
     buffers = trees.BlockBuffers()
@@ -257,52 +257,48 @@ def run_replicates(config: ExperimentConfig, collect_oracle: bool = False) -> Re
         columns = [np.concatenate(parts) for parts in zip(*chunk_results)]
     data = ReplicateData(cond_mean=columns[0], cond_var=columns[1], ybar=columns[2])
     if collect_oracle:
-        data.oracle = dict(zip(_oracle_keys(config), columns[3:]))
+        data.oracle = {key: column for (key, _), column
+                       in zip(_ORACLE_COLUMNS[config.model], columns[3:], strict=True)}
     return data
 
 
-def _mean_estimate(x: np.ndarray) -> EstimateWithSE:
+def _column_estimates(x: np.ndarray) -> tuple[EstimateWithSE, EstimateWithSE]:
+    """The mean of a column with its error sqrt(s^2 / R), and its sample
+    variance s^2 with the fourth-moment error of a sample variance,
+    se^2 = (m4 - m2^2 (R-3)/(R-1)) / R from the central moments m2 and m4
+    (no error below four replicates), all from one centred pass. Where the
+    summed fourth powers of the deviations could overflow, the deviations are
+    scaled by an exact power of two and each result back by its own power of
+    it; below that point the arithmetic is untouched (`ldexp(., 0)`)."""
     r = len(x)
-    return EstimateWithSE(float(np.mean(x)), float(np.std(x, ddof=1) / math.sqrt(r)), r)
-
-
-def _variance_estimate(x: np.ndarray) -> EstimateWithSE:
-    """Sample variance with the fourth-moment standard error of a sample
-    variance, se^2 = (m4 - m2^2 (R-3)/(R-1)) / R from the central moments
-    m2 and m4; below four replicates there is no error estimate."""
-    r = len(x)
-    value = float(np.var(x, ddof=1))
-    if r < 4:
-        return EstimateWithSE(value, float("nan"), r)
-    dev2 = x - np.mean(x)
-    # where the summed fourth powers could overflow, scale the deviations by
-    # an exact power of two and the error back by its square
+    mean = float(np.mean(x))
+    dev2 = x - mean
     peak = max(float(dev2.max()), -float(dev2.min()))
     shift = math.frexp(peak)[1] if peak > (np.finfo(np.float64).max / r) ** 0.25 else 0
     if shift:
         dev2 *= math.ldexp(1.0, -shift)
     dev2 *= dev2
-    m2 = float(np.mean(dev2))
-    m4 = float(np.mean(dev2 * dev2))
-    se = math.ldexp(math.sqrt((m4 - m2 * m2 * (r - 3.0) / (r - 1.0)) / r), 2 * shift)
-    return EstimateWithSE(value, se, r)
+    total = float(np.sum(dev2))
+    var = total / (r - 1)
+    var_se = float("nan")
+    if r >= 4:
+        m2 = total / r
+        m4 = float(np.mean(dev2 * dev2))
+        var_se = math.ldexp(math.sqrt((m4 - m2 * m2 * (r - 3.0) / (r - 1.0)) / r), 2 * shift)
+    return (EstimateWithSE(mean, math.ldexp(math.sqrt(var) / math.sqrt(r), shift), r),
+            EstimateWithSE(math.ldexp(var, 2 * shift), var_se, r))
 
 
 def estimate_moment_summary(config: ExperimentConfig,
                             data: ReplicateData | None = None) -> MomentEstimates:
-    """Monte Carlo estimates of mean, ev, vv and ve with standard errors.
-
-    Means get s/sqrt(R); the two variances get the fourth-moment error of a
-    sample variance, which follows the data's own kurtosis.
-    """
+    """Monte Carlo estimates of mean, ev, vv and ve with standard errors:
+    the conditional mean's column gives mean and ve, the conditional
+    variance's ev and vv (see `_column_estimates`)."""
     if data is None:
         data = run_replicates(config)
-    return MomentEstimates(
-        mean=_mean_estimate(data.cond_mean),
-        ev=_mean_estimate(data.cond_var),
-        vv=_variance_estimate(data.cond_var),
-        ve=_variance_estimate(data.cond_mean),
-    )
+    mean, ve = _column_estimates(data.cond_mean)
+    ev, vv = _column_estimates(data.cond_var)
+    return MomentEstimates(mean=mean, ev=ev, vv=vv, ve=ve)
 
 
 @dataclass(frozen=True)
@@ -652,13 +648,11 @@ def oracle_checks(config: ExperimentConfig) -> list[OracleCheck]:
                    analytic.jump_pair_shared_mean(n, params.alpha, schedule.p)]
     cond_mean_var = analytic.var_cond_mean_exact(n, params)
     data = run_replicates(config, collect_oracle=True)
-    # one name per oracle column, in the order of _oracle_keys
-    names = ("height_laplace[x=1]", "height_laplace[x=2a]", "pair_laplace[y=1]",
-             "pair_laplace[y=2a]", "jump_single_mean", "jump_pair_mean")
-    checks = [(name, value, _mean_estimate(column))
-              for name, value, column in zip(names, closed, data.oracle.values())]
-    checks.append(("cond_var_mean", cond_var_mean, _mean_estimate(data.cond_var)))
-    checks.append(("cond_mean_var", cond_mean_var, _variance_estimate(data.cond_mean)))
+    moments = estimate_moment_summary(config, data)
+    checks = [(name, value, _column_estimates(data.oracle[key])[0])
+              for (key, name), value in zip(_ORACLE_COLUMNS[config.model], closed, strict=True)]
+    checks += [("cond_var_mean", cond_var_mean, moments.ev),
+               ("cond_mean_var", cond_mean_var, moments.ve)]
 
     out = []
     for name, closed_form, est in checks:

@@ -26,8 +26,6 @@ EULER_GAMMA = 0.5772156649015328606
 # pochhammer_ratio multiplies its terms one by one up to n = 64; _log1p_sum
 # adds them up to k = 64 and takes the rest as one Stirling difference
 _DIRECT_MAX_K = 64
-# above this x, _log1p_sum's Stirling difference steps along k instead
-_LARGE_X = 2.0 ** 53
 
 # direct summation limit for harmonic numbers
 _HARMONIC_DIRECT_MAX_N = 10**7
@@ -71,22 +69,20 @@ def _log1p_sum(n: int, x: float, k0: int) -> float:
     to k = 64 directly (cached: bound curves ask for them at every n), then
     lgamma(n+1+x) - lgamma(n+1) - lgamma(65+x) + lgamma(65) by Stirling with
     each (z+x)^-m - z^-m as z^-m expm1(-m log1p(x/z)), first omitted term
-    below 1e-16 x. Every piece is proportional to x, so for x far above n
-    they cancel down to a sum of size n ln x; wherever many digits are lost
-    that way, exp(-sum) is 0 in double anyway. Above x = 2^53, where
-    z + x - 0.5 also drops the z - 0.5, the sum can come out negative.
+    below 1e-16 x. Every piece is proportional to x, so its error grows with
+    x/n; above x = 16 n the sum steps along k instead.
 
     There the m = n + 1 - k0 terms are m ln z - (lgamma(n+1) - lgamma(k0))
-    plus lgamma(z+m) - lgamma(z) - m ln z = (z + m - 0.5) log1p(m/z) - m by
-    Stirling along k from z = x + k0, whose 1/(12 z) terms are below 1e-17.
-    With n far below x, ln z exceeds ln n, so the subtraction keeps its
-    digits, and the last bracket is small."""
+    plus lgamma(z+m) - lgamma(z) - m ln z = (z + m - 0.5) log1p(m/z) - m
+    + (1/(z+m) - 1/z)/12 by Stirling along k from z = x + k0, whose next
+    terms are below 1e-17 of the sum. With z above 16 n, ln z exceeds ln n,
+    so the subtraction keeps its digits, and the last bracket is small."""
     if n <= _DIRECT_MAX_K:
         return math.fsum([math.log1p(x / k) for k in range(k0, n + 1)])
-    if x > _LARGE_X:
+    if x > 16.0 * n:
         m, z = n + 1.0 - k0, x + k0
         return (m * math.log(z) - (math.lgamma(n + 1.0) - math.lgamma(k0))
-                + ((z + m - 0.5) * math.log1p(m / z) - m))
+                + ((z + m - 0.5) * math.log1p(m / z) - m + (1.0 / (z + m) - 1.0 / z) / 12.0))
     first = _DIRECT_MAX_K + 1.0
     total = _log1p_sum(_DIRECT_MAX_K, x, k0)
     for z, sign in ((n + 1.0, 1.0), (first, -1.0)):

@@ -200,28 +200,33 @@ def bootstrap_dw_se_by_resorting(z: np.ndarray, seed: int, resamples: int = 32) 
 # ---------------------------------------------------------------------------
 # exact distances of the two-tip YOU mixture by quadrature
 
-def you_pair_variances(alpha: float, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Weights and conditional variances of the n = 2, x0 = 0 YOU tip
-    average on a tensor Gauss-Legendre rule. The periods T1 ~ Exp(1) and
-    T2 ~ Exp(2) make u1 = e^(-T1) and u2 = e^(-2 T2) uniform on (0, 1), and
+def you_pair_moments(alpha: float, nodes: int,
+                     delta: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weights, conditional means and conditional variances of the n = 2 YOU
+    tip average on a tensor Gauss-Legendre rule. The periods T1 ~ Exp(1) and
+    T2 ~ Exp(2) make u1 = e^(-T1) and u2 = e^(-2 T2) uniform on (0, 1),
+    M = delta e^(-alpha H) = delta u1^alpha u2^(alpha/2) and
     V = 1/2 + u2^alpha / 2 - u1^(2 alpha) u2^alpha."""
     x, w = np.polynomial.legendre.leggauss(nodes)
     u, w = 0.5 * (x + 1.0), 0.5 * w
     u1, u2 = np.meshgrid(u, u, indexing="ij")
+    m = delta * u1 ** alpha * u2 ** (0.5 * alpha)
     v = 0.5 + 0.5 * u2 ** alpha - u1 ** (2.0 * alpha) * u2 ** alpha
-    return np.outer(w, w).ravel(), v.ravel()
+    return np.outer(w, w).ravel(), m.ravel(), v.ravel()
 
 
-def centered_mixture_distances(weights: np.ndarray, v: np.ndarray) -> tuple[float, float]:
-    """Kolmogorov and Wasserstein distances between the centered normal
-    mixture with weights and variances v, standardized by its mean variance
-    ev, and N(0, 1). The gap |F - Phi|, with F(t) = E Phi(t sqrt(ev / V))
-    from scipy's ndtr, is even in t, so it is taken on 1601 points of [0, 8]:
-    d_K is its largest value there and d_W twice its trapezoid integral."""
-    ev = float(weights @ v)
-    t = np.linspace(0.0, 8.0, 1601)
-    scale = np.sqrt(ev / v)
-    cdf = np.concatenate([scipy.special.ndtr(np.outer(block, scale)) @ weights
-                          for block in np.array_split(t, 16)])
+def mixture_distances(weights: np.ndarray, m: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+    """Kolmogorov and Wasserstein distances between the normal mixture with
+    weights, means m and variances v, standardized by its mean mu and its
+    variance ev + ve, and N(0, 1). The gap |F - Phi|, with
+    F(t) = E Phi((mu + t sqrt(ev + ve) - M) / sqrt(V)) from scipy's ndtr, is
+    taken on 3201 points of [-8, 8]: d_K is its largest value there and d_W
+    its trapezoid integral."""
+    mu = float(weights @ m)
+    s = math.sqrt(float(weights @ v) + float(weights @ (m - mu) ** 2))
+    t = np.linspace(-8.0, 8.0, 3201)
+    sd = np.sqrt(v)
+    cdf = np.concatenate([scipy.special.ndtr(np.subtract.outer(mu + s * block, m) / sd) @ weights
+                          for block in np.array_split(t, 32)])
     gap = np.abs(cdf - scipy.special.ndtr(t))
-    return float(gap.max()), float(np.sum((gap[1:] + gap[:-1]) * np.diff(t)))
+    return float(gap.max()), float(0.5 * np.sum((gap[1:] + gap[:-1]) * np.diff(t)))

@@ -673,6 +673,19 @@ class TestHugeOffsetErrors:
         ve = json.loads(path.read_text(encoding="utf-8"))["estimates"]["ve"]
         assert math.isfinite(ve["se"]) and ve["se"] > 0.0
 
+    def test_largest_offsets_keep_every_estimate_finite(self, tmp_path):
+        # near the largest offset YouParams accepts, the squared deviations
+        # of the conditional means overflow too, not only their fourth powers
+        path = tmp_path / "run.json"
+        argv = ["simulate", "--n", "2", "--alpha", "1", "--replicates", "1000", "--seed", "1",
+                "--x0", "9e153", "--json", str(path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 0
+        est = json.loads(path.read_text(encoding="utf-8"))["estimates"]
+        for value in (est["mean"]["se"], est["ve"]["value"], est["ve"]["se"]):
+            assert math.isfinite(value) and value > 0.0
+
     def test_unscaled_offset_keeps_its_bytes(self, tmp_path):
         # at x0 = 1e76 the fourth powers still fit: the document is the one
         # the unscaled arithmetic always wrote

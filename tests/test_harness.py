@@ -362,7 +362,7 @@ class TestMomentEstimates:
         # For i.i.d. normals the variance of the sample variance is
         # 2 sigma^4 / R; the fourth-moment error should land near it.
         draws = np.random.default_rng(5).normal(size=20_000)
-        est = harness._variance_estimate(draws)
+        est = harness._column_estimates(draws)[1]
         theory = math.sqrt(2.0 / 20_000)
         assert est.value == pytest.approx(1.0, abs=0.05)
         assert 0.5 * theory <= est.se <= 2.0 * theory
@@ -380,7 +380,7 @@ class TestMomentEstimates:
         var = raw[2] - raw[1] ** 2
         mu4 = raw[4] - 4 * raw[3] * raw[1] + 6 * raw[2] * raw[1] ** 2 - 3 * raw[1] ** 4
         exact = math.sqrt(float((mu4 - var ** 2 * Fraction(r - 3, r - 1)) / r))
-        est = harness._variance_estimate(np.random.default_rng(7).beta(1.0, n, size=r))
+        est = harness._column_estimates(np.random.default_rng(7).beta(1.0, n, size=r))[1]
         assert 0.8 <= est.se / exact <= 1.25
 
     def test_huge_deviations_scale_by_an_exact_power_of_two(self):
@@ -388,11 +388,31 @@ class TestMomentEstimates:
         # fourth powers overflow; the scaled route must give the unscaled
         # sample's value and error times 2^1000, bit for bit
         x = 1.0 + 1e-10 * np.random.default_rng(11).normal(size=1000)
-        small = harness._variance_estimate(x)
-        big = harness._variance_estimate(x * 2.0 ** 500)
+        small = harness._column_estimates(x)[1]
+        big = harness._column_estimates(x * 2.0 ** 500)[1]
         assert math.isfinite(small.se) and small.se > 0.0
         assert big.value == small.value * 2.0 ** 1000
         assert big.se == small.se * 2.0 ** 1000
+
+    def test_mean_error_scales_by_the_same_power_of_two(self):
+        # the mean's error comes from the same scaled squares: times 2^500
+        x = 1.0 + 1e-10 * np.random.default_rng(11).normal(size=1000)
+        small = harness._column_estimates(x)[0]
+        big = harness._column_estimates(x * 2.0 ** 500)[0]
+        assert big.value == small.value * 2.0 ** 500
+        assert big.se == small.se * 2.0 ** 500
+
+    @pytest.mark.parametrize("r", [2, 4, 2000])
+    @pytest.mark.parametrize("scale", [1e-30, 1e30, 1e100])
+    def test_one_pass_is_numpy_bit_for_bit(self, r, scale):
+        # the mean and its error are np.mean and np.std / sqrt(R), the
+        # variance np.var, whether or not the deviations were scaled
+        x = scale * np.random.default_rng(r).lognormal(size=r)
+        mean, var = harness._column_estimates(x)
+        assert mean.value == np.mean(x)
+        assert mean.se == float(np.std(x, ddof=1) / math.sqrt(r))
+        assert var.value == np.var(x, ddof=1)
+        assert mean.r_used == var.r_used == r
 
     def test_reuses_precomputed_replicates(self):
         config = _you_config(n=15, x0=0.4, replicates=200)

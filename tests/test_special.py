@@ -36,6 +36,19 @@ LOG1P_SUM_LARGE_X = [
     (10000000, 1e+300, 3, 6756572932.636659),
 ]
 
+# the same sum between x = 16 n and 2^53, frozen the same way, where the
+# Stirling difference in x had lost up to 3e-2 of the sum
+LOG1P_SUM_MID_X = [
+    (65, 100000.0, 1, 539.0190137888111),
+    (65, 130000000.0, 3, 968.3824124353944),
+    (100, 1000000000000.0, 1, 2399.362736042341),
+    (1000, 20000.0, 1, 4015.9772164897086),
+    (1001, 3300000000.0, 3, 15976.927482995583),
+    (100000, 10000000.0, 1, 561008.6897888731),
+    (10000001, 500000000000.0, 3, 118197831.5026573),
+    (65, 9000000000000000.0, 1, 2178.4974764435124),
+]
+
 
 class TestPochhammerRatio:
     def test_trivial_values(self):
@@ -84,10 +97,10 @@ class TestPochhammerRatio:
             ratio = 1e6 ** x * special.pochhammer_ratio(1_000_000, x)
             assert ratio == pytest.approx(math.gamma(x + 1.0), rel=1e-3)
 
-    @pytest.mark.parametrize("n,x,k0,exact", LOG1P_SUM_LARGE_X)
+    @pytest.mark.parametrize("n,x,k0,exact", LOG1P_SUM_LARGE_X + LOG1P_SUM_MID_X)
     def test_log1p_sum_at_large_x(self, n, x, k0, exact):
         # the Stirling difference in x cancelled here, to a sum of the
-        # wrong size or sign
+        # wrong size or sign, or lost digits as x/n grew
         assert abs(special._log1p_sum(n, x, k0) - exact) <= 1e-15 * exact
 
     def test_domain(self):

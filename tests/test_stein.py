@@ -330,13 +330,28 @@ TWO_TIP_DISTANCES = {2.0: ("4.378e-3", "1.157e-2"), 5.0: ("2.578e-3", "7.24e-3")
                      10.0: ("1.686e-3", "4.84e-3")}
 
 
+# the same at x0 = 1, where the conditional mean is random and the gap is
+# not even; the 50- and 100-node rules agree to these digits
+OFFSET_TWO_TIP_DISTANCES = {2.0: ("6.570e-3", "1.344e-2"), 5.0: ("1.931e-2", "4.649e-2"),
+                            10.0: ("1.699e-2", "4.396e-2")}
+
+
 @functools.cache
-def _two_tip(alpha, nodes=50):
-    weights, v = oracles.you_pair_variances(alpha, nodes)
+def _pair_mixture(alpha, x0=0.0, nodes=50):
+    """The exact (ev, vv, ve), E kappa(V), d_K and d_W of the n = 2 YOU
+    mixture by quadrature."""
+    delta = analytic.YouParams(alpha, 1.0, x0).delta
+    weights, m, v = oracles.you_pair_moments(alpha, nodes, delta)
     ev = float(weights @ v)
-    vv = float(weights @ (v - ev) ** 2)
+    moments = stein.MomentSummary(ev, float(weights @ (v - ev) ** 2),
+                                  float(weights @ (m - weights @ m) ** 2))
     kappa = float(weights @ stein.variance_penalty(v, ev))
-    return ev, vv, kappa, *oracles.centered_mixture_distances(weights, v)
+    return moments, kappa, *oracles.mixture_distances(weights, m, v)
+
+
+def _two_tip(alpha, nodes=50):
+    moments, kappa, dk, dw = _pair_mixture(alpha, 0.0, nodes)
+    return moments.ev, moments.vv, kappa, dk, dw
 
 
 def _as_printed(value, text):
@@ -380,3 +395,34 @@ class TestExactTwoTipDistances:
         lower = stein.stein_lower_bound(stein.LowerBoundInputs(0.0, kappa, ev), stein.KOLMOGOROV)
         print(f"alpha = {alpha}: d_K = {dk:.4g}, Stein lower bound {lower.total:.4g} "
               f"with exact t2 = E kappa(V)")
+
+
+class TestExactTwoTipDistancesWithOffset:
+    """The two-tip mixture at x0 = 1, whose conditional mean is random:
+    ev and ve by quadrature, the distances, and the upper bounds above them."""
+
+    @pytest.mark.parametrize("alpha", sorted(OFFSET_TWO_TIP_DISTANCES))
+    def test_quadrature_ev_and_ve_are_the_closed_forms(self, alpha):
+        moments = _pair_mixture(alpha, 1.0)[0]
+        params = analytic.YouParams(alpha, 1.0, 1.0)
+        assert abs(moments.ev - analytic.var_ybar_you(2, params)) <= 1e-12
+        assert abs(moments.ve - analytic.var_cond_mean_exact(2, params)) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", sorted(OFFSET_TWO_TIP_DISTANCES))
+    def test_distances_to_printed_digits(self, alpha):
+        dk, dw = _pair_mixture(alpha, 1.0)[2:]
+        assert _as_printed(dk, OFFSET_TWO_TIP_DISTANCES[alpha][0])
+        assert _as_printed(dw, OFFSET_TWO_TIP_DISTANCES[alpha][1])
+
+    @pytest.mark.parametrize("alpha,exact_dk,shipped_dk", [(2.0, 0.7102, 1.3026),
+                                                           (5.0, 0.6099, 0.7822),
+                                                           (10.0, 0.4583, 0.5253)])
+    def test_upper_bounds_lie_above(self, alpha, exact_dk, shipped_dk):
+        moments, _, dk, dw = _pair_mixture(alpha, 1.0)
+        shipped = analytic.bound_point(analytic.YouParams(alpha, 1.0, 1.0), None, 2)
+        assert stein.kolmogorov_upper(moments).total == pytest.approx(exact_dk, abs=5e-5)
+        assert shipped[stein.KOLMOGOROV].total == pytest.approx(shipped_dk, abs=5e-5)
+        for upper in (stein.kolmogorov_upper(moments), shipped[stein.KOLMOGOROV]):
+            assert upper.total > dk
+        for upper in (stein.wasserstein_upper(moments), shipped[stein.WASSERSTEIN]):
+            assert upper.total > dw
