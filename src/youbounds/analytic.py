@@ -114,19 +114,6 @@ class JumpSchedule:
     def per_event(pairs) -> "JumpSchedule":
         return JumpSchedule("per_event", pairs=tuple((float(p), float(s)) for p, s in pairs))
 
-    def event_params(self, n: int) -> tuple[tuple[float, float], ...]:
-        """(p_k, sigma_c2_k) for speciation events k = 1..n-1."""
-        if self.kind == "none":
-            return ((0.0, 0.0),) * (n - 1)
-        if self.kind == "constant":
-            return ((self.p, self.sigma_c2),) * (n - 1)
-        if len(self.pairs) < n - 1:
-            raise ValueError(
-                f"per-event schedule has {len(self.pairs)} entries but an "
-                f"{n}-tip tree has {n - 1} speciation events"
-            )
-        return self.pairs[: n - 1]
-
     @property
     def is_inactive(self) -> bool:
         """True when the schedule cannot produce any variance contribution."""

@@ -292,7 +292,12 @@ def jump_event_arrays(schedule: JumpSchedule, n: int) -> tuple[np.ndarray, np.nd
     """The schedule's jump probabilities and jump variances for events
     1..n-1, as two arrays. A schedule that does not cover all n-1 events is
     a configuration error."""
-    ps, variances = np.array(schedule.event_params(n), dtype=np.float64).reshape(n - 1, 2).T
+    if schedule.kind != "per_event":
+        return np.full(n - 1, float(schedule.p)), np.full(n - 1, float(schedule.sigma_c2))
+    if len(schedule.pairs) < n - 1:
+        raise ValueError(f"per-event schedule has {len(schedule.pairs)} entries but an "
+                         f"{n}-tip tree has {n - 1} speciation events")
+    ps, variances = np.array(schedule.pairs[:n - 1], dtype=np.float64).reshape(n - 1, 2).T
     return ps, variances
 
 

@@ -215,6 +215,50 @@ def you_pair_moments(alpha: float, nodes: int,
     return np.outer(w, w).ravel(), m.ravel(), v.ravel()
 
 
+def _period_grid(nodes: int, lineages: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Tensor Gauss-Legendre rule over u_j = e^(-T_j) for the Yule periods
+    T_j ~ Exp(j), j = 1..lineages: the weights, which carry the density
+    j u^(j-1) of u_j on (0, 1), and the flattened u_1, ..., u_lineages. The
+    tip-average moments are polynomials in the u_j at integer alpha."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    u = 0.5 * (x + 1.0)
+    weights = functools.reduce(np.multiply.outer,
+                               [0.5 * w * j * u ** (j - 1) for j in range(1, lineages + 1)])
+    grids = np.meshgrid(*[u] * lineages, indexing="ij")
+    return weights.ravel(), [g.ravel() for g in grids]
+
+
+def you_three_tip_moments(alpha: float, nodes: int,
+                          delta: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weights, conditional means and conditional variances of the n = 3 YOU
+    tip average. The two tips of the second split share T3, every other pair
+    T2 + T3, so with E1 = (u2 u3)^(2 alpha), E2 = u3^(2 alpha) and
+    G = (u1 u2 u3)^(2 alpha), V = 1/3 + (2/9)(2 E1 + E2) - G and
+    M = delta (u1 u2 u3)^alpha."""
+    weights, (u1, u2, u3) = _period_grid(nodes, 3)
+    e1, e2 = (u2 * u3) ** (2.0 * alpha), u3 ** (2.0 * alpha)
+    v = 1.0 / 3.0 + (2.0 / 9.0) * (2.0 * e1 + e2) - (u1 * u2 * u3) ** (2.0 * alpha)
+    return weights, delta * (u1 * u2 * u3) ** alpha, v
+
+
+def youj_pair_moments(alpha: float, p: float, lift: float, nodes: int,
+                      delta: float = 0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Weights, conditional means and conditional variances of the n = 2
+    YOUj tip average under a constant schedule: the f in {0, 1, 2} jump
+    flags of the one event, with weights (1-p)^2, 2p(1-p) and p^2, each on
+    the period rule. Each flag adds lift E1 / 4, where lift is
+    (2 alpha / sigma_a2) sigma_c2, to V = 1/2 + E1/2 - G, with
+    E1 = u2^(2 alpha) and G = (u1 u2)^(2 alpha); M = delta (u1 u2)^alpha.
+    Flag counts of zero weight are left out."""
+    weights, (u1, u2) = _period_grid(nodes, 2)
+    e1, g = u2 ** (2.0 * alpha), (u1 * u2) ** (2.0 * alpha)
+    flag_weights = ((1.0 - p) ** 2, 2.0 * p * (1.0 - p), p * p)
+    flags = [(f, pf) for f, pf in enumerate(flag_weights) if pf > 0.0]
+    return (np.concatenate([pf * weights for _, pf in flags]),
+            np.tile(delta * (u1 * u2) ** alpha, len(flags)),
+            np.concatenate([0.5 + 0.5 * e1 - g + f * lift * e1 / 4.0 for f, _ in flags]))
+
+
 def mixture_distances(weights: np.ndarray, m: np.ndarray, v: np.ndarray) -> tuple[float, float]:
     """Kolmogorov and Wasserstein distances between the normal mixture with
     weights, means m and variances v, standardized by its mean mu and its

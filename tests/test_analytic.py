@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from youbounds import analytic, special, stein
+from youbounds import analytic, special, stein, trees
 from youbounds.analytic import (
     JumpSchedule,
     UnsupportedRegimeError,
@@ -81,12 +81,12 @@ class TestJumpSchedule:
     def test_none_is_inactive(self):
         s = JumpSchedule.none()
         assert s.is_inactive
-        assert s.event_params(4) == ((0.0, 0.0),) * 3
+        assert [a.tolist() for a in trees.jump_event_arrays(s, 4)] == [[0.0] * 3, [0.0] * 3]
 
     def test_constant_expansion(self):
         s = JumpSchedule.constant(0.5, 1.3)
         assert not s.is_inactive
-        assert s.event_params(3) == ((0.5, 1.3), (0.5, 1.3))
+        assert [a.tolist() for a in trees.jump_event_arrays(s, 3)] == [[0.5, 0.5], [1.3, 1.3]]
 
     @pytest.mark.parametrize("p,s2", [(0.0, 1.0), (0.5, 0.0)])
     def test_constant_without_effect_is_inactive(self, p, s2):
@@ -94,16 +94,16 @@ class TestJumpSchedule:
 
     def test_per_event_exact_length(self):
         s = JumpSchedule.per_event([(0.1, 1.0), (0.9, 2.0)])
-        assert s.event_params(3) == ((0.1, 1.0), (0.9, 2.0))
+        assert [a.tolist() for a in trees.jump_event_arrays(s, 3)] == [[0.1, 0.9], [1.0, 2.0]]
 
     def test_per_event_extras_ignored(self):
         s = JumpSchedule.per_event([(0.1, 1.0)] * 10)
-        assert len(s.event_params(4)) == 3
+        assert [a.size for a in trees.jump_event_arrays(s, 4)] == [3, 3]
 
     def test_per_event_too_short(self):
         s = JumpSchedule.per_event([(0.1, 1.0)] * 2)
         with pytest.raises(ValueError, match="2 entries"):
-            s.event_params(5)
+            trees.jump_event_arrays(s, 5)
 
     def test_per_event_inactive_detection(self):
         assert JumpSchedule.per_event([(0.0, 1.0), (0.5, 0.0)]).is_inactive

@@ -336,17 +336,22 @@ OFFSET_TWO_TIP_DISTANCES = {2.0: ("6.570e-3", "1.344e-2"), 5.0: ("1.931e-2", "4.
                             10.0: ("1.699e-2", "4.396e-2")}
 
 
+def _mixture_summary(weights, m, v):
+    """The exact (ev, vv, ve) of a quadrature mixture, and its d_K and d_W."""
+    ev = float(weights @ v)
+    moments = stein.MomentSummary(ev, float(weights @ (v - ev) ** 2),
+                                  float(weights @ (m - weights @ m) ** 2))
+    return moments, *oracles.mixture_distances(weights, m, v)
+
+
 @functools.cache
 def _pair_mixture(alpha, x0=0.0, nodes=50):
     """The exact (ev, vv, ve), E kappa(V), d_K and d_W of the n = 2 YOU
     mixture by quadrature."""
     delta = analytic.YouParams(alpha, 1.0, x0).delta
     weights, m, v = oracles.you_pair_moments(alpha, nodes, delta)
-    ev = float(weights @ v)
-    moments = stein.MomentSummary(ev, float(weights @ (v - ev) ** 2),
-                                  float(weights @ (m - weights @ m) ** 2))
-    kappa = float(weights @ stein.variance_penalty(v, ev))
-    return moments, kappa, *oracles.mixture_distances(weights, m, v)
+    moments, dk, dw = _mixture_summary(weights, m, v)
+    return moments, float(weights @ stein.variance_penalty(v, moments.ev)), dk, dw
 
 
 def _two_tip(alpha, nodes=50):
@@ -426,3 +431,127 @@ class TestExactTwoTipDistancesWithOffset:
             assert upper.total > dk
         for upper in (stein.wasserstein_upper(moments), shipped[stein.WASSERSTEIN]):
             assert upper.total > dw
+
+
+# exact d_K and d_W of the n = 3 YOU mixture, keyed by (alpha, x0), with
+# the Kolmogorov and Wasserstein uppers as (exact ingredients, shipped);
+# the 12-, 16-, 24- and 32-node rules agree to these digits
+THREE_TIP_DISTANCES = {
+    (1.0, 0.0): ("5.169e-3", "1.372e-2", (0.2715, 1.5396), (0.1129, 1.5242)),
+    (1.0, 1.0): ("3.521e-3", "9.495e-3", (0.5825, 2.0730), (0.5291, 2.6540)),
+    (2.0, 0.0): ("3.922e-3", "1.083e-2", (0.2511, 0.4952), (0.1004, 0.2780)),
+    (2.0, 1.0): ("9.542e-3", "2.126e-2", (0.5714, 0.8802), (0.5212, 0.8613)),
+    (5.0, 0.0): ("2.706e-3", "7.675e-3", (0.2189, 0.2605), (0.0817, 0.1061)),
+    (5.0, 1.0): ("9.825e-3", "2.390e-2", (0.4041, 0.4553), (0.3288, 0.3745)),
+}
+
+
+@functools.cache
+def _three_tip_mixture(alpha, x0, nodes=12):
+    delta = analytic.YouParams(alpha, 1.0, x0).delta
+    return _mixture_summary(*oracles.you_three_tip_moments(alpha, nodes, delta))
+
+
+def _check_uppers(moments, shipped, dk, dw, pins, shipped_holds=(True, True)):
+    """Each upper bound pinned to its printed digits; the exact-ingredient
+    ones must lie above the distance, the shipped ones where they hold."""
+    rows = ((stein.kolmogorov_upper, stein.KOLMOGOROV, dk, shipped_holds[0]),
+            (stein.wasserstein_upper, stein.WASSERSTEIN, dw, shipped_holds[1]))
+    for (upper, name, distance, holds), (exact_pin, shipped_pin) in zip(rows, pins, strict=True):
+        exact, shipped_total = upper(moments).total, shipped[name].total
+        assert exact == pytest.approx(exact_pin, abs=5e-5)
+        assert shipped_total == pytest.approx(shipped_pin, abs=5e-5)
+        assert exact > distance
+        if holds:
+            assert shipped_total > distance
+        else:
+            print(f"shipped {name} upper {shipped_total:.4f} is below the distance "
+                  f"{distance:.4f}: the leading-order vv is too small (ROADMAP item 1)")
+
+
+class TestExactThreeTipDistances:
+    """The n = 3 YOU mixture by quadrature on the periods' u_j = e^(-T_j):
+    ev and ve against the closed forms, the distances, and every upper bound
+    above them."""
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.0, 5.0])
+    def test_quadrature_ev_and_ve_are_the_closed_forms(self, alpha):
+        moments = _three_tip_mixture(alpha, 1.0)[0]
+        params = analytic.YouParams(alpha, 1.0, 1.0)
+        assert abs(moments.ev - analytic.var_ybar_you(3, params)) <= 1e-12
+        assert abs(moments.ve - analytic.var_cond_mean_exact(3, params)) <= 1e-12
+
+    @pytest.mark.parametrize("alpha,x0", sorted(THREE_TIP_DISTANCES))
+    def test_distances_to_printed_digits(self, alpha, x0):
+        dk, dw = _three_tip_mixture(alpha, x0)[1:]
+        assert _as_printed(dk, THREE_TIP_DISTANCES[alpha, x0][0])
+        assert _as_printed(dw, THREE_TIP_DISTANCES[alpha, x0][1])
+
+    def test_doubling_the_nodes(self):
+        (dk, dw), (dk2, dw2) = _three_tip_mixture(2.0, 1.0, 6)[1:], _three_tip_mixture(2.0, 1.0)[1:]
+        assert abs(dk2 - dk) < 1e-5
+        assert abs(dw2 - dw) < 1e-5
+
+    @pytest.mark.parametrize("alpha,x0", sorted(THREE_TIP_DISTANCES))
+    def test_upper_bounds_lie_above(self, alpha, x0):
+        moments, dk, dw = _three_tip_mixture(alpha, x0)
+        shipped = analytic.bound_point(analytic.YouParams(alpha, 1.0, x0), None, 3)
+        _check_uppers(moments, shipped, dk, dw, THREE_TIP_DISTANCES[alpha, x0][2:])
+
+
+# the same for the n = 2 YOUj mixture with sigma_c2 = 1, keyed by
+# (alpha, p, x0); the 20-, 40- and 80-node rules agree to these digits
+JUMP_PAIR_DISTANCES = {
+    (2.0, 0.5, 0.0): ("1.666e-2", "4.561e-2", (0.5510, 0.6613), (0.3263, 0.4291)),
+    (2.0, 0.5, 1.0): ("2.050e-2", "4.801e-2", (0.9594, 1.0929), (0.9597, 1.1306)),
+    (2.0, 1.0, 0.0): ("2.029e-2", "5.290e-2", (0.5495, 0.3329), (0.3250, 0.1532)),
+    (2.0, 1.0, 1.0): ("2.892e-2", "6.395e-2", (0.8796, 0.6170), (0.8476, 0.5540)),
+    (5.0, 0.5, 0.0): ("3.221e-2", "9.097e-2", (0.9206, 0.3473), (0.7047, 0.1633)),
+    (5.0, 0.5, 1.0): ("4.397e-2", "1.075e-1", (1.3283, 0.6481), (1.4454, 0.5898)),
+    (5.0, 1.0, 0.0): ("4.641e-2", "1.223e-1", (0.9707, 0.1360), (0.7630, 0.0400)),
+    (5.0, 1.0, 1.0): ("5.836e-2", "1.371e-1", (1.3009, 0.3171), (1.3876, 0.2624)),
+}
+
+# where the shipped Wasserstein upper lies below the exact d_W: the
+# leading-order vv is too small with jumps at p = 1. Monte Carlo agrees
+# (README, "Known limitations")
+SHIPPED_WASSERSTEIN_MISSES = {(5.0, 1.0, 0.0)}
+
+
+@functools.cache
+def _jump_pair_mixture(alpha, p, x0, nodes=20):
+    params = analytic.YouParams(alpha, 1.0, x0)
+    lift = 2.0 * alpha / params.sigma_a2
+    return _mixture_summary(*oracles.youj_pair_moments(alpha, p, lift, nodes, params.delta))
+
+
+class TestExactJumpPairDistances:
+    """The n = 2 YOUj mixture over its jump-flag counts, by quadrature."""
+
+    @pytest.mark.parametrize("alpha,p", [(2.0, 0.5), (2.0, 1.0), (5.0, 0.5), (5.0, 1.0)])
+    def test_quadrature_ev_and_ve_are_the_closed_forms(self, alpha, p):
+        moments = _jump_pair_mixture(alpha, p, 1.0)[0]
+        params = analytic.YouParams(alpha, 1.0, 1.0)
+        schedule = analytic.JumpSchedule.constant(p, 1.0)
+        assert abs(moments.ev - analytic.var_ybar_youj(2, params, schedule)) <= 1e-12
+        assert abs(moments.ve - analytic.var_cond_mean_exact(2, params)) <= 1e-12
+
+    @pytest.mark.parametrize("alpha,p,x0", sorted(JUMP_PAIR_DISTANCES))
+    def test_distances_to_printed_digits(self, alpha, p, x0):
+        dk, dw = _jump_pair_mixture(alpha, p, x0)[1:]
+        assert _as_printed(dk, JUMP_PAIR_DISTANCES[alpha, p, x0][0])
+        assert _as_printed(dw, JUMP_PAIR_DISTANCES[alpha, p, x0][1])
+
+    def test_doubling_the_nodes(self):
+        (dk, dw), (dk2, dw2) = (_jump_pair_mixture(5.0, 0.5, 0.0, 10)[1:],
+                                _jump_pair_mixture(5.0, 0.5, 0.0)[1:])
+        assert abs(dk2 - dk) < 1e-5
+        assert abs(dw2 - dw) < 1e-5
+
+    @pytest.mark.parametrize("alpha,p,x0", sorted(JUMP_PAIR_DISTANCES))
+    def test_upper_bounds_lie_above(self, alpha, p, x0):
+        moments, dk, dw = _jump_pair_mixture(alpha, p, x0)
+        shipped = analytic.bound_point(analytic.YouParams(alpha, 1.0, x0),
+                                       analytic.JumpSchedule.constant(p, 1.0), 2)
+        _check_uppers(moments, shipped, dk, dw, JUMP_PAIR_DISTANCES[alpha, p, x0][2:],
+                      (True, (alpha, p, x0) not in SHIPPED_WASSERSTEIN_MISSES))
