@@ -170,8 +170,7 @@ def laplace_pair_time(n: int, y: float) -> float:
     limit 2 (H_n - 1) / (n - 1) - 1 / (n + 1)."""
     if n < 2 or int(n) != n:
         raise ValueError(f"laplace_pair_time requires an integer n >= 2, got {n}")
-    if _below_critical(0.5 * y):
-        raise UnsupportedRegimeError(UNSUPPORTED_REGIME_MSG)
+    _refuse_below_critical(0.5 * y)
     n = int(n)
     if y == 1.0:
         return 2.0 / (n - 1.0) * (special.harmonic(n) - 1.0) - 1.0 / (n + 1.0)
@@ -245,13 +244,14 @@ def _check_jump_args(n: int, alpha: float, p: float) -> None:
         raise ValueError(f"jump sums require an integer n >= 2, got {n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"jump probability must be in [0, 1], got {p}")
-    if _below_critical(alpha):
-        raise UnsupportedRegimeError(UNSUPPORTED_REGIME_MSG)
+    _refuse_below_critical(alpha)
 
 
-def _below_critical(alpha: float) -> bool:
-    """The rates without closed forms: below the critical window."""
-    return alpha <= 0.0 or classify_regime(alpha).kind == "slow"
+def _refuse_below_critical(alpha: float) -> None:
+    """Refuses the rates without closed forms, those below the critical
+    window, naming the rate."""
+    if alpha <= 0.0 or classify_regime(alpha).kind == "slow":
+        raise UnsupportedRegimeError(f"{UNSUPPORTED_REGIME_MSG} at alpha = {alpha!r}")
 
 
 def _closed_form_schedule(params: YouParams, schedule: JumpSchedule | None) -> JumpSchedule:
@@ -265,8 +265,7 @@ def _closed_form_schedule(params: YouParams, schedule: JumpSchedule | None) -> J
             "per-event jump schedules have no closed form; run them through "
             "the Monte Carlo harness instead"
         )
-    if _below_critical(params.alpha):
-        raise UnsupportedRegimeError(UNSUPPORTED_REGIME_MSG)
+    _refuse_below_critical(params.alpha)
     return schedule
 
 

@@ -25,17 +25,20 @@ segment's level decides the sign of |c - Phi| there, and normal quantiles
 are computed, in one call, only for the few segments that Phi crosses. Its
 bootstrap error scores each resample from the counts of the drawn ranks,
 with no sort and no further CDF evaluation. The sorted sample keeps x, Phi,
-G and the ranks (the inverse of the sorting permutation), and dw and all
-its resamples share one set of work arrays, allocated once per sandwich
-(`_DwWork`): two 8-byte arrays of R whose roles change within a resample
-(the drawn ranks become the levels once they are counted, the counts become
-the segment terms, the levels become the segments' D(a)) and two masks. No
-full-length array is allocated per resample, the ranks take four bytes
-while R < 2^31, and a sandwich holds at most about 5.8 float64 arrays of R
-at its peak. The sort is not stable and Phi and the quantiles take whole
-arrays; none of this moves a bit of any statistic (see `_sort_sample` and
-`special`). The dw verdict allows for the positive O(R^-1/2) bias of the
-empirical Wasserstein distance as well as for its bootstrap error.
+G and the ranks (the inverse of the sorting permutation). dk, dw and every
+resample share one workspace, allocated once per sandwich (`_DwWork`): two
+8-byte arrays of R whose roles change (the drawn ranks become the levels
+once they are counted, the counts become the segment terms, the levels
+become the segments' D(a)) and two masks. The sample is the resample that
+draws every rank once, so its levels i/R are built once, by the same
+running count, and dk reads them before dw overwrites them. No statistic
+allocates a full-length array beyond the sorted sample and the workspace,
+the ranks take four bytes while R < 2^31, and a sandwich holds at most
+about 5.8 float64 arrays of R at its peak. The sort is not stable and Phi
+and the quantiles take whole arrays; none of this moves a bit of any
+statistic (see `_sort_sample` and `special`). The dw verdict allows for the
+positive O(R^-1/2) bias of the empirical Wasserstein distance as well as
+for its bootstrap error.
 """
 
 from __future__ import annotations
@@ -344,28 +347,15 @@ def _sort_sample(samples, name: str) -> _SortedSample:
     return _SortedSample(x=x, cdf=cdf, g=g, rank=rank)
 
 
-def _dk_sorted(s: _SortedSample) -> float:
-    """max over i of max(i/R - Phi, Phi - (i-1)/R), taken as the larger of
-    the two maxima."""
-    r = len(s.x)
-    i = np.arange(1, r + 1, dtype=np.float64)
-    work = np.divide(i, r)
-    np.subtract(work, s.cdf, out=work)
-    high = np.max(work)
-    np.subtract(i, 1.0, out=work)
-    np.divide(work, r, out=work)
-    np.subtract(s.cdf, work, out=work)
-    return float(max(high, np.max(work)))
-
-
 @dataclass(frozen=True)
 class _DwWork:
-    """The full-length work arrays of the Wasserstein statistic for a sample
-    of R, shared by dw and every bootstrap resample. Both arrays of R change
-    roles. `levels` holds a resample's drawn ranks (in the ranks' dtype)
-    until they are counted, then its R - 1 levels, and then the segments'
-    D(a). `seg` holds the rank counts (as int64), then the segment terms.
-    `below` and `cross` are the masks of `_dw_segments`."""
+    """The full-length work arrays of the sandwich statistics for a sample
+    of R, shared by dk, dw and every bootstrap resample. Both arrays of R
+    change roles. `levels` holds a resample's drawn ranks (in the ranks'
+    dtype) until they are counted, then its R levels (the sample's own are
+    i/R), and then the segments' D(a). `seg` holds the rank counts (as
+    int64), then dk's differences or the segment terms. `below` and `cross`
+    are the masks of `_dw_segments`."""
 
     levels: np.ndarray
     seg: np.ndarray
@@ -380,9 +370,28 @@ class _DwWork:
 
 def _set_levels(work: _DwWork) -> None:
     """The empirical-CDF levels from the rank counts in `seg`: the running
-    counts over R, into `levels`. The counts are overwritten."""
-    counts = work.seg.view(np.int64)[:-1]
-    np.divide(np.cumsum(counts, out=counts), len(work.seg), out=work.levels[:-1])
+    counts over R, into `levels`. The counts are overwritten. The last level
+    is R/R = 1, which dw does not read."""
+    counts = work.seg.view(np.int64)
+    np.divide(np.cumsum(counts, out=counts), len(work.seg), out=work.levels)
+
+
+def _sample_levels(work: _DwWork) -> None:
+    """The levels i/R of the sample itself, the resample that draws every
+    rank once, into `work.levels`."""
+    work.seg.view(np.int64).fill(1)
+    _set_levels(work)
+
+
+def _dk_sorted(s: _SortedSample, work: _DwWork) -> float:
+    """max over i of max(i/R - Phi, Phi - (i-1)/R), with the sample's levels
+    i/R in `work.levels` (see `_sample_levels`), taken as the larger of the
+    two maxima, each formed in `work.seg`."""
+    levels, seg = work.levels, work.seg
+    high = np.max(np.subtract(levels, s.cdf, out=seg))
+    seg[0] = s.cdf[0]
+    np.subtract(s.cdf[1:], levels[:-1], out=seg[1:])
+    return float(max(high, np.max(seg)))
 
 
 def _dw_segments(s: _SortedSample, work: _DwWork) -> float:
@@ -422,24 +431,23 @@ def _dw_segments(s: _SortedSample, work: _DwWork) -> float:
     return float(total)
 
 
-def _dw_sorted(s: _SortedSample, work: _DwWork) -> float:
-    """dw of the sample itself: the levels i/R are those of the resample
-    that draws every rank once."""
-    work.seg.view(np.int64).fill(1)
-    _set_levels(work)
-    return _dw_segments(s, work)
+def _sample_work(samples, name: str) -> tuple[_SortedSample, _DwWork]:
+    """The sample sorted, and a workspace holding its levels i/R."""
+    s = _sort_sample(samples, name)
+    work = _DwWork.for_size(len(s.x))
+    _sample_levels(work)
+    return s, work
 
 
 def empirical_dk(samples) -> float:
     """One-sample Kolmogorov statistic against the standard normal CDF."""
-    return _dk_sorted(_sort_sample(samples, "empirical_dk"))
+    return _dk_sorted(*_sample_work(samples, "empirical_dk"))
 
 
 def empirical_dw(samples) -> float:
     """Exact L1 distance between the sample's empirical CDF and the standard
     normal CDF (the 1-D Wasserstein distance to N(0,1))."""
-    s = _sort_sample(samples, "empirical_dw")
-    return _dw_sorted(s, _DwWork.for_size(len(s.x)))
+    return _dw_segments(*_sample_work(samples, "empirical_dw"))
 
 
 def dkw_band(r: int) -> float:
@@ -563,12 +571,14 @@ def run_sandwich(config: ExperimentConfig, data: ReplicateData | None = None) ->
     z = (data.ybar - analytic.mean_ybar(n, params)) / math.sqrt(sigma2)
 
     # each full-length array is dropped once it is done with, so the peak is
-    # the sorted sample plus the work arrays of dw and its bootstrap
+    # the sorted sample plus the one workspace of dk, dw and the bootstrap
     s = _sort_sample(z, "run_sandwich")
     del z
-    dk = _dk_sorted(s)
     work = _DwWork.for_size(config.replicates)
-    dw = _dw_sorted(s, work)
+    _sample_levels(work)
+    # dk reads the levels that dw then overwrites with D(a)
+    dk = _dk_sorted(s, work)
+    dw = _dw_segments(s, work)
     dw_se = _bootstrap_dw_se(s, config.seed, work)
     del s, work
     band = dkw_band(config.replicates)

@@ -11,6 +11,7 @@ them too.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -274,3 +275,128 @@ def mixture_distances(weights: np.ndarray, m: np.ndarray, v: np.ndarray) -> tupl
                           for block in np.array_split(t, 32)])
     gap = np.abs(cdf - scipy.special.ndtr(t))
     return float(gap.max()), float(0.5 * np.sum((gap[1:] + gap[:-1]) * np.diff(t)))
+
+
+# ---------------------------------------------------------------------------
+# the variance of the conditional variance V (ROADMAP item 1, "The model")
+#
+# V = 1/n + (2/n^2) sum_k X_k E_k - G + w sum_k Y_k E_k over the events
+# k = 1..n-1 (event k takes k lineages to k + 1), with X_k = L_k R_k and
+# Y_k = f_k L_k^2 + g_k R_k^2 from its daughters' tip counts L_k, R_k and its
+# two jump flags f_k, g_k ~ Bernoulli(p), E_k = e^(-2 alpha A_k) for the time
+# A_k from event k to the tips, G = e^(-2 alpha H) and w = 2 alpha sigma_c2 /
+# n^2 (sigma_a2 = 1). Times are independent of the topology and the flags.
+
+def vv_exact(n: int, alpha: float, p: float = 0.0, sigma_c2: float = 0.0) -> float:
+    """Var(V) of YOU (p = 0 or sigma_c2 = 0) or of YOUj under a constant
+    schedule, sigma_a2 = 1, as an O(n^2) double sum over the events. Each
+    covariance of two products is centred as Cov(topology) E[E E] +
+    E[topology] E[topology] Cov(E, E), and every topology covariance of two
+    different events is a factor of the earlier event times a factor of the
+    later one. The time factors are products over the periods j > m, which
+    hold j lineages: T2[m] = prod j/(j + 2 alpha), T4[m] the same at
+    4 alpha and D[m] = log(T4[m] / T2[m]^2) = sum log1p(4 alpha^2 /
+    (j (j + 4 alpha))); T4/T2 is taken as the exp of a log difference, so
+    no ratio of underflowed products is formed. Index m = 0 is G."""
+    j = np.arange(1.0, n + 1.0)
+
+    def over_later_periods(terms):  # out[m] = sum of terms[j - 1] over j > m
+        return np.cumsum(terms[::-1])[::-1]
+
+    log_t2 = over_later_periods(-np.log1p(2.0 * alpha / j))
+    log_t4 = over_later_periods(-np.log1p(4.0 * alpha / j))
+    d = over_later_periods(np.log1p(4.0 * alpha * alpha / (j * (j + 4.0 * alpha))))
+    m = np.arange(n)
+    lo, hi = np.minimum.outer(m, m), np.maximum.outer(m, m)
+    ee = np.exp(log_t2[lo] + log_t4[hi] - log_t2[hi])
+    cov_e = np.exp(log_t2[lo] + log_t2[hi]) * np.expm1(d[hi])
+
+    k = np.arange(1.0, n)
+    nf = float(n)
+    a = 1.0 / ((k + 1.0) * (k + 2.0))
+    q4 = (k + 1.0) * (k + 2.0) * (k + 3.0) * (k + 4.0)
+    mean_x, mean_s = nf * (nf + 1.0) * a, 2.0 * nf * (2.0 * nf - k) * a
+    x2 = nf * (nf + 1.0) * (k * k - 4.0 * k * nf - k + 4.0 * nf * nf + 4.0 * nf + 4.0) / q4
+    quartic = 2.0 * nf * (2.0 * nf - k) * (12.0 * nf * nf - 12.0 * k * nf + k * k - 5.0 * k) / q4
+    xs = 2.0 * nf * (nf + 1.0) * (6.0 * nf * nf + 6.0 * nf - 6.0 * k * nf + k * k - 5.0 * k) / q4
+    # factors of the later event l, and the earlier event's a(k) or k a(k)
+    b = (k - nf + 1.0) * nf * (nf + 1.0) / q4
+    upper = np.triu(np.ones((n - 1, n - 1)), 1)
+    cov_xx = np.outer(a, -2.0 * (k - 3.0 * nf - 2.0) * b) * upper
+    cov_ss = np.outer(k * a, 24.0 * (k - 2.0 * nf) * b) * upper
+    cov_xs = (np.outer(a, -12.0 * (k - 2.0 * nf) * b) * upper
+              + (np.outer(k * a, 4.0 * (k - 3.0 * nf - 2.0) * b) * upper).T)
+    cov_xx += cov_xx.T + np.diag(x2 - mean_x * mean_x)
+    cov_ss += cov_ss.T
+    cov_xs += np.diag(xs - mean_x * mean_s)
+
+    def cov_of_sums(cov, mean_left, mean_right):
+        return float(np.sum(cov * ee[1:, 1:] + np.outer(mean_left, mean_right) * cov_e[1:, 1:]))
+
+    g_row = cov_e[0, 1:]
+    vv = (4.0 / nf ** 4 * cov_of_sums(cov_xx, mean_x, mean_x)
+          - 4.0 / nf ** 2 * float(mean_x @ g_row) + cov_e[0, 0])
+    w = 2.0 * alpha * sigma_c2 / (nf * nf)
+    mean_y = p * mean_s
+    # different flags are independent: p^2 S_k S_l, and p (L^4 + R^4) +
+    # 2 p^2 X^2 for the same event
+    cov_yy = p * p * cov_ss + np.diag(p * quartic + 2.0 * p * p * x2 - mean_y * mean_y)
+    var_j = cov_of_sums(cov_yy, mean_y, mean_y)
+    cov_qj = cov_of_sums(p * cov_xs, mean_x, mean_y)
+    return vv + w * w * var_j + 2.0 * w * (2.0 / nf ** 2 * cov_qj - float(mean_y @ g_row))
+
+
+def vv_by_enumeration(n: int, alpha, p=0, sigma_c2=0) -> Fraction:
+    """Var(V) in exact arithmetic, for rates where every time moment is
+    rational (2 alpha an integer). The topology moments are integer sums
+    over all (n - 1)! split sequences, each of probability 1/(n - 1)!, of
+    the daughter counts that `daughter_counts_by_chains` replays. Given the
+    topology, V is 1/n plus a sum of c_m E_m with E_0 = G, and E[V^2] sums
+    the flag moments of c_a c_b times E[E_a E_b], which for a <= b is the
+    product over the periods j > a of j/(j + 2 alpha), or j/(j + 4 alpha)
+    for j > b."""
+    alpha, p = Fraction(alpha), Fraction(p)
+    q, w = Fraction(2, n * n), 2 * alpha * Fraction(sigma_c2) / (n * n)
+
+    def period_product(lo, hi):
+        value = Fraction(1)
+        for j in range(lo + 1, n + 1):
+            value *= j / (j + (2 if j <= hi else 4) * alpha)
+        return value
+
+    t2 = [period_product(m, n) for m in range(n)]
+    ee = [[period_product(min(a, b), max(a, b)) for b in range(n)] for a in range(n)]
+    events = range(n - 1)
+    sequences = list(itertools.product(*[range(k) for k in range(1, n)]))
+    sx, ss, sq = [0] * (n - 1), [0] * (n - 1), [0] * (n - 1)
+    sxx, sxs, sss = ([[0] * (n - 1) for _ in events] for _ in range(3))
+    for splits in sequences:
+        counts = daughter_counts_by_chains(np.array(splits, dtype=np.int64)).tolist()
+        x = [left * right for left, right in counts]
+        s = [left * left + right * right for left, right in counts]
+        for i in events:
+            sx[i] += x[i]
+            ss[i] += s[i]
+            sq[i] += counts[i][0] ** 4 + counts[i][1] ** 4
+            for t in events:
+                sxx[i][t] += x[i] * x[t]
+                sxs[i][t] += x[i] * s[t]
+                sss[i][t] += s[i] * s[t]
+    total = len(sequences)
+    # flag moments: E f = p, E f g = p^2 for two different flags, E f^2 = p;
+    # c_0 = -1 is not random, so row and column 0 are products of means
+    mean_c = [Fraction(-1)] + [(q * sx[i] + w * p * ss[i]) / total for i in events]
+    second = [[mean_c[a] * mean_c[b] for b in range(n)] for a in range(n)]
+    for i in events:
+        for t in events:
+            value = q * q * sxx[i][t]
+            if i == t:
+                value += 2 * q * w * p * sxs[i][i] + w * w * (p * sq[i] + 2 * p * p * sxx[i][i])
+            else:
+                value += q * w * p * (sxs[i][t] + sxs[t][i]) + w * w * p * p * sss[i][t]
+            second[i + 1][t + 1] = value / total
+    mean_sum = sum((mean_c[a] * t2[a] for a in range(n)), Fraction(0))
+    second_moment = (Fraction(1, n * n) + Fraction(2, n) * mean_sum
+                     + sum((second[a][b] * ee[a][b] for a in range(n) for b in range(n)),
+                           Fraction(0)))
+    return second_moment - (Fraction(1, n) + mean_sum) ** 2

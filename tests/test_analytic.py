@@ -155,7 +155,7 @@ class TestClassifyRegime:
     def test_unsupported_message_is_pinned(self):
         with pytest.raises(UnsupportedRegimeError) as exc:
             analytic.var_ybar_you(100, YouParams(0.4))
-        assert str(exc.value) == "unsupported regime (no normal limit expected)"
+        assert str(exc.value) == "unsupported regime (no normal limit expected) at alpha = 0.4"
         assert isinstance(exc.value, ValueError)
 
 
@@ -637,7 +637,7 @@ class TestClosedFormGap:
         assert raised.value.reason == "per-event schedules have no closed-form bounds"
         with pytest.raises(UnsupportedRegimeError) as raised:
             analytic.var_ybar_youj(10, YouParams(0.3), None)
-        assert str(raised.value) == analytic.UNSUPPORTED_REGIME_MSG
+        assert str(raised.value) == f"{analytic.UNSUPPORTED_REGIME_MSG} at alpha = 0.3"
         assert raised.value.reason == "no normal limit expected below the critical rate"
         # a per-event schedule is named first
         with pytest.raises(analytic.PerEventScheduleError):
@@ -648,7 +648,7 @@ class TestClosedFormGap:
         for params, schedule, error, message in (
                 (YouParams(1.0), per_event, analytic.PerEventScheduleError, PER_EVENT_MSG),
                 (YouParams(0.3), None, UnsupportedRegimeError,
-                 analytic.UNSUPPORTED_REGIME_MSG)):
+                 f"{analytic.UNSUPPORTED_REGIME_MSG} at alpha = 0.3")):
             for refusal in (lambda: analytic.asymptotic_constants(params, schedule),
                             lambda: analytic.limit_distribution(params, schedule),
                             lambda: analytic.var_ybar_youj(100, params, schedule),

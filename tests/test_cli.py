@@ -252,7 +252,7 @@ class TestBoundsCommand:
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert captured.err == f"error: {UNSUPPORTED_REGIME_MSG}\n"
+        assert captured.err == f"error: {UNSUPPORTED_REGIME_MSG} at alpha = 0.4\n"
 
     def test_jump_flags_require_jump_model(self, capsys):
         code = cli.main(["bounds", "--n", "100", "--alpha", "1.0",
@@ -388,9 +388,12 @@ class TestCurvesCommand:
         assert text.count("with lines") == 2
 
     def test_unsupported_rate_rejected(self, tmp_path, capsys):
-        code, _ = self._run(tmp_path, "--alphas", "0.4")
-        assert code == 1
-        assert UNSUPPORTED_REGIME_MSG in capsys.readouterr().err
+        # among several rates, the message names the one refused
+        for alphas, rejected in (("0.4", "0.4"), ("0.5,0.45,1", "0.45")):
+            code, _ = self._run(tmp_path, "--alphas", alphas)
+            assert code == 1
+            assert capsys.readouterr().err == (
+                f"error: {UNSUPPORTED_REGIME_MSG} at alpha = {rejected}\n")
 
     def test_bad_grid_rejected(self, tmp_path, capsys):
         out = tmp_path / "curves.csv"

@@ -341,6 +341,20 @@ class TestMomentEstimates:
         assert est.vv.value > 0.0
         assert est.vv.se > 0.0
 
+    @pytest.mark.parametrize("alpha,p,seed", [(0.6, 0.0, 2601), (1.0, 0.0, 2602),
+                                              (2.0, 0.0, 2603), (1.0, 0.5, 2604),
+                                              (1.0, 1.0, 2605)])
+    def test_vv_within_four_se_of_exact(self, alpha, p, seed):
+        # the engine's second moment of V against the exact Var(V) at
+        # R = 2e4, n = 50: YOU, or YOUj with sigma_c2 = 1
+        n = 50
+        model, schedule = ("YOUj", JumpSchedule.constant(p, 1.0)) if p else \
+            ("YOU", JumpSchedule.none())
+        config = ExperimentConfig(model=model, n=n, params=YouParams(alpha), schedule=schedule,
+                                  replicates=20_000, seed=seed)
+        vv = harness.estimate_moment_summary(config).vv
+        assert abs(vv.value - oracles.vv_exact(n, alpha, p, 1.0)) <= 4.0 * vv.se
+
     def test_centered_start_gives_exact_zero_spread(self):
         # x0 = 0 makes every conditional mean exactly 0.0, so its sample
         # variance and the attached standard error are exact zeros.
@@ -612,9 +626,9 @@ class TestGoldenStatistics:
 class TestSandwichMemory:
     """Peak traced allocation of the full-length passes at R = 2e5, in units
     of one float64 sample (8R bytes). The sorted sample keeps three such
-    arrays (x, Phi, G) and the 4-byte ranks; dw and the bootstrap share two
-    8-byte work arrays and two masks, which no resample adds to; dk takes
-    two arrays. A work array too many shows as a whole unit."""
+    arrays (x, Phi, G) and the 4-byte ranks; dk, dw and the bootstrap share
+    one workspace of two 8-byte arrays and two masks, to which neither dk
+    nor any resample adds. A work array too many shows as a whole unit."""
 
     R = 200_000
 
@@ -637,7 +651,9 @@ class TestSandwichMemory:
 
     def test_dk(self):
         s = self._sample()
-        assert self._peak_units(lambda: harness._dk_sorted(s)) <= 2.5
+        work = harness._DwWork.for_size(self.R)
+        harness._sample_levels(work)
+        assert self._peak_units(lambda: harness._dk_sorted(s, work)) <= 0.05
 
     def test_bootstrap(self):
         s = self._sample()

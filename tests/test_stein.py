@@ -2,6 +2,7 @@
 
 import functools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -374,6 +375,10 @@ class TestExactTwoTipDistances:
         assert abs(ev - analytic.var_ybar_you(2, analytic.YouParams(alpha))) <= 1e-12
 
     @pytest.mark.parametrize("alpha", sorted(TWO_TIP_DISTANCES))
+    def test_quadrature_vv_is_the_exact_sum(self, alpha):
+        assert _two_tip(alpha)[1] == pytest.approx(oracles.vv_exact(2, alpha), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", sorted(TWO_TIP_DISTANCES))
     def test_distances_to_printed_digits(self, alpha):
         dk, dw = _two_tip(alpha)[3:]
         assert _as_printed(dk, TWO_TIP_DISTANCES[alpha][0])
@@ -481,6 +486,11 @@ class TestExactThreeTipDistances:
         assert abs(moments.ev - analytic.var_ybar_you(3, params)) <= 1e-12
         assert abs(moments.ve - analytic.var_cond_mean_exact(3, params)) <= 1e-12
 
+    @pytest.mark.parametrize("alpha", [1.0, 2.0, 5.0])
+    def test_quadrature_vv_is_the_exact_sum(self, alpha):
+        vv = _three_tip_mixture(alpha, 1.0)[0].vv
+        assert vv == pytest.approx(oracles.vv_exact(3, alpha), rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("alpha,x0", sorted(THREE_TIP_DISTANCES))
     def test_distances_to_printed_digits(self, alpha, x0):
         dk, dw = _three_tip_mixture(alpha, x0)[1:]
@@ -536,6 +546,11 @@ class TestExactJumpPairDistances:
         assert abs(moments.ev - analytic.var_ybar_youj(2, params, schedule)) <= 1e-12
         assert abs(moments.ve - analytic.var_cond_mean_exact(2, params)) <= 1e-12
 
+    @pytest.mark.parametrize("alpha,p", [(2.0, 0.5), (2.0, 1.0), (5.0, 0.5), (5.0, 1.0)])
+    def test_quadrature_vv_is_the_exact_sum(self, alpha, p):
+        vv = _jump_pair_mixture(alpha, p, 1.0)[0].vv
+        assert vv == pytest.approx(oracles.vv_exact(2, alpha, p, 1.0), rel=1e-12, abs=0.0)
+
     @pytest.mark.parametrize("alpha,p,x0", sorted(JUMP_PAIR_DISTANCES))
     def test_distances_to_printed_digits(self, alpha, p, x0):
         dk, dw = _jump_pair_mixture(alpha, p, x0)[1:]
@@ -555,3 +570,17 @@ class TestExactJumpPairDistances:
                                        analytic.JumpSchedule.constant(p, 1.0), 2)
         _check_uppers(moments, shipped, dk, dw, JUMP_PAIR_DISTANCES[alpha, p, x0][2:],
                       (True, (alpha, p, x0) not in SHIPPED_WASSERSTEIN_MISSES))
+
+
+class TestExactVvSum:
+    """`oracles.vv_exact`, the float O(n^2) sum for Var(V), against exact
+    enumeration of every split sequence. At alpha = 1 and 2 every time
+    moment is rational."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("alpha", [1, 2])
+    def test_float_sum_is_the_enumeration(self, n, alpha):
+        for p, sigma_c2 in ((0, 0), (Fraction(1, 2), 1), (1, 1)):
+            exact = oracles.vv_by_enumeration(n, alpha, p, sigma_c2)
+            got = oracles.vv_exact(n, float(alpha), float(p), float(sigma_c2))
+            assert abs(Fraction(got) / exact - 1) <= Fraction(1, 10 ** 13)
