@@ -124,6 +124,22 @@ class JumpSchedule:
         return all(p * s == 0.0 for p, s in self.pairs)
 
 
+def check_jump_scale(params: YouParams, schedule: JumpSchedule | None) -> None:
+    """Refuses a schedule whose largest jump scale L = (2 alpha / sigma_a2)
+    sigma_c2, over the entries that can jump, has no finite square, naming
+    sigma_c2, alpha and sigma_a2: the vv and the variance estimates square
+    it."""
+    if schedule is None:
+        return
+    entries = schedule.pairs if schedule.kind == "per_event" else ((schedule.p, schedule.sigma_c2),)
+    sigma_c2 = max((s for p, s in entries if p > 0.0 and s > 0.0), default=0.0)
+    scale = (2.0 * params.alpha / params.sigma_a2) * sigma_c2
+    if not math.isfinite(scale * scale):
+        raise ValueError(f"jump scale (2 alpha / sigma_a2) sigma_c2 has no finite square at "
+                         f"sigma_c2 = {sigma_c2!r}, alpha = {params.alpha!r}, "
+                         f"sigma_a2 = {params.sigma_a2!r}")
+
+
 @dataclass(frozen=True)
 class Regime:
     """Rate classification: kind in {slow, critical, fast} plus the finer
@@ -409,6 +425,7 @@ def bound_point(params: YouParams, schedule: JumpSchedule | None,
         raise ValueError(f"the rate table cannot hold vv at alpha = {params.alpha!r} "
                          f"(sigma_a2 = {params.sigma_a2!r}): its leading constant is "
                          f"{table.vv.value!r} in double precision")
+    check_jump_scale(params, schedule)
     ms = MomentSummary(ev=var_ybar_youj(n, params, schedule), vv=table.vv.at(n),
                        ve=var_cond_mean_exact(n, params))
     notes = (

@@ -332,9 +332,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     if "dump_tree" in settings:
         # replicate 0 of the run: row 0 of block 0's draws
-        draws = harness.draw_block(config, 0)
+        tree, flags, _ = harness.draw_block(config, 0)
         with open(settings["dump_tree"], "w", encoding="utf-8") as fh:
-            fh.write(trees.dump_tree(draws.tree, draws.flags))
+            fh.write(trees.dump_tree(tree, flags))
 
     result = harness.run_experiment(config)
     text = render_result_json(result)

@@ -93,6 +93,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown model: {self.model!r}")
         if self.model == MODEL_YOU and not self.schedule.is_inactive:
             raise ValueError("the jump-free model takes no jump schedule")
+        analytic.check_jump_scale(self.params, self.schedule)
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
         if self.replicates < 2:
@@ -158,26 +159,17 @@ def replicate_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
-@dataclass(frozen=True)
-class BlockDraws:
-    """One block of B replicates, row i for the block's i-th replicate: the
-    trees, the jump flags (B, n-1, 2) (None for the jump-free model) and the
-    standard normals (B,)."""
-
-    tree: trees.TreeBlock
-    flags: np.ndarray | None
-    normals: np.ndarray
-
-
 def draw_block(config: ExperimentConfig, block: int, jump_ps: np.ndarray | None = None,
-               buffers: trees.BlockBuffers | None = None) -> BlockDraws:
+               buffers: trees.BlockBuffers | None = None
+               ) -> tuple[trees.TreeBlock, np.ndarray | None, np.ndarray]:
     """The draws of block `block` of a run, as whole arrays from the block's
-    stream, in stream order: the trees (uniforms with zeros redrawn, then
-    splits), for the jump model the jump flags (with the per-event
-    probabilities jump_ps), then the normals. A block always draws B full
-    rows, so a replicate's draws depend only on the seed, its index and n.
-    The trees and flags are drawn into `buffers` (fresh ones if None) and
-    are valid until the next block is drawn into them."""
+    stream, in stream order, row i for the block's i-th replicate: the trees
+    (uniforms with zeros redrawn, then splits), for the jump model the
+    (B, n-1, 2) jump flags (with the per-event probabilities jump_ps; None
+    for the jump-free model), then the (B,) standard normals. A block always
+    draws B full rows, so a replicate's draws depend only on the seed, its
+    index and n. The trees and flags are drawn into `buffers` (fresh ones if
+    None) and are valid until the next block is drawn into them."""
     n = config.n
     rows = _block_size(n)
     rng = replicate_rng(config.seed, block)
@@ -187,7 +179,7 @@ def draw_block(config: ExperimentConfig, block: int, jump_ps: np.ndarray | None 
         if jump_ps is None:
             jump_ps = trees.jump_event_arrays(config.schedule, n)[0]
         flags = trees.sample_jumps(jump_ps, rng, rows, buffers)
-    return BlockDraws(tree, flags, rng.standard_normal(rows))
+    return tree, flags, rng.standard_normal(rows)
 
 
 def _block_size(n: int) -> int:
@@ -201,15 +193,14 @@ def _run_block(config: ExperimentConfig, index: int, size: int, jump_arrays,
     and scored in `buffers`."""
     params = config.params
     ps, variances = jump_arrays if jump_arrays is not None else (None, None)
-    draws = draw_block(config, index, ps, buffers)
-    block, flags = draws.tree, draws.flags
+    block, flags, normals = draw_block(config, index, ps, buffers)
     if flags is None:
         cond_mean, cond_var = trees.conditional_moments_you(block, params, buffers)
     else:
         cond_mean, cond_var = trees.conditional_moments_youj(block, flags, variances, params,
                                                              buffers)
     # bit-for-bit what normal(cond_mean, sqrt(cond_var)) would draw
-    ybar = cond_mean + np.sqrt(cond_var) * draws.normals
+    ybar = cond_mean + np.sqrt(cond_var) * normals
     columns = [cond_mean, cond_var, ybar]
     if collect_oracle:
         two_alpha = 2.0 * params.alpha

@@ -112,9 +112,8 @@ def wasserstein_upper(ms: MomentSummary) -> BoundReport:
     sqrt(2/pi) vv^(3/4)/ev^(3/2) + sqrt(ve) sqrt(vv)/ev^(3/2) + ve/ev
     + sqrt(2/pi) sqrt(ve) vv^(1/4)/ev.
     """
-    ev32 = ms.ev ** 1.5
-    t1 = _SQRT_2_OVER_PI * ms.vv ** 0.75 / ev32
-    t2 = math.sqrt(ms.ve) * math.sqrt(ms.vv) / ev32
+    t1 = _over_ev32(_SQRT_2_OVER_PI * ms.vv ** 0.75, ms.ev)
+    t2 = _over_ev32(math.sqrt(ms.ve) * math.sqrt(ms.vv), ms.ev)
     t3 = ms.ve / ms.ev
     t4 = _SQRT_2_OVER_PI * math.sqrt(ms.ve) * ms.vv ** 0.25 / ms.ev
     terms = (
@@ -124,6 +123,18 @@ def wasserstein_upper(ms: MomentSummary) -> BoundReport:
         ("sqrt(2/pi) sqrt(ve) vv^1/4 / ev", t4),
     )
     return BoundReport(WASSERSTEIN, terms, t1 + t2 + t3 + t4)
+
+
+def _over_ev32(x: float, ev: float) -> float:
+    """x / ev^(3/2) for every ev a summary accepts: where ev^(3/2) overflows
+    or underflows to 0, ev and sqrt(ev) are divided out in turn."""
+    try:
+        ev32 = ev ** 1.5
+        if ev32 > 0.0:
+            return x / ev32
+    except OverflowError:
+        pass
+    return x / ev / math.sqrt(ev)
 
 
 def variance_penalty(x, sigma2):

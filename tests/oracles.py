@@ -400,3 +400,118 @@ def vv_by_enumeration(n: int, alpha, p=0, sigma_c2=0) -> Fraction:
                      + sum((second[a][b] * ee[a][b] for a in range(n) for b in range(n)),
                            Fraction(0)))
     return second_moment - (Fraction(1, n) + mean_sum) ** 2
+
+
+_EVENT_BLOCK = 4096
+
+
+def vv_exact_linear(n: int, alpha: float, p: float = 0.0, sigma_c2: float = 0.0) -> float:
+    """`vv_exact` as an O(n) sum, sigma_a2 = 1. Every covariance of two
+    different events k < l is a factor of k times a factor of l, in the
+    topology (a(k) or k a(k), with a(k) = 1/((k+1)(k+2))) and in the times
+    (E[E_k E_l] = T2[k] T4[l]/T2[l], Cov(E_k, E_l) = T2[k] T2[l]
+    expm1(D[l])), so each double sum over k < l is one pass over l against
+    the prefix sums P0(l) = sum_{k<l} a(k) T2[k] and P1(l) = sum_{k<l}
+    k a(k) T2[k]. The sums are the ones that do not depend on p, and the
+    coefficients of p and p^2, kept per (n, alpha)."""
+    vv, var_j1, var_j2, cov_qj1, cov_gj1 = _vv_linear_pieces(int(n), float(alpha))
+    nf = float(n)
+    w = 2.0 * alpha * sigma_c2 / (nf * nf)
+    return vv + w * w * (p * var_j1 + p * p * var_j2) + 2.0 * w * p * (
+        2.0 / nf ** 2 * cov_qj1 - cov_gj1)
+
+
+@functools.lru_cache(maxsize=256)
+def _vv_linear_pieces(n: int, alpha: float) -> tuple[float, float, float, float, float]:
+    """(Var(V) without jumps, the p and p^2 coefficients of Var(J), and the
+    p coefficients of Cov(Q, J) and Cov(G, J)), with J = sum_k Y_k E_k and
+    Q = sum_k X_k E_k. The time factors and the prefix sums take one pass;
+    the sums over the events run over blocks of _EVENT_BLOCK events, whose
+    temporaries stay small."""
+    j = np.arange(1.0, n + 1.0)
+
+    def over_later_periods(terms):  # out[m] = sum of terms[j - 1] over j > m
+        return np.cumsum(terms[::-1])[::-1]
+
+    def over_earlier_events(terms):  # out[l] = sum of terms[k] over k < l
+        out = np.zeros_like(terms)
+        np.cumsum(terms[:-1], out=out[1:])
+        return out
+
+    log_t2 = over_later_periods(-np.log1p(2.0 * alpha / j))
+    log_t4 = over_later_periods(-np.log1p(4.0 * alpha / j))
+    d = over_later_periods(np.log1p(4.0 * alpha * alpha / (j * (j + 4.0 * alpha))))
+    cov_g = np.exp(log_t2[0] + log_t2) * np.expm1(d)  # Cov(E_m, G); m = 0 is Var(G)
+    # per event k = 1..n-1: T2[k], T4[k] / T2[k] and T2[k] expm1(D[k])
+    t2 = np.exp(log_t2[1:])
+    ratio = np.exp(log_t4[1:] - log_t2[1:])
+    cov_e = t2 * np.expm1(d[1:])
+    k = np.arange(1.0, n)
+    a = 1.0 / ((k + 1.0) * (k + 2.0))
+    p0, p1 = over_earlier_events(a * t2), over_earlier_events(k * a * t2)
+    sums = np.zeros(6)
+    for lo in range(0, n - 1, _EVENT_BLOCK):
+        block = slice(lo, lo + _EVENT_BLOCK)
+        sums += _event_sums(float(n), k[block], t2[block], ratio[block], cov_e[block],
+                            cov_g[1:][block], p0[block], p1[block])
+    var_q, cov_qg, var_j1, var_j2, cov_qj1, cov_gj1 = sums
+    vv = 4.0 / n ** 4 * var_q - 4.0 / n ** 2 * cov_qg + cov_g[0]
+    return vv, var_j1, var_j2, cov_qj1, cov_gj1
+
+
+def _event_sums(nf, k, t2, ratio, cov_e, cov_g, p0, p1) -> np.ndarray:
+    """Over the events k given, the sums behind Var(Q), Cov(Q, G), the p and
+    p^2 coefficients of Var(J), and the p coefficients of Cov(Q, J) and
+    Cov(G, J), each double sum over k < l taken at the later event l against
+    the prefix sums p0 and p1."""
+    a = 1.0 / ((k + 1.0) * (k + 2.0))
+    q4 = (k + 1.0) * (k + 2.0) * (k + 3.0) * (k + 4.0)
+    mean_x, mean_s = nf * (nf + 1.0) * a, 2.0 * nf * (2.0 * nf - k) * a
+    x2 = nf * (nf + 1.0) * (k * k - 4.0 * k * nf - k + 4.0 * nf * nf + 4.0 * nf + 4.0) / q4
+    quartic = 2.0 * nf * (2.0 * nf - k) * (12.0 * nf * nf - 12.0 * k * nf + k * k - 5.0 * k) / q4
+    xs = 2.0 * nf * (nf + 1.0) * (6.0 * nf * nf + 6.0 * nf - 6.0 * k * nf + k * k - 5.0 * k) / q4
+    # the later event's factors of Cov(X_k, X_l), Cov(S_k, S_l), Cov(X_k, S_l)
+    # and Cov(S_k, X_l), k < l
+    b = (k - nf + 1.0) * nf * (nf + 1.0) / q4
+    g_xx, g_ss = -2.0 * (k - 3.0 * nf - 2.0) * b, 24.0 * (k - 2.0 * nf) * b
+    g_xs, g_sx = -12.0 * (k - 2.0 * nf) * b, 4.0 * (k - 3.0 * nf - 2.0) * b
+    # sum over k < l of E[X_k] T2[k] and E[S_k] T2[k]
+    mean_x_before, mean_s_before = nf * (nf + 1.0) * p0, 2.0 * nf * (2.0 * nf * p0 - p1)
+    ee_same, cov_e_same = t2 * ratio, t2 * cov_e
+
+    def same_event(cov, mean_left, mean_right):
+        return cov * ee_same + mean_left * mean_right * cov_e_same
+
+    def earlier_later(g, prefix, mean_before, mean_later):
+        return g * ratio * prefix + mean_later * cov_e * mean_before
+
+    # Cov(Y_k, Y_l) is p^2 Cov(S_k, S_l) for k != l, and p (L^4 + R^4) +
+    # 2 p^2 X^2 - p^2 E[S]^2 for k = l; E[Y_k] = p E[S_k]
+    return np.array([
+        np.sum(same_event(x2 - mean_x * mean_x, mean_x, mean_x)
+               + 2.0 * earlier_later(g_xx, p0, mean_x_before, mean_x)),
+        mean_x @ cov_g,
+        quartic @ ee_same,
+        np.sum(same_event(2.0 * x2 - mean_s * mean_s, mean_s, mean_s)
+               + 2.0 * earlier_later(g_ss, p1, mean_s_before, mean_s)),
+        np.sum(same_event(xs - mean_x * mean_s, mean_x, mean_s)
+               + earlier_later(g_xs, p0, mean_x_before, mean_s)
+               + earlier_later(g_sx, p1, mean_s_before, mean_x)),
+        mean_s @ cov_g,
+    ])
+
+
+def vv_limit(alpha: float, p: float, lift: float) -> float:
+    """The limit of n^3 Var(V) above alpha = 3/4 under a constant schedule
+    (ROADMAP item 1, step A): c0 + L p C1 + L^2 (A p + B p^2), with the jump
+    scale L = lift = (2 alpha / sigma_a2) sigma_c2 (0 without jumps) and
+    d = (2 alpha - 1)^2 (4 alpha - 3) (4 alpha - 1). C1, A and B were
+    identified from the exact sum, not derived."""
+    d = (2.0 * alpha - 1.0) ** 2 * (4.0 * alpha - 3.0) * (4.0 * alpha - 1.0)
+    c0 = 16.0 * alpha * (4.0 * alpha ** 2 + alpha - 1.0) / d
+    c1 = 4.0 * (32.0 * alpha ** 3 + 40.0 * alpha ** 2 - 4.0 * alpha - 7.0) / d
+    a_coef = ((2.0 * alpha + 3.0) * (4.0 * alpha + 1.0) ** 2
+              / (2.0 * alpha * (2.0 * alpha - 1.0) * (4.0 * alpha - 3.0) * (4.0 * alpha - 1.0)))
+    b_coef = 2.0 * (16.0 * alpha ** 4 + 52.0 * alpha ** 3 + 52.0 * alpha ** 2 - 17.0 * alpha
+                    - 6.0) / (alpha * d)
+    return c0 + lift * p * c1 + lift * lift * (a_coef * p + b_coef * p * p)

@@ -123,6 +123,17 @@ class TestJumpSchedule:
         with pytest.raises(ValueError):
             JumpSchedule("sometimes")
 
+    def test_jump_scale_rule_names_the_largest_entry_that_can_jump(self):
+        # only entries with p > 0 jump: the 1e300 entry at p = 0 is ignored
+        params = YouParams(alpha=1.0)
+        quiet = [(0.0, 1e300), (0.5, 1.0)]
+        for schedule in (None, JumpSchedule.none(), JumpSchedule.constant(0.0, 1e300),
+                         JumpSchedule.per_event(quiet)):
+            analytic.check_jump_scale(params, schedule)
+        with pytest.raises(ValueError, match=re.escape(
+                "has no finite square at sigma_c2 = 1e+200, alpha = 1.0, sigma_a2 = 1.0")):
+            analytic.check_jump_scale(params, JumpSchedule.per_event(quiet + [(0.1, 1e200)]))
+
 
 class TestClassifyRegime:
     @pytest.mark.parametrize("alpha,kind,band", [

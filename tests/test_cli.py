@@ -661,6 +661,93 @@ class TestOffsetWithoutFiniteSquare:
         assert not out.exists()
 
 
+class TestJumpScaleWithoutFiniteSquare:
+    """A jump scale L = (2 alpha / sigma_a2) sigma_c2 whose square overflows
+    is refused by name, before any bound or draw."""
+
+    SIMULATE = ["simulate", "--n", "5", "--replicates", "200", "--seed", "1"]
+
+    @pytest.mark.parametrize("argv,sigma_c2,alpha,sigma_a2", [
+        (["bounds", "--n", "5", "--alpha", "1", "--p", "1", "--sigma-c2", "1e300"],
+         1e300, 1.0, 1.0),
+        (["bounds", "--n", "5", "--alpha", "1", "--p", "1", "--sigma-c2", "1", "--sigma-a2",
+          "1e-300"], 1.0, 1.0, 1e-300),
+        (["curves", "--alphas", "1", "--p", "1", "--sigma-c2", "1e300"], 1e300, 1.0, 1.0),
+        (SIMULATE + ["--alpha", "1", "--p", "1", "--sigma-c2", "1e300"], 1e300, 1.0, 1.0),
+        (SIMULATE + ["--alpha", "0.3", "--sigma-a2", "1e-300", "--p", "0.5", "--sigma-c2", "1"],
+         1.0, 0.3, 1e-300),
+    ], ids=["bounds-sigma_c2", "bounds-sigma_a2", "curves", "simulate", "simulate-below-half"])
+    def test_refused_by_name(self, tmp_path, capsys, argv, sigma_c2, alpha, sigma_a2):
+        out = tmp_path / "out"
+        argv = argv + ["--model", "YOUj"]
+        argv = argv + (["--out", str(out)] if argv[0] == "curves" else [])
+        argv = argv + (["--json", str(out)] if argv[0] == "simulate" else [])
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: jump scale (2 alpha / sigma_a2) sigma_c2 has no finite square at "
+            f"sigma_c2 = {sigma_c2!r}, alpha = {alpha!r}, sigma_a2 = {sigma_a2!r}\n")
+        assert not out.exists()
+
+    def test_largest_accepted_scale_keeps_every_estimate_finite(self, tmp_path):
+        # at alpha = 1 the scale is 2 sigma_c2: the largest sigma_c2 whose
+        # scale has a finite square runs, with a vv near the largest float,
+        # and the next float up is refused
+        largest = math.sqrt(np.finfo(np.float64).max) / 2.0
+        path = tmp_path / "run.json"
+        argv = ["simulate", "--model", "YOUj", "--n", "2", "--alpha", "1", "--p", "1",
+                "--replicates", "200", "--seed", "1", "--json", str(path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv + ["--sigma-c2", repr(largest)]) == 0
+        est = json.loads(path.read_text(encoding="utf-8"))["estimates"]
+        for name in ("ev", "vv"):
+            assert math.isfinite(est[name]["value"]) and est[name]["value"] > 0.0
+            assert math.isfinite(est[name]["se"]) and est[name]["se"] > 0.0
+        assert est["vv"]["value"] > 1e306
+        with pytest.raises(ValueError, match="jump scale"):
+            harness.ExperimentConfig(model="YOUj", n=2, params=YouParams(alpha=1.0),
+                                     schedule=JumpSchedule.constant(
+                                         1.0, math.nextafter(largest, math.inf)),
+                                     replicates=200, seed=1)
+
+
+class TestNoTraceback:
+    """Every command on the jump model, over a cross of extreme settings,
+    either succeeds or ends with one `error:` line and nothing on stdout;
+    no exception, warnings included, leaves `cli.main`."""
+
+    GRID = [[alpha, "--sigma-a2", sigma_a2, "--x0", x0, "--sigma-c2", sigma_c2, "--p", p]
+            for alpha in ("0.3", "0.5", "1", "1e100")
+            for sigma_a2 in ("1e-300", "1", "1e300")
+            for x0 in ("0", "1e150")
+            for sigma_c2 in ("0", "1", "1e150", "1e300")
+            for p in ("0.5", "1")]
+
+    @pytest.mark.parametrize("command", [
+        ["bounds", "--n", "5", "--alpha"],
+        ["curves", "--n-min", "100", "--n-max", "1000", "--points", "2", "--alphas"],
+        ["simulate", "--n", "5", "--replicates", "200", "--seed", "1", "--alpha"],
+    ], ids=["bounds", "curves", "simulate"])
+    def test_every_run_exits_cleanly(self, tmp_path, capsys, command):
+        out = ["--out", str(tmp_path / "c.csv")] if command[0] == "curves" else []
+        for settings in self.GRID:
+            argv = command + settings + ["--model", "YOUj"] + out
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    code = cli.main(argv)
+                except Exception as exc:  # any escape is the failure
+                    pytest.fail(f"{' '.join(argv)} raised {exc!r}")
+            captured = capsys.readouterr()
+            if code != 0:
+                assert code == 1, argv
+                assert captured.out == "", argv
+                assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, (
+                    argv, captured.err)
+
+
 class TestHugeOffsetErrors:
     """Offsets that `YouParams` accepts but whose conditional-mean fourth
     moments overflow still get a finite ve standard error."""

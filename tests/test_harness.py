@@ -221,15 +221,15 @@ class TestBlockBuffers:
         ps = None if jump_arrays is None else jump_arrays[0]
         shared = trees.BlockBuffers()
         for k in range(3):
-            draws = harness.draw_block(config, k, ps, shared)
-            fresh = harness.draw_block(config, k, ps)
+            tree, flags, normals = harness.draw_block(config, k, ps, shared)
+            fresh_tree, fresh_flags, fresh_normals = harness.draw_block(config, k, ps)
             for field in dataclasses.fields(trees.TreeBlock):
-                assert np.array_equal(getattr(draws.tree, field.name),
-                                      getattr(fresh.tree, field.name)), (k, field.name)
-            assert (draws.flags is None) == (fresh.flags is None)
-            if draws.flags is not None:
-                assert np.array_equal(draws.flags, fresh.flags)
-            assert np.array_equal(draws.normals, fresh.normals)
+                assert np.array_equal(getattr(tree, field.name),
+                                      getattr(fresh_tree, field.name)), (k, field.name)
+            assert (flags is None) == (fresh_flags is None)
+            if flags is not None:
+                assert np.array_equal(flags, fresh_flags)
+            assert np.array_equal(normals, fresh_normals)
             size = min(b, r - k * b)
             got = harness._run_block(config, k, size, jump_arrays, True, shared)
             expected = harness._run_block(config, k, size, jump_arrays, True,
@@ -241,10 +241,10 @@ class TestBlockBuffers:
             # every kernel, the oracle ones included, has now run on the shared
             # buffers: no numbered temporary may alias what the block hands on
             for field in dataclasses.fields(trees.TreeBlock):
-                assert np.array_equal(getattr(draws.tree, field.name),
-                                      getattr(fresh.tree, field.name)), (k, field.name)
-            if draws.flags is not None:
-                assert np.array_equal(draws.flags, fresh.flags)
+                assert np.array_equal(getattr(tree, field.name),
+                                      getattr(fresh_tree, field.name)), (k, field.name)
+            if flags is not None:
+                assert np.array_equal(flags, fresh_flags)
 
     @pytest.mark.parametrize("collect_oracle", [False, True])
     @pytest.mark.parametrize("n", [50, 200, 5000])

@@ -95,6 +95,28 @@ class TestWassersteinUpper:
         assert len(rep.terms) == 4
         assert rep.total == sum(rep.term_values())
 
+    @pytest.mark.parametrize("ev,vv,ve", [(1e250, 1e300, 1.0), (1e-220, 1e-300, 0.0),
+                                          (1e-220, 0.0, 1e-300)])
+    def test_ev_three_halves_power_out_of_range(self, ev, vv, ve):
+        # ev^(3/2) overflows (1e375) or underflows (1e-330): the two terms
+        # over it still take their values, from ev and sqrt(ev) in turn
+        terms = stein.wasserstein_upper(stein.MomentSummary(ev, vv, ve)).term_values()
+
+        def over_ev32(log_x):
+            return math.exp(log_x - 1.5 * math.log(ev))
+
+        assert terms[0] == pytest.approx(
+            SQRT_2_OVER_PI * over_ev32(0.75 * math.log(vv)) if vv else 0.0, rel=1e-12, abs=0.0)
+        assert terms[1] == pytest.approx(
+            over_ev32(0.5 * math.log(ve * vv)) if ve * vv else 0.0, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("ev,vv,ve", [(2.0, 0.5, 0.7), (1e200, 1e300, 1.0),
+                                          (1e-200, 1e-300, 1e-250), (3e-7, 1e-5, 2e-9)])
+    def test_in_range_terms_keep_their_bits(self, ev, vv, ve):
+        terms = stein.wasserstein_upper(stein.MomentSummary(ev, vv, ve)).term_values()
+        assert terms[0] == SQRT_2_OVER_PI * vv ** 0.75 / ev ** 1.5
+        assert terms[1] == math.sqrt(ve) * math.sqrt(vv) / ev ** 1.5
+
 
 class TestVariancePenalty:
     @pytest.mark.parametrize("s2", [0.5, 1.0, 3.0])
@@ -584,3 +606,82 @@ class TestExactVvSum:
             exact = oracles.vv_by_enumeration(n, alpha, p, sigma_c2)
             got = oracles.vv_exact(n, float(alpha), float(p), float(sigma_c2))
             assert abs(Fraction(got) / exact - 1) <= Fraction(1, 10 ** 13)
+
+
+# ROADMAP item 1, step A, on the test side: the O(n) exact vv, the limit of
+# n^3 vv above alpha = 3/4 and the envelope the limit makes
+VV_LINEAR_ALPHAS = [0.5, 0.5 + 1e-9, 0.6, 0.75, 0.8, 1.0, 2.0, 5.0, 10.0, 50.0]
+
+
+class TestExactVvLinear:
+    """`oracles.vv_exact_linear`, the O(n) prefix-sum form, against the
+    O(n^2) double sum `oracles.vv_exact` that enumeration and the quadrature
+    mixtures check."""
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 50, 300])
+    def test_is_the_double_sum(self, n):
+        for alpha in VV_LINEAR_ALPHAS:
+            for p in (0.0, 0.5, 1.0):
+                assert oracles.vv_exact_linear(n, alpha, p, 1.0) == pytest.approx(
+                    oracles.vv_exact(n, alpha, p, 1.0), rel=1e-13, abs=0.0), (alpha, p)
+
+
+ENVELOPE_NS = sorted({int(round(v)) for v in np.geomspace(2, 1e5, 12)})
+
+
+def _n3_vv(n, alpha, p, lift):
+    return n ** 3 * oracles.vv_exact_linear(n, alpha, p, lift / (2.0 * alpha))
+
+
+class TestVvLimit:
+    """`oracles.vv_limit`, the limit of n^3 vv above 3/4: its jump-free
+    constant, its values at alpha = 1, that it bounds the exact vv from above
+    and that the exact vv approaches it."""
+
+    @pytest.mark.parametrize("alpha", [0.8, 1.0, 2.0, 10.0])
+    def test_jump_free_constant_is_the_table_plus_the_missing_term(self, alpha):
+        table = analytic.asymptotic_constants(analytic.YouParams(alpha)).vv.value
+        missing = 32.0 * alpha / ((4.0 * alpha - 1.0) * (4.0 * alpha - 2.0) * (4.0 * alpha - 3.0))
+        assert oracles.vv_limit(alpha, 0.0, 0.0) == pytest.approx(table + missing, rel=1e-14,
+                                                                  abs=0.0)
+
+    @pytest.mark.parametrize("p,limit", [(0.0, 64.0 / 3.0), (0.5, 209.0), (1.0, 526.0)])
+    def test_values_at_rate_one(self, p, limit):
+        # sigma_c2 = 1, so L = 2
+        assert oracles.vv_limit(1.0, p, 2.0) == pytest.approx(limit, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.76, 0.8, 1.0, 1.25, 2.0, 5.0, 30.0])
+    def test_bounds_the_exact_vv_from_above(self, alpha):
+        for n in ENVELOPE_NS:
+            for p in (0.0, 0.1, 0.5, 1.0):
+                for lift in (0.1, 2.0 * alpha):
+                    limit = oracles.vv_limit(alpha, p, lift)
+                    assert _n3_vv(n, alpha, p, lift) <= limit * (1.0 + 1e-13), (n, p, lift)
+
+    @pytest.mark.parametrize("alpha,rel", [(1.25, 1e-6), (1.5, 1e-9), (2.0, 1e-9), (5.0, 1e-9)])
+    def test_exact_vv_approaches_the_limit(self, alpha, rel):
+        # Richardson steps at n = 1e5, 2e5 and 4e5 remove the 1/n and 1/n^2
+        # terms; at alpha = 1.25, out of the fit's sample, an n^-3/2 term stays
+        for p in (0.0, 0.5, 1.0):
+            lift = 2.0 * alpha
+            f1, f2, f4 = (_n3_vv(n, alpha, p, lift) for n in (100_000, 200_000, 400_000))
+            once, once_doubled = 2.0 * f2 - f1, 2.0 * f4 - f2
+            extrapolated = (4.0 * once_doubled - once) / 3.0
+            assert extrapolated == pytest.approx(oracles.vv_limit(alpha, p, lift), rel=rel,
+                                                 abs=0.0), p
+
+    def test_counterexample_bounds_lie_above_with_the_limit(self):
+        # YOUj n = 2, alpha = 5, p = 1, sigma_c2 = 1, x0 = 0: with the limit's
+        # vv / n^3 in place of the exact vv, both upper bounds built on the
+        # exact ev and ve lie above the exact distances
+        moments, dk, dw = _jump_pair_mixture(5.0, 1.0, 0.0)
+        vv = oracles.vv_limit(5.0, 1.0, 10.0) / 8.0
+        assert vv == pytest.approx(6.8, abs=0.05)
+        assert moments.vv == pytest.approx(1.8507, abs=5e-5)
+        assert vv > moments.vv
+        summary = stein.MomentSummary(ev=moments.ev, vv=vv, ve=moments.ve)
+        kolmogorov, wasserstein = stein.kolmogorov_upper(summary), stein.wasserstein_upper(summary)
+        assert kolmogorov.total == pytest.approx(1.866, abs=5e-4)
+        assert wasserstein.total == pytest.approx(2.034, abs=5e-4)
+        assert kolmogorov.total > dk
+        assert wasserstein.total > dw
