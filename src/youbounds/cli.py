@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from . import analytic, harness, stein, trees, verify
+from . import analytic, harness, stein, trees
 from .analytic import (
     MODEL_YOU,
     MODEL_YOUJ,
@@ -353,6 +353,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # verify
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import verify  # loaded only by this command
+
     workers = harness.resolve_workers(args.workers, verify.DEFAULT_WORKERS)
     suite = verify.quick_suite if args.level == "quick" else verify.full_suite
     results = []

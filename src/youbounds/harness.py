@@ -14,8 +14,12 @@ and the first R' replicates of a run are a run of R' replicates. Workers
 take contiguous runs of whole blocks and every reduction runs over the full
 index-ordered arrays, so results are bit-identical for any worker count.
 
-The empirical distances compare the analytically standardized draws against
-N(0,1). The sample is sorted once, and Phi and its antiderivative
+The empirical distances compare the draws, standardized by
+mu = `analytic.mean_ybar` and sqrt(ev) with ev = `analytic.var_ybar_youj`,
+against N(0,1): they measure the tip average against N(mu, ev), the normal
+the bounds are stated for (dw in units of sqrt(ev)). ev is the mean
+conditional variance, not Var(ybar) = ev + ve once x0 != 0. The sample is
+sorted once, and Phi and its antiderivative
 G(z) = z Phi(z) + phi(z) are evaluated once on the sorted values; every
 statistic reads those arrays. The Kolmogorov statistic is the one-sample
 sup-distance to the normal CDF. The Wasserstein statistic is the exact L1
@@ -30,8 +34,8 @@ resample share one workspace, allocated once per sandwich (`_DwWork`): two
 8-byte arrays of R whose roles change (the drawn ranks become the levels
 once they are counted, the counts become the segment terms, the levels
 become the segments' D(a)) and two masks. The sample is the resample that
-draws every rank once, so its levels i/R are built once, by the same
-running count, and dk reads them before dw overwrites them. No statistic
+draws every rank once, so `_DwWork.for_sample` builds its levels i/R by the
+same running count, and dk reads them before dw overwrites them. No statistic
 allocates a full-length array beyond the sorted sample and the workspace,
 the ranks take four bytes while R < 2^31, and a sandwich holds at most
 about 5.8 float64 arrays of R at its peak. The sort is not stable and Phi
@@ -354,9 +358,13 @@ class _DwWork:
     cross: np.ndarray
 
     @classmethod
-    def for_size(cls, r: int) -> _DwWork:
-        return cls(np.empty(r), np.empty(r), np.empty(r - 1, np.bool_),
+    def for_sample(cls, r: int) -> _DwWork:
+        """A workspace for a sample of R, holding the sample's levels i/R."""
+        work = cls(np.empty(r), np.empty(r), np.empty(r - 1, np.bool_),
                    np.empty(r - 1, np.bool_))
+        work.seg.view(np.int64).fill(1)
+        _set_levels(work)
+        return work
 
 
 def _set_levels(work: _DwWork) -> None:
@@ -367,17 +375,10 @@ def _set_levels(work: _DwWork) -> None:
     np.divide(np.cumsum(counts, out=counts), len(work.seg), out=work.levels)
 
 
-def _sample_levels(work: _DwWork) -> None:
-    """The levels i/R of the sample itself, the resample that draws every
-    rank once, into `work.levels`."""
-    work.seg.view(np.int64).fill(1)
-    _set_levels(work)
-
-
 def _dk_sorted(s: _SortedSample, work: _DwWork) -> float:
     """max over i of max(i/R - Phi, Phi - (i-1)/R), with the sample's levels
-    i/R in `work.levels` (see `_sample_levels`), taken as the larger of the
-    two maxima, each formed in `work.seg`."""
+    i/R in `work.levels` (see `_DwWork.for_sample`), taken as the larger of
+    the two maxima, each formed in `work.seg`."""
     levels, seg = work.levels, work.seg
     high = np.max(np.subtract(levels, s.cdf, out=seg))
     seg[0] = s.cdf[0]
@@ -422,23 +423,17 @@ def _dw_segments(s: _SortedSample, work: _DwWork) -> float:
     return float(total)
 
 
-def _sample_work(samples, name: str) -> tuple[_SortedSample, _DwWork]:
-    """The sample sorted, and a workspace holding its levels i/R."""
-    s = _sort_sample(samples, name)
-    work = _DwWork.for_size(len(s.x))
-    _sample_levels(work)
-    return s, work
-
-
 def empirical_dk(samples) -> float:
     """One-sample Kolmogorov statistic against the standard normal CDF."""
-    return _dk_sorted(*_sample_work(samples, "empirical_dk"))
+    s = _sort_sample(samples, "empirical_dk")
+    return _dk_sorted(s, _DwWork.for_sample(len(s.x)))
 
 
 def empirical_dw(samples) -> float:
     """Exact L1 distance between the sample's empirical CDF and the standard
     normal CDF (the 1-D Wasserstein distance to N(0,1))."""
-    return _dw_segments(*_sample_work(samples, "empirical_dw"))
+    s = _sort_sample(samples, "empirical_dw")
+    return _dw_segments(s, _DwWork.for_sample(len(s.x)))
 
 
 def dkw_band(r: int) -> float:
@@ -541,10 +536,12 @@ def _verdict(empirical: float, upper: float, lower: float, slack: float, n: int)
 
 
 def run_sandwich(config: ExperimentConfig, data: ReplicateData | None = None) -> SandwichReport:
-    """Empirical distances of the standardized tip average vs the bounds.
+    """Empirical distances of the tip average to N(mu, ev) vs the bounds.
 
-    Standardization uses the analytic mean and standard deviation (exactly
-    the pair the limit statements normalize by), never sample moments. The
+    The draws are standardized by mu = `analytic.mean_ybar` and sqrt(ev),
+    ev = `analytic.var_ybar_youj` (so dw is in units of sqrt(ev)), never by
+    sample moments. ev is the mean conditional variance that the bounds and
+    the lower bound's sigma2 use, not Var(ybar) = ev + ve once x0 != 0. The
     lower bound feeds on the exact conditional-mean variance and the Monte
     Carlo mean of the variance penalty, evaluated on the same replicates.
     """
@@ -565,8 +562,7 @@ def run_sandwich(config: ExperimentConfig, data: ReplicateData | None = None) ->
     # the sorted sample plus the one workspace of dk, dw and the bootstrap
     s = _sort_sample(z, "run_sandwich")
     del z
-    work = _DwWork.for_size(config.replicates)
-    _sample_levels(work)
+    work = _DwWork.for_sample(config.replicates)
     # dk reads the levels that dw then overwrites with D(a)
     dk = _dk_sorted(s, work)
     dw = _dw_segments(s, work)

@@ -8,9 +8,11 @@ every bound here:
     vv    variance of the conditional variance
     ve    variance of the conditional mean
 
-The upper bounds compare the standardized mixture with N(0,1) in Kolmogorov
-or Wasserstein distance. The lower-bound machinery runs through a variance
-penalty function and two explicit absolute constants.
+The bounds compare the mixture standardized by its mean mu and sqrt(ev) with
+N(0,1), in Kolmogorov or Wasserstein distance: the mixture against
+N(mu, ev), whose variance is the mean conditional variance ev, not the
+mixture's own variance ev + ve. The lower-bound machinery runs through a
+variance penalty function and two explicit absolute constants.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import analytic, harness, special, stein, trees
+from . import analytic, cli, harness, special, stein, trees
 from .analytic import JumpSchedule, YouParams, MODEL_YOU, MODEL_YOUJ
 from .harness import ExperimentConfig
 
@@ -412,8 +412,6 @@ def criterion_7() -> CriterionResult:
 # stream of the documented Generator.integers call
 
 def criterion_8() -> CriterionResult:
-    from . import cli  # imported lazily; cli imports this module at load time
-
     res = CriterionResult("8", "determinism: worker counts and the split stream")
     # sample_tree draws its splits from raw PCG64 words by NumPy's own rule;
     # at n = 1e5 this seed's one row meets a rejected draw, which hands the

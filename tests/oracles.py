@@ -260,15 +260,20 @@ def youj_pair_moments(alpha: float, p: float, lift: float, nodes: int,
             np.concatenate([0.5 + 0.5 * e1 - g + f * lift * e1 / 4.0 for f, _ in flags]))
 
 
-def mixture_distances(weights: np.ndarray, m: np.ndarray, v: np.ndarray) -> tuple[float, float]:
+def mixture_distances(weights: np.ndarray, m: np.ndarray, v: np.ndarray,
+                      variance: float | None = None) -> tuple[float, float]:
     """Kolmogorov and Wasserstein distances between the normal mixture with
-    weights, means m and variances v, standardized by its mean mu and its
-    variance ev + ve, and N(0, 1). The gap |F - Phi|, with
-    F(t) = E Phi((mu + t sqrt(ev + ve) - M) / sqrt(V)) from scipy's ndtr, is
-    taken on 3201 points of [-8, 8]: d_K is its largest value there and d_W
-    its trapezoid integral."""
+    weights, means m and variances v, standardized by its mean mu and a
+    target variance s^2, and N(0, 1): the distances of the mixture to
+    N(mu, s^2), d_W in units of s. The target is `variance`, by default the
+    mixture's own variance ev + ve; the sandwich's is ev. The gap |F - Phi|,
+    with F(t) = E Phi((mu + t s - M) / sqrt(V)) from scipy's ndtr, is taken
+    on 3201 points of [-8, 8]: d_K is its largest value there and d_W its
+    trapezoid integral."""
     mu = float(weights @ m)
-    s = math.sqrt(float(weights @ v) + float(weights @ (m - mu) ** 2))
+    if variance is None:
+        variance = float(weights @ v) + float(weights @ (m - mu) ** 2)
+    s = math.sqrt(variance)
     t = np.linspace(-8.0, 8.0, 3201)
     sd = np.sqrt(v)
     cdf = np.concatenate([scipy.special.ndtr(np.subtract.outer(mu + s * block, m) / sd) @ weights

@@ -4,8 +4,12 @@ subcommand behavior, output schemas and the verification entry point."""
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -800,6 +804,15 @@ class TestVerifyCommand:
                  if line.startswith("[criterion ")]
         assert len(heads) == 3
         assert all(re.search(r" \(\d+\.\d\d s\)$", line) for line in heads)
+
+    def test_other_commands_do_not_load_verify(self):
+        # a fresh interpreter: this process has imported verify already
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = ("import sys; import youbounds.cli; "
+                "print('youbounds.verify' in sys.modules)")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+        assert done.stdout == "False\n"
 
     def test_suites_are_uncalled_criteria(self):
         # building a suite runs nothing, so the command can time each criterion

@@ -535,7 +535,7 @@ def _assert_matches_oracles(z, seed: int) -> None:
     dw = harness.empirical_dw(z)
     assert abs(dw - oracles.dw_by_level_curves(z)) <= 1e-12 * dw
     s = harness._sort_sample(z, "test")
-    se = harness._bootstrap_dw_se(s, seed, harness._DwWork.for_size(len(s.x)))
+    se = harness._bootstrap_dw_se(s, seed, harness._DwWork.for_sample(len(s.x)))
     reference = oracles.bootstrap_dw_se_by_resorting(z, seed)
     assert abs(se - reference) <= 1e-12 * reference + 1e-15
 
@@ -612,7 +612,7 @@ class TestGoldenStatistics:
         z = _oracle_sample(kind, 1000)
         s = harness._sort_sample(z, "test")
         got = (harness.empirical_dk(z), harness.empirical_dw(z),
-               harness._bootstrap_dw_se(s, 1000, harness._DwWork.for_size(len(s.x))))
+               harness._bootstrap_dw_se(s, 1000, harness._DwWork.for_sample(len(s.x))))
         assert got == GOLDEN_R1000[kind]
 
     @pytest.mark.parametrize("decimals", [None, 2])
@@ -651,14 +651,13 @@ class TestSandwichMemory:
 
     def test_dk(self):
         s = self._sample()
-        work = harness._DwWork.for_size(self.R)
-        harness._sample_levels(work)
+        work = harness._DwWork.for_sample(self.R)
         assert self._peak_units(lambda: harness._dk_sorted(s, work)) <= 0.05
 
     def test_bootstrap(self):
         s = self._sample()
         assert self._peak_units(lambda: harness._bootstrap_dw_se(
-            s, 3, harness._DwWork.for_size(len(s.x)))) <= 2.5
+            s, 3, harness._DwWork.for_sample(len(s.x)))) <= 2.5
 
     def test_bootstrap_peak_does_not_grow_with_resamples(self, monkeypatch):
         s = self._sample()
@@ -666,7 +665,7 @@ class TestSandwichMemory:
         for resamples in (2, 32):
             monkeypatch.setattr(harness, "_BOOTSTRAP_RESAMPLES", resamples)
             peaks.append(self._peak_units(lambda: harness._bootstrap_dw_se(
-                s, 3, harness._DwWork.for_size(len(s.x)))))
+                s, 3, harness._DwWork.for_sample(len(s.x)))))
         assert peaks[1] <= peaks[0] + 0.05
 
     def test_run_sandwich(self):
@@ -690,12 +689,20 @@ class TestDkwBand:
             harness.dkw_band(0)
 
 
+class TestSampleWorkspace:
+    @pytest.mark.parametrize("r", [1, 2, 3, 8191, 8192, 200_000])
+    def test_holds_the_levels_i_over_r(self, r):
+        work = harness._DwWork.for_sample(r)
+        assert np.array_equal(work.levels, np.arange(1, r + 1) / r)
+        assert len(work.below) == len(work.cross) == r - 1
+
+
 class TestBootstrapSE:
     def test_deterministic_and_positive(self):
         s = harness._sort_sample(np.random.default_rng(10).standard_normal(500), "test")
-        work = harness._DwWork.for_size(len(s.x))
+        work = harness._DwWork.for_sample(len(s.x))
         a = harness._bootstrap_dw_se(s, 99, work)
-        b = harness._bootstrap_dw_se(s, 99, harness._DwWork.for_size(len(s.x)))
+        b = harness._bootstrap_dw_se(s, 99, harness._DwWork.for_sample(len(s.x)))
         assert a == b
         assert a > 0.0
         assert harness._bootstrap_dw_se(s, 100, work) != a
@@ -711,7 +718,7 @@ class TestBootstrapIndices:
         monkeypatch.setattr(harness, "_DRAW_CHUNK", chunk)
         rank = harness._sort_sample(np.random.default_rng(1).standard_normal(r), "test").rank
         expected_rng, rng = np.random.default_rng(7), np.random.default_rng(7)
-        work = harness._DwWork.for_size(r)
+        work = harness._DwWork.for_sample(r)
         for _ in range(2):
             ranks = rank[expected_rng.integers(0, r, size=r)]
             harness._resample_levels(rng, rank, work)
