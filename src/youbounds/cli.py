@@ -52,24 +52,29 @@ def _fmt(value: float) -> str:
 # ---------------------------------------------------------------------------
 # config plumbing
 
-def parse_config_file(path: str) -> dict[str, str]:
-    """Line-oriented `key = value` settings with `#` comments."""
-    values: dict[str, str] = {}
+def _content_lines(path: str):
+    """(line number, the line stripped, its text before any `#` stripped) for
+    each line of a text file that is neither blank nor only a comment."""
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-            key, _, text = line.partition("=")
-            key, text = key.strip(), text.strip()
-            if key not in _SETTINGS:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            if not text:
-                raise ValueError(f"{path}:{lineno}: empty value for key {key!r}")
-            values[key] = text
+            if line:
+                yield lineno, raw.strip(), line
+
+
+def parse_config_file(path: str) -> dict[str, str]:
+    """Line-oriented `key = value` settings with `#` comments."""
+    values: dict[str, str] = {}
+    for lineno, raw, line in _content_lines(path):
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        key, _, text = line.partition("=")
+        key, text = key.strip(), text.strip()
+        if key not in _SETTINGS:
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if not text:
+            raise ValueError(f"{path}:{lineno}: empty value for key {key!r}")
+        values[key] = text
     return values
 
 
@@ -101,17 +106,12 @@ def _you_params(settings: dict) -> YouParams:
 def parse_schedule_file(path: str, n: int) -> JumpSchedule:
     """Per-event jump settings, one `p sigma_c2` pair per line, n-1 lines."""
     pairs: list[tuple[float, float]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                p, sigma_c2 = map(float, line.split())
-            except ValueError:  # not two fields, or not two numbers
-                raise ValueError(
-                    f"{path}:{lineno}: expected 'p sigma_c2', got {raw.strip()!r}")
-            pairs.append((p, sigma_c2))
+    for lineno, raw, line in _content_lines(path):
+        try:
+            p, sigma_c2 = map(float, line.split())
+        except ValueError:  # not two fields, or not two numbers
+            raise ValueError(f"{path}:{lineno}: expected 'p sigma_c2', got {raw!r}")
+        pairs.append((p, sigma_c2))
     if len(pairs) != n - 1:
         raise ValueError(
             f"{path}: has {len(pairs)} schedule rows, expected n-1 = {n - 1}")
@@ -178,30 +178,27 @@ CURVES_HEADER = "model,alpha,n,distance,term1,term2,term3,term4,total,regime"
 
 
 def _curve_rows(settings: dict, alphas: list[float], distances: list[str],
-                grid: list[int], schedule: JumpSchedule) -> list[str]:
-    rows = []
+                grid: list[int], schedule: JumpSchedule) -> tuple[list[str], dict]:
+    """The CSV rows, and each curve's (n, total) points keyed by (model,
+    alpha, distance), both in row order and with the CSV's text."""
+    model, rows, curves = settings["model"], [], {}
     for alpha in alphas:
         params = _you_params({"x0": (2.0 * alpha) ** -0.5, **settings, "alpha": alpha})
         cell = _regime_cell(params, schedule)
         curve = analytic.bound_curve(params, schedule, grid)
         for distance in distances:
+            points = curves.setdefault((model, _fmt(alpha), distance), [])
             for n, point in zip(grid, curve):
                 report = point[distance]
-                terms = list(report.term_values()) + [math.nan] * (4 - len(report.terms))
-                rows.append(",".join(
-                    [settings["model"], _fmt(alpha), str(n), distance]
-                    + [_fmt(t) for t in terms]
-                    + [_fmt(report.total), cell]))
-    return rows
+                values = [*report.term_values(), *[math.nan] * (4 - len(report.terms)), report.total]
+                row = [model, _fmt(alpha), str(n), distance] + [_fmt(v) for v in values]
+                rows.append(",".join(row + [cell]))
+                points.append((n, row[-1]))
+    return rows, curves
 
 
-def _gnuplot_text(csv_rows: list[str]) -> str:
-    """Self-contained gnuplot command file with inline data blocks."""
-    curves: dict[tuple[str, str, str], list[tuple[str, str]]] = {}
-    for row in csv_rows:
-        parts = row.split(",")
-        key = (parts[0], parts[1], parts[3])
-        curves.setdefault(key, []).append((parts[2], parts[8]))
+def _gnuplot_text(curves: dict) -> str:
+    """Self-contained gnuplot command file, one inline data block per curve."""
     lines = [
         "# generated by: youbounds curves --gnuplot",
         "set logscale xy",
@@ -210,8 +207,7 @@ def _gnuplot_text(csv_rows: list[str]) -> str:
         "set key top right",
     ]
     plot_parts = []
-    for i, (key, points) in enumerate(curves.items()):
-        model, alpha, distance = key
+    for i, ((model, alpha, distance), points) in enumerate(curves.items()):
         lines.append(f"$curve_{i} << EOD")
         lines.extend(f"{n} {total}" for n, total in points)
         lines.append("EOD")
@@ -238,14 +234,14 @@ def cmd_curves(args: argparse.Namespace) -> int:
     if settings["model"] == MODEL_YOUJ:
         settings = {"p": 0.5, "sigma_c2": 1.0, **settings}
     schedule = _build_schedule(settings, args.n_max, file_flag=False)
-    rows = _curve_rows(settings, alphas, distances, grid, schedule)
+    rows, curves = _curve_rows(settings, alphas, distances, grid, schedule)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(CURVES_HEADER + "\n")
         fh.write("\n".join(rows) + "\n")
     print(f"wrote {len(rows)} rows to {args.out}")
     if args.gnuplot:
         with open(args.gnuplot, "w", encoding="utf-8") as fh:
-            fh.write(_gnuplot_text(rows))
+            fh.write(_gnuplot_text(curves))
         print(f"wrote gnuplot commands to {args.gnuplot}")
     return 0
 

@@ -391,6 +391,28 @@ class TestCurvesCommand:
         assert "title 'YOU alpha=0.5 kolmogorov'" in text
         assert text.count("with lines") == 2
 
+    def test_gnuplot_blocks_hold_the_csv_points(self, tmp_path):
+        gp, out = tmp_path / "curves.gp", tmp_path / "curves.csv"
+        code = cli.main(["curves", "--model", "YOUj", "--alphas", "0.5,1", "--distance", "both",
+                         "--n-min", "100", "--n-max", "10000", "--points", "4",
+                         "--out", str(out), "--gnuplot", str(gp)])
+        assert code == 0
+        header, *lines = out.read_text(encoding="utf-8").splitlines()
+        curves = {}  # (model, alpha, distance) -> [(n, total)], in row order
+        for line in lines:
+            row = dict(zip(header.split(","), line.split(","), strict=True))
+            key = (row["model"], row["alpha"], row["distance"])
+            curves.setdefault(key, []).append((row["n"], row["total"]))
+        assert len(curves) == 4
+        text = gp.read_text(encoding="utf-8")
+        blocks = re.findall(r"^\$curve_(\d+) << EOD\n(.*?)^EOD$", text, re.M | re.S)
+        assert [int(i) for i, _ in blocks] == list(range(len(curves)))
+        assert [[tuple(pair.split(" ")) for pair in body.splitlines()] for _, body in blocks] \
+            == list(curves.values())
+        titles = re.findall(r"^    \$curve_(\d+) using 1:2 with lines title '(.*)'", text, re.M)
+        assert titles == [(str(i), f"{model} alpha={alpha} {distance}")
+                          for i, (model, alpha, distance) in enumerate(curves)]
+
     def test_unsupported_rate_rejected(self, tmp_path, capsys):
         # among several rates, the message names the one refused
         for alphas, rejected in (("0.4", "0.4"), ("0.5,0.45,1", "0.45")):
@@ -586,6 +608,14 @@ dump_tree = {dump_path}
         assert doc["jump_schedule"] == "per-event (5 entries)"
         assert "empirical" not in doc
         assert "per-event schedules have no closed-form bounds" in doc["note"]
+
+    def test_schedule_file_trailing_comment(self, tmp_path):
+        commented = _write(tmp_path / "commented.txt",
+                           "0.5 1.0   # first event\n\n0.25 2 #\n" + "1 0.5\n" * 3)
+        plain = _write(tmp_path / "plain.txt", "0.5 1.0\n0.25 2\n" + "1 0.5\n" * 3)
+        schedule = cli.parse_schedule_file(commented, 6)
+        assert schedule == cli.parse_schedule_file(plain, 6)
+        assert schedule.pairs == ((0.5, 1.0), (0.25, 2.0)) + ((1.0, 0.5),) * 3
 
     def test_schedule_file_row_count_validated(self, tmp_path, capsys):
         schedule = _write(tmp_path / "jumps.txt", "0.5 1.0\n" * 3)
