@@ -1,4 +1,4 @@
-"""Closed forms and leading-order asymptotics for OU traits on Yule trees.
+"""Closed forms and rate constants for OU traits on Yule trees.
 
 The model: a linear mean-reverting diffusion with rate alpha and diffusion
 variance sigma_a2 runs along a pure-birth tree, splitting into independent
@@ -8,9 +8,10 @@ schedule alone selects it (an absent or inactive schedule means no jumps).
 The quantity of interest is the normalized tip average, whose conditional
 law given the tree (and jump locations) is normal. This module supplies the
 exact mean and mean-conditional-variance of that average, the exact
-variance of its conditional mean, one rate table of the leading-order
-constants (the only source for the variance of its conditional variance,
-the limit variance and the plateau rule), and assembled distance-bound
+variance of its conditional mean, one rate table (the only source for the
+variance of its conditional variance, the limit variance and the plateau
+rule: above alpha = 3/4 its vv is the limit of n^3 vv, which lies above the
+exact vv, and leading-order at and below), and assembled distance-bound
 curves.
 
 One gate, `_closed_form_schedule`, decides where closed forms exist: not
@@ -24,6 +25,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 from . import special
@@ -314,20 +316,16 @@ class RatedConstant:
         return self.value * float(n) ** self.n_power * math.log(n) ** self.log_power
 
 
-# Where the leading-order vv is known to be too small at finite n (Monte
-# Carlo vv over the table's one, n = 200 to 5000): 1.15-1.30 for the
-# jump-free model above alpha = 3/4, about 30 for jumps with p = 1 (alpha = 1).
-_VV_BELOW_MONTE_CARLO_BANDS = ("three_quarters_to_one", "one", "above_one")
+# The bands above alpha = 3/4, where the vv entry is the limit of n^3 vv.
+_LIMIT_BANDS = ("three_quarters_to_one", "one", "above_one")
 VV_TOO_SMALL_NOTE = "vv below Monte Carlo: upper bound may be too small"
 
 
 @dataclass(frozen=True)
 class AsymptoticConstants:
-    """Leading coefficients of ev and vv, with their rates.
-
-    vv_too_small records that Monte Carlo shows the vv entry to fall below
-    the true variance of the conditional variance at finite n.
-    """
+    """Leading coefficients of ev and vv, with their rates; vv_too_small
+    records that the vv entry falls below the truth at finite n (jumps with
+    p = 1, alpha <= 3/4)."""
 
     ev: RatedConstant
     vv: RatedConstant
@@ -342,6 +340,24 @@ class AsymptoticConstants:
                 >= (2.0 * self.ev.n_power, 2 * self.ev.log_power))
 
 
+def _vv_limit(alpha: float, p: float, scale: float) -> float:
+    """The limit of n^3 vv above alpha = 3/4 under a constant schedule,
+    c0 + L p C1 + L^2 (A p + B p^2) with the jump scale L (0 without jumps),
+    in u = 1/alpha so that it stays finite. With D = (2 - u)^2 (4 - 3u)(4 - u),
+    c0 = 16u (4 + u - u^2) / D, C1 = 4u (32 + 40u - 4u^2 - 7u^3) / D,
+    A = u (2 + 3u)(4 + u)^2 (2 - u) / (2D), B = 2u (16 + 52u + 52u^2 - 17u^3 -
+    6u^4) / D; C1, A and B were fitted to the exact O(n) sum, not derived.
+    Each factor of D is (alpha - c) u, exact next to the rate c."""
+    u = 1.0 / alpha
+    g2, g3, g1 = (alpha - 0.5) * u, (alpha - 0.75) * u, (alpha - 0.25) * u
+    d = 64.0 * g2 * g2 * g3 * g1
+    c0 = 16.0 * u * (4.0 + u - u * u) / d
+    c1 = 4.0 * u * (32.0 + u * (40.0 - u * (4.0 + 7.0 * u))) / d
+    a = u * (2.0 + 3.0 * u) * (4.0 + u) ** 2 * g2 / d
+    b = 2.0 * u * (16.0 + u * (52.0 + u * (52.0 - u * (17.0 + 6.0 * u)))) / d
+    return c0 + scale * p * c1 + scale * scale * (a * p + b * p * p)
+
+
 @functools.lru_cache(maxsize=1)
 def asymptotic_constants(params: YouParams,
                          schedule: JumpSchedule | None = None) -> AsymptoticConstants:
@@ -352,21 +368,20 @@ def asymptotic_constants(params: YouParams,
     1 + 2 p sigma_c2 / sigma_a2. ve, the variance of the conditional mean,
     has no entry: the bounds take it exactly from `var_cond_mean_exact`.
 
-    vv, the variance of the conditional variance, for the jump-free model
-    has six rate bands: a constant * n^-2 at a = 1/2, a zeta-weighted
-    constant * n^(-4a) for 1/2 < a < 3/4, 36 n^-3 ln n exactly at 3/4, and a
-    single rational constant * n^-3 everywhere above 3/4 (16 at a = 1).
-    With jumps of partial probability 0 < p < 1 it is the upper bound
-    4 (2a / sigma_a2)^2 sigma_c2^2 times 16 p(1-p) n^-2 ln n at the critical
-    rate and 32 p(1-p) / ((4a)(4a-1)(4a-2)) n^-2 above it. At p = 1 the
-    jump-free entry is used: order-correct, but its constant understates
-    the truth, which carries an extra same-order contribution from the
-    jump-count fluctuations.
+    vv, the variance of the conditional variance: above a = 3/4, for every
+    constant schedule, the limit of n^3 vv (`_vv_limit`) times n^-3, which
+    lies above the exact vv at every n checked. At and below 3/4 it is
+    leading-order: without jumps a constant * n^-2 at a = 1/2, a
+    zeta-weighted constant * n^(-4a) below 3/4 and 36 n^-3 ln n at 3/4. With
+    jumps of partial probability 0 < p < 1 it is the upper bound
+    4 (2a / sigma_a2)^2 sigma_c2^2 times 16 p(1-p) n^-2 ln n at a = 1/2 and
+    32 p(1-p) / ((4a)(4a-1)(4a-2)) n^-2 above it, which does not fall faster
+    than ev^2 (`nonconvergent`). At p = 1 the jump-free entry understates
+    the truth (`vv_too_small`).
 
     The table depends only on the rate and the schedule, so the last one
-    built is kept: a bound curve builds it once. Where a constant overflows
-    double precision (at rates above about 1.4e102) the vv entry is 0, inf or
-    NaN; `bound_point` refuses it, while the ev entry stays usable.
+    built is kept: a bound curve builds it once. A vv constant that
+    overflows is inf; `bound_point` refuses it, while ev stays usable.
     """
     schedule = _closed_form_schedule(params, schedule)
     regime = classify_regime(params.alpha)
@@ -377,8 +392,10 @@ def asymptotic_constants(params: YouParams,
     else:
         ev = RatedConstant((2.0 * alpha + 1.0) / (2.0 * alpha - 1.0) * jump_lift, -1.0, 0)
     p, s = schedule.p, schedule.sigma_c2
-    if p * (1.0 - p) * s > 0.0:
-        vv_too_small = False
+    limit = regime.band in _LIMIT_BANDS
+    if limit:
+        vv = RatedConstant(_vv_limit(alpha, p, (2.0 * alpha / params.sigma_a2) * s), -3.0, 0)
+    elif p * (1.0 - p) * s > 0.0:
         try:
             lead = 4.0 * (2.0 * alpha / params.sigma_a2) ** 2 * s * s
         except OverflowError:
@@ -388,23 +405,17 @@ def asymptotic_constants(params: YouParams,
         else:
             a4 = 4.0 * alpha
             vv = RatedConstant(lead * 32.0 * p * (1.0 - p) / (a4 * (a4 - 1.0) * (a4 - 2.0)), -2.0, 0)
+    elif regime.band == "half":
+        c = 8.0 * special.zeta(2.0) + (math.gamma(3.0) - math.gamma(2.0)) ** 2
+        vv = RatedConstant(c, -2.0, 0)
+    elif regime.band == "three_quarters":
+        vv = RatedConstant(36.0, -3.0, 1)
     else:
-        vv_too_small = p == 1.0 or regime.band in _VV_BELOW_MONTE_CARLO_BANDS
-        if regime.band == "half":
-            c = 8.0 * special.zeta(2.0) + (math.gamma(3.0) - math.gamma(2.0)) ** 2
-            vv = RatedConstant(c, -2.0, 0)
-        elif regime.band == "three_quarters":
-            vv = RatedConstant(36.0, -3.0, 1)
-        else:
-            c = 32.0 * alpha * alpha
-            if regime.band == "half_to_three_quarters":
-                zeta_term = (c / (2.0 - 2.0 * alpha)) * special.zeta(4.0 - 4.0 * alpha)
-                gamma_term = (math.gamma(4.0 * alpha + 1.0) - math.gamma(2.0 * alpha + 1.0)) ** 2
-                vv = RatedConstant(zeta_term + gamma_term, -4.0 * alpha, 0)
-            else:
-                rational = (2.0 * alpha - 1.0) * (4.0 * alpha - 3.0) * (4.0 * alpha - 2.0)
-                vv = RatedConstant(c / rational, -3.0, 0)
-    return AsymptoticConstants(ev=ev, vv=vv, regime=regime, vv_too_small=vv_too_small)
+        c = 32.0 * alpha * alpha
+        zeta_term = (c / (2.0 - 2.0 * alpha)) * special.zeta(4.0 - 4.0 * alpha)
+        gamma_term = (math.gamma(4.0 * alpha + 1.0) - math.gamma(2.0 * alpha + 1.0)) ** 2
+        vv = RatedConstant(zeta_term + gamma_term, -4.0 * alpha, 0)
+    return AsymptoticConstants(ev=ev, vv=vv, regime=regime, vv_too_small=p == 1.0 and not limit)
 
 
 def bound_point(params: YouParams, schedule: JumpSchedule | None,
@@ -412,32 +423,31 @@ def bound_point(params: YouParams, schedule: JumpSchedule | None,
     """Upper bounds at a single tip count, hybrid assembly: the Kolmogorov
     and Wasserstein reports, keyed by distance, from one set of ingredients.
 
-    ev and ve enter exactly; vv enters at leading order from the rate table
-    (no exact closed form exists for it). The notes of both reports record
-    the regime, which ingredients are exact, a warning where that vv is known
-    to fall below its Monte Carlo value, and a plateau warning in the
-    non-convergent jump regime.
+    ev and ve enter exactly, vv from the rate table. The notes of both
+    reports record the regime, which ingredients are exact, how vv was
+    taken, a warning where it falls below the truth, and a plateau warning
+    in the non-convergent jump regime. A jump scale without a finite square
+    and a vv that is no finite normal double are refused by name.
     """
     if n < 2:
         raise ValueError(f"bounds need at least 2 tips, got n = {n}")
-    table = asymptotic_constants(params, schedule)
-    if not (math.isfinite(table.vv.value) and table.vv.value > 0.0):
-        raise ValueError(f"the rate table cannot hold vv at alpha = {params.alpha!r} "
-                         f"(sigma_a2 = {params.sigma_a2!r}): its leading constant is "
-                         f"{table.vv.value!r} in double precision")
     check_jump_scale(params, schedule)
-    ms = MomentSummary(ev=var_ybar_youj(n, params, schedule), vv=table.vv.at(n),
+    table = asymptotic_constants(params, schedule)
+    vv = table.vv.at(n)
+    if not sys.float_info.min <= vv < math.inf:
+        jumps = "" if schedule is None or schedule.is_inactive else \
+            f", sigma_c2 = {schedule.sigma_c2!r}"
+        raise ValueError(f"the rate table cannot hold vv at alpha = {params.alpha!r} "
+                         f"(sigma_a2 = {params.sigma_a2!r}{jumps}): at n = {n} it is "
+                         f"{vv!r} in double precision")
+    ms = MomentSummary(ev=var_ybar_youj(n, params, schedule), vv=vv,
                        ve=var_cond_mean_exact(n, params))
-    notes = (
-        f"regime={table.regime.kind}/{table.regime.band}",
-        "ev exact",
-        "ve exact",
-        "vv leading-order",
-    )
+    notes = (f"regime={table.regime.kind}/{table.regime.band}", "ev exact", "ve exact",
+             "vv limit, above exact" if table.regime.band in _LIMIT_BANDS else "vv leading-order")
     if table.vv_too_small:
-        notes = notes + (VV_TOO_SMALL_NOTE,)
+        notes += (VV_TOO_SMALL_NOTE,)
     if table.nonconvergent:
-        notes = notes + ("non-convergent regime",)
+        notes += ("non-convergent regime",)
     reports = (stein.kolmogorov_upper(ms), stein.wasserstein_upper(ms))
     return {r.distance: dataclasses.replace(r, notes=r.notes + notes) for r in reports}
 
@@ -465,16 +475,16 @@ def limit_distribution(params: YouParams,
     """Scaling and limit variance in the regimes where a normal limit holds,
     read off the ev entry of the rate table.
 
-    Critical rate: sqrt(n / ln n) scaling. Fast rates: sqrt(n) scaling; with
-    jumps this requires an all-or-nothing jump probability (partial
-    probability puts the bound in the non-convergent regime, where no normal
-    limit statement is available).
+    Critical rate: sqrt(n / ln n) scaling. Fast rates: sqrt(n) scaling,
+    except with a partial jump probability 0 < p < 1 on (1/2, 3/4], where
+    the leading-order vv puts the bound in the non-convergent regime and no
+    normal limit statement is given.
     """
     table = asymptotic_constants(params, schedule)
     if table.nonconvergent:
         raise ValueError(
             "no normal limit statement is available for a partial jump "
-            "probability above the critical rate (non-convergent regime)"
+            "probability between the critical rate and 3/4 (non-convergent regime)"
         )
     scaling = "sqrt(n/log n)" if table.ev.log_power == 1 else "sqrt(n)"
     return LimitDistribution(scaling, table.ev.value)

@@ -54,12 +54,16 @@ def _fmt(value: float) -> str:
 
 def _content_lines(path: str):
     """(line number, the line stripped, its text before any `#` stripped) for
-    each line of a text file that is neither blank nor only a comment."""
+    each line of a text file that is neither blank nor only a comment. A `#`
+    right after other text is refused: it would cut a value short."""
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                yield lineno, raw.strip(), line
+            line, comment, _ = raw.partition("#")
+            if comment and line[-1:].strip():
+                raise ValueError(f"{path}:{lineno}: a '#' comment must follow a blank, "
+                                 f"got {raw.strip()!r}")
+            if line.strip():
+                yield lineno, raw.strip(), line.strip()
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -142,10 +146,8 @@ def _build_schedule(settings: dict, n: int, file_flag: bool) -> JumpSchedule:
 
 def _regime_cell(params: YouParams, schedule: JumpSchedule) -> str:
     table = analytic.asymptotic_constants(params, schedule)
-    cell = f"{table.regime.kind}/{table.regime.band}"
-    if table.nonconvergent:
-        cell += ";non-convergent"
-    return cell
+    suffix = ";non-convergent" if table.nonconvergent else ""
+    return f"{table.regime.kind}/{table.regime.band}{suffix}"
 
 
 def _print_report(report: stein.BoundReport) -> None:
@@ -225,6 +227,9 @@ def cmd_curves(args: argparse.Namespace) -> int:
         raise ValueError(f"--alphas must be comma-separated numbers, got {args.alphas!r}")
     if not alphas:
         raise ValueError("--alphas must name at least one rate")
+    for i, alpha in enumerate(alphas):
+        if alpha in alphas[:i]:
+            raise ValueError(f"--alphas names the rate {_fmt(alpha)} more than once")
     distances = ([stein.KOLMOGOROV, stein.WASSERSTEIN]
                  if args.distance == "both" else [args.distance])
     if args.n_min < 2 or args.n_max <= args.n_min or args.points < 2:

@@ -505,18 +505,3 @@ def _event_sums(nf, k, t2, ratio, cov_e, cov_g, p0, p1) -> np.ndarray:
         mean_s @ cov_g,
     ])
 
-
-def vv_limit(alpha: float, p: float, lift: float) -> float:
-    """The limit of n^3 Var(V) above alpha = 3/4 under a constant schedule
-    (ROADMAP item 1, step A): c0 + L p C1 + L^2 (A p + B p^2), with the jump
-    scale L = lift = (2 alpha / sigma_a2) sigma_c2 (0 without jumps) and
-    d = (2 alpha - 1)^2 (4 alpha - 3) (4 alpha - 1). C1, A and B were
-    identified from the exact sum, not derived."""
-    d = (2.0 * alpha - 1.0) ** 2 * (4.0 * alpha - 3.0) * (4.0 * alpha - 1.0)
-    c0 = 16.0 * alpha * (4.0 * alpha ** 2 + alpha - 1.0) / d
-    c1 = 4.0 * (32.0 * alpha ** 3 + 40.0 * alpha ** 2 - 4.0 * alpha - 7.0) / d
-    a_coef = ((2.0 * alpha + 3.0) * (4.0 * alpha + 1.0) ** 2
-              / (2.0 * alpha * (2.0 * alpha - 1.0) * (4.0 * alpha - 3.0) * (4.0 * alpha - 1.0)))
-    b_coef = 2.0 * (16.0 * alpha ** 4 + 52.0 * alpha ** 3 + 52.0 * alpha ** 2 - 17.0 * alpha
-                    - 6.0) / (alpha * d)
-    return c0 + lift * p * c1 + lift * lift * (a_coef * p + b_coef * p * p)

@@ -374,14 +374,15 @@ class TestVarCondVarYou:
         expected = (8.0 * math.pi ** 2 / 6.0 + 1.0) / n ** 2
         assert _vv_at(0.5, n) == pytest.approx(expected, rel=1e-12)
 
+    # above 3/4 the limit of n^3 vv, 16 a (4a^2 + a - 1) / ((2a-1)^2 (4a-3)(4a-1))
     @pytest.mark.parametrize("n", [100, 10**4])
     def test_alpha_one(self, n):
-        assert _vv_at(1.0, n) == pytest.approx(16.0 * float(n) ** -3.0, rel=1e-15)
+        assert _vv_at(1.0, n) == pytest.approx((64.0 / 3.0) * float(n) ** -3.0, rel=1e-15)
 
     def test_alpha_two(self):
         n = 500
         assert _vv_at(2.0, n) == \
-            pytest.approx((128.0 / 90.0) * float(n) ** -3.0, rel=1e-14)
+            pytest.approx((544.0 / 315.0) * float(n) ** -3.0, rel=1e-14)
 
     def test_three_quarters_log_branch(self):
         n = 2000
@@ -514,13 +515,16 @@ class TestVarYbarYouj:
 class TestVarCondVarYouj:
     @pytest.mark.parametrize("p", [0.0, 1.0])
     def test_all_or_nothing_falls_back_to_jump_free_rate(self, p):
+        # at and below 3/4; above it the limit carries the jumps
         sch = JumpSchedule.constant(p, 1.0)
-        assert _vv_at(1.0, 100, sch) == _vv_at(1.0, 100)
+        assert _vv_at(0.6, 100, sch) == _vv_at(0.6, 100)
 
     def test_fast_plug_in_value(self):
+        # 4 (2a)^2 sigma_c2^2 32 p(1-p) / ((4a)(4a-1)(4a-2)) n^-2 below 3/4
         n = 200
         sch = JumpSchedule.constant(0.5, 1.0)
-        assert _vv_at(1.0, n, sch) == pytest.approx((16.0 / 3.0) / (n * n), rel=1e-14)
+        expected = 4.0 * 1.44 * 8.0 / (2.4 * 1.4 * 0.4) / (n * n)
+        assert _vv_at(0.6, n, sch) == pytest.approx(expected, rel=1e-14)
 
     def test_critical_log_rate(self):
         n = 500
@@ -539,7 +543,8 @@ class TestAsymptoticConstants:
         p = YouParams(1.0, 1.0, 2.0 ** -0.5)
         ac = analytic.asymptotic_constants(p)
         assert (ac.ev.value, ac.ev.n_power, ac.ev.log_power) == (3.0, -1.0, 0)
-        assert (ac.vv.value, ac.vv.n_power, ac.vv.log_power) == (16.0, -3.0, 0)
+        assert ac.vv.value == pytest.approx(64.0 / 3.0, rel=1e-15)
+        assert (ac.vv.n_power, ac.vv.log_power) == (-3.0, 0)
         assert ac.regime.band == "one"
 
     def test_you_critical(self):
@@ -550,11 +555,13 @@ class TestAsymptoticConstants:
         assert (ac.vv.n_power, ac.vv.log_power) == (-2.0, 0)
 
     def test_youj_partial_probability(self):
+        # above 3/4 the limit c0 + L p C1 + L^2 (A p + B p^2), L = 2 here
         sch = JumpSchedule.constant(0.5, 1.0)
         ac = analytic.asymptotic_constants(YouParams(1.0), sch)
         assert ac.ev.value == pytest.approx(6.0, rel=1e-14)
-        assert ac.vv.value == pytest.approx(16.0 / 3.0, rel=1e-14)
-        assert (ac.vv.n_power, ac.vv.log_power) == (-2.0, 0)
+        assert ac.vv.value == pytest.approx(209.0, rel=1e-14)
+        assert (ac.vv.n_power, ac.vv.log_power) == (-3.0, 0)
+        assert not (ac.vv_too_small or ac.nonconvergent)
 
     def test_youj_critical_partial_probability(self):
         sch = JumpSchedule.constant(0.5, 1.0)
@@ -566,7 +573,13 @@ class TestAsymptoticConstants:
         sch = JumpSchedule.constant(1.0, 1.0)
         ac = analytic.asymptotic_constants(YouParams(1.0), sch)
         assert ac.ev.value == pytest.approx(9.0, rel=1e-14)
-        assert (ac.vv.value, ac.vv.n_power) == (16.0, -3.0)
+        assert ac.vv.value == pytest.approx(526.0, rel=1e-14)
+        assert (ac.vv.n_power, ac.vv_too_small) == (-3.0, False)
+        # at and below 3/4 the jump-free entry, known to be too small
+        ac = analytic.asymptotic_constants(YouParams(0.6), sch)
+        assert ac.ev.value == pytest.approx(33.0, rel=1e-14)
+        assert ac.vv == analytic.asymptotic_constants(YouParams(0.6)).vv
+        assert ac.vv_too_small
 
     def test_inactive_schedule_is_no_schedule(self):
         inactive = (JumpSchedule.none(), JumpSchedule.constant(0.0, 1.0),
@@ -595,7 +608,10 @@ class TestIsNonconvergent:
             return analytic.asymptotic_constants(params, schedule).nonconvergent
 
         p = YouParams(1.0)
-        assert nonconvergent(p, JumpSchedule.constant(0.5, 1.0))
+        # a partial jump probability only on (1/2, 3/4]: above it vv is n^-3
+        assert nonconvergent(YouParams(0.6), JumpSchedule.constant(0.5, 1.0))
+        assert nonconvergent(YouParams(0.75), JumpSchedule.constant(0.5, 1.0))
+        assert not nonconvergent(p, JumpSchedule.constant(0.5, 1.0))
         assert not nonconvergent(p, None)
         assert not nonconvergent(p, JumpSchedule.constant(1.0, 1.0))
         assert not nonconvergent(p, JumpSchedule.constant(0.0, 1.0))
@@ -706,10 +722,12 @@ class TestBoundPoint:
         assert "regime=fast/one" in rep.notes
         assert "ev exact" in rep.notes
         assert "ve exact" in rep.notes
-        assert "vv leading-order" in rep.notes
+        assert "vv limit, above exact" in rep.notes
         assert "non-convergent regime" not in rep.notes
         assert len(rep.terms) == 3
         assert rep.total > 0.0
+        rep = analytic.bound_point(YouParams(0.6, 1.0, 0.5), None, 1000)[stein.KOLMOGOROV]
+        assert "vv leading-order" in rep.notes
 
     def test_large_rate_is_finite(self):
         # Gamma(2a + 1) overflows above a = 85.3: no bound ingredient may need it
@@ -721,18 +739,16 @@ class TestBoundPoint:
         assert len(rep.terms) == 4
 
     def test_nonconvergent_flagged(self):
-        rep = analytic.bound_point(YouParams(1.0), JumpSchedule.constant(0.5, 1.0),
+        rep = analytic.bound_point(YouParams(0.6), JumpSchedule.constant(0.5, 1.0),
                                    1000)[stein.KOLMOGOROV]
         assert "non-convergent regime" in rep.notes
 
-    # the ids name the model each schedule belongs to
+    # the ids name the model each schedule belongs to; jumps with p = 1 at
+    # and below 3/4
     @pytest.mark.parametrize("alpha,schedule", [
-        pytest.param(0.9, None, id="YOU-0.9-None"),
-        pytest.param(1.0, None, id="YOU-1.0-None"),
-        pytest.param(2.0, None, id="YOU-2.0-None"),
-        pytest.param(1.2, JumpSchedule.constant(0.0, 1.0), id="YOUj-1.2-schedule3"),
-        pytest.param(1.0, JumpSchedule.constant(1.0, 1.0), id="YOUj-1.0-schedule4"),
+        pytest.param(0.5, JumpSchedule.constant(1.0, 1.0), id="YOUj-0.5-schedule0"),
         pytest.param(0.6, JumpSchedule.constant(1.0, 0.5), id="YOUj-0.6-schedule5"),
+        pytest.param(0.75, JumpSchedule.constant(1.0, 1.0), id="YOUj-0.75-schedule2"),
     ])
     def test_vv_known_too_small_is_noted(self, alpha, schedule):
         for rep in analytic.bound_point(YouParams(alpha), schedule, 1000).values():
@@ -747,10 +763,17 @@ class TestBoundPoint:
         pytest.param(1.0, JumpSchedule.constant(0.5, 1.0), id="YOUj-1.0-schedule4"),
         pytest.param(2.0, JumpSchedule.constant(0.999, 1.0), id="YOUj-2.0-schedule5"),
         pytest.param(0.6, JumpSchedule.constant(0.1, 1.0), id="YOUj-0.6-schedule6"),
+        # above 3/4 vv is the limit, which lies above the exact vv, also at p = 1
+        pytest.param(0.9, None, id="YOU-0.9-None"),
+        pytest.param(1.0, None, id="YOU-1.0-None"),
+        pytest.param(2.0, None, id="YOU-2.0-None"),
+        pytest.param(1.2, JumpSchedule.constant(0.0, 1.0), id="YOUj-1.2-schedule10"),
+        pytest.param(1.0, JumpSchedule.constant(1.0, 1.0), id="YOUj-1.0-schedule11"),
     ])
     def test_vv_not_known_too_small_is_not_noted(self, alpha, schedule):
         rep = analytic.bound_point(YouParams(alpha), schedule, 1000)[stein.KOLMOGOROV]
         assert analytic.VV_TOO_SMALL_NOTE not in rep.notes
+        assert ("vv limit, above exact" in rep.notes) == (alpha > 0.75 + 1e-9)
 
     @pytest.mark.parametrize("alpha", [0.5, 0.6, 0.75, 0.9, 1.0, 2.0])
     @pytest.mark.parametrize("schedule", [
@@ -805,7 +828,8 @@ class TestBoundPoint:
     def test_every_rate_gets_bounds_or_a_message(self):
         # 400 log-spaced rates up to 1e300: from about 1.2e17 the Stirling form
         # of the height transform cancelled to a negative sum, which ended in an
-        # OverflowError or a negative ev; the rate table overflows from 6.5e102
+        # OverflowError or a negative ev; vv, about n^-3 / alpha above 3/4, is
+        # no normal double where n^3 alpha exceeds about 4.5e307
         schedules = (None, JumpSchedule.constant(0.5, 1.0), JumpSchedule.constant(1.0, 1.0))
         for alpha in np.geomspace(0.5, 1e300, 400).tolist():
             for n in (2, 3, 10, 100, 10**3, 10**5, 10**7):
@@ -853,7 +877,8 @@ class TestBoundCurve:
         assert len(calls) == 1
 
     def test_partial_jump_probability_plateaus(self):
-        params = YouParams(1.0, 1.0, 2.0 ** -0.5)
+        # at 3/4, where ev nears its limit fastest of the plateau's rates
+        params = YouParams(0.75, 1.0, 0.0)
         sch = JumpSchedule.constant(0.5, 1.0)
         reps = [r[stein.KOLMOGOROV]
                 for r in analytic.bound_curve(params, sch, [10**3, 10**4, 10**5, 10**6])]
@@ -896,7 +921,11 @@ class TestLimitDistribution:
 
     def test_partial_jump_probability_has_no_limit_statement(self):
         with pytest.raises(ValueError, match="non-convergent"):
-            analytic.limit_distribution(YouParams(1.0), JumpSchedule.constant(0.5, 1.0))
+            analytic.limit_distribution(YouParams(0.6), JumpSchedule.constant(0.5, 1.0))
+
+    def test_partial_jump_probability_above_three_quarters(self):
+        lim = analytic.limit_distribution(YouParams(1.0), JumpSchedule.constant(0.5, 1.0))
+        assert (lim.scaling, lim.variance) == ("sqrt(n)", 6.0)
 
     def test_per_event_schedule_rejected(self):
         with pytest.raises(ValueError, match="Monte Carlo"):
@@ -910,5 +939,8 @@ class TestLimitDistribution:
         # only the ev entry is read, and it stays finite where vv does not
         lim = analytic.limit_distribution(YouParams(1e300))
         assert (lim.scaling, lim.variance) == ("sqrt(n)", 1.0)
-        with pytest.raises(ValueError, match="non-convergent"):
-            analytic.limit_distribution(YouParams(1e300), JumpSchedule.constant(0.5, 1.0))
+        # the jump scale 2e300 has no finite square, so the vv entry is inf
+        jumps = JumpSchedule.constant(0.5, 1.0)
+        assert analytic.asymptotic_constants(YouParams(1e300), jumps).vv.value == math.inf
+        lim = analytic.limit_distribution(YouParams(1e300), jumps)
+        assert (lim.scaling, lim.variance) == ("sqrt(n)", 2.0)

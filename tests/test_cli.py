@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from youbounds import cli, harness, trees, verify
+from youbounds import analytic, cli, harness, trees, verify
 from youbounds.analytic import UNSUPPORTED_REGIME_MSG, JumpSchedule, YouParams
 
 
@@ -55,6 +55,18 @@ seed = 7
         path = _write(tmp_path / "run.cfg", "n = 50\nbogus\n")
         with pytest.raises(ValueError, match=r":2:"):
             cli.parse_config_file(path)
+
+    def test_hash_right_after_a_value_refused(self, tmp_path, capsys, monkeypatch):
+        # cut at the `#`, the value would send the JSON to a file named `run`
+        monkeypatch.chdir(tmp_path)
+        path = _write(tmp_path / "run.cfg", "n = 6\nalpha = 1\nreplicates = 100\nseed = 1\n"
+                                            "json = run#1.json\n")
+        assert cli.main(["simulate", "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {path}:5: a '#' comment must follow a blank, "
+                                f"got 'json = run#1.json'\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
 
 class TestFlagPrecedence:
@@ -229,14 +241,15 @@ class TestBoundsCommand:
     @pytest.mark.parametrize("alpha", ["2e102", "1e155", "1e300"])
     @pytest.mark.parametrize("model", [
         pytest.param(["--model", "YOU"], id="YOU"),
-        pytest.param(["--model", "YOUj", "--p", "0.5", "--sigma-c2", "1"], id="YOUj-partial"),
-        pytest.param(["--model", "YOUj", "--p", "1", "--sigma-c2", "1"], id="YOUj-certain"),
+        pytest.param(["--model", "YOUj", "--p", "0.5", "--sigma-c2", "1e-300"], id="YOUj-partial"),
+        pytest.param(["--model", "YOUj", "--p", "1", "--sigma-c2", "1e-300"], id="YOUj-certain"),
     ])
     def test_rate_beyond_the_rate_table_refused(self, capsys, alpha, model):
-        # the vv constant's denominator (or its jump lead) overflows: the
-        # entry reads 0 or NaN, which printed bounds of 0, an internal
-        # invariant message or an OverflowError traceback
-        code = cli.main(["bounds", "--n", "2", "--alpha", alpha] + model)
+        # above 3/4 vv is about n^-3 / alpha (the jump scale is at most 2
+        # here): past n^3 alpha = 4.5e307 it is no normal double, and a
+        # subnormal vv has lost its digits
+        n = {"2e102": 10 ** 69, "1e155": 10 ** 51, "1e300": 10 ** 3}[alpha]
+        code = cli.main(["bounds", "--n", str(n), "--alpha", alpha] + model)
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
@@ -281,11 +294,13 @@ class TestBoundsCommand:
         assert not re.search(r"[a-z]_[a-z]", captured.err)
 
     def test_partial_jump_probability_flagged_non_convergent(self, capsys):
-        code = cli.main(["bounds", "--model", "YOUj", "--n", "1000",
-                         "--alpha", "1.0", "--p", "0.5", "--sigma-c2", "1.0"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "non-convergent" in out
+        # only on (1/2, 3/4]: above 3/4 vv falls like n^-3
+        for alpha, flagged in (("0.6", True), ("1.0", False)):
+            code = cli.main(["bounds", "--model", "YOUj", "--n", "1000",
+                             "--alpha", alpha, "--p", "0.5", "--sigma-c2", "1.0"])
+            out = capsys.readouterr().out
+            assert code == 0
+            assert ("non-convergent" in out) == flagged
 
 
 class TestCurvesCommand:
@@ -354,12 +369,24 @@ class TestCurvesCommand:
                     assert f"{reparsed:.17g}" == field
 
     def test_jump_model_rows_flag_non_convergence(self, tmp_path):
-        code, out = self._run(tmp_path, "--model", "YOUj", "--alphas", "1",
+        code, out = self._run(tmp_path, "--model", "YOUj", "--alphas", "0.6,1",
                               "--p", "0.5", "--sigma-c2", "1.0",
                               "--distance", "kolmogorov")
         assert code == 0
-        rows = out.read_text(encoding="utf-8").splitlines()[1:]
-        assert all(row.endswith(";non-convergent") for row in rows)
+        rows = [row.split(",") for row in out.read_text(encoding="utf-8").splitlines()[1:]]
+        assert len(rows) == 10
+        assert all(row[-1].endswith(";non-convergent") == (row[1] == "0.59999999999999998")
+                   for row in rows)
+
+    @pytest.mark.parametrize("alphas", ["1,1", "2,1,1.0"])
+    def test_repeated_rate_refused(self, tmp_path, capsys, alphas):
+        # a repeat would write the rate's rows twice into one gnuplot block
+        code, out = self._run(tmp_path, "--alphas", alphas, "--gnuplot", str(tmp_path / "c.gp"))
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --alphas names the rate 1 more than once\n"
+        assert not out.exists()
 
     def test_jump_flags_require_jump_model(self, tmp_path, capsys):
         code, out = self._run(tmp_path, "--alphas", "1", "--p", "0.3")
@@ -466,11 +493,11 @@ class TestSimulateCommand:
             raise AssertionError("a replicate was drawn")
 
         monkeypatch.setattr(harness, "run_replicates", no_draws)
-        code = cli.main(["simulate", "--n", "2", "--alpha", "2e102",
+        code = cli.main(["simulate", "--n", "1000", "--alpha", "1e300",
                          "--replicates", "1000", "--seed", "1"])
         assert code == 1
         assert capsys.readouterr().err.startswith(
-            "error: the rate table cannot hold vv at alpha = 2e+102")
+            "error: the rate table cannot hold vv at alpha = 1e+300")
 
     def test_json_document_shape(self, tmp_path):
         path = tmp_path / "run.json"
@@ -617,6 +644,12 @@ dump_tree = {dump_path}
         assert schedule == cli.parse_schedule_file(plain, 6)
         assert schedule.pairs == ((0.5, 1.0), (0.25, 2.0)) + ((1.0, 0.5),) * 3
 
+    def test_schedule_file_hash_right_after_a_number_refused(self, tmp_path):
+        schedule = _write(tmp_path / "jumps.txt", "# p sigma_c2\n0.5 1.0\n0.5 1.0#2\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(schedule)}:3: a '#' comment must "
+                                             f"follow a blank, got '0.5 1.0#2'$"):
+            cli.parse_schedule_file(schedule, 3)
+
     def test_schedule_file_row_count_validated(self, tmp_path, capsys):
         schedule = _write(tmp_path / "jumps.txt", "0.5 1.0\n" * 3)
         code = cli.main(["simulate", "--model", "YOUj", "--n", "6",
@@ -724,11 +757,27 @@ class TestJumpScaleWithoutFiniteSquare:
             f"sigma_c2 = {sigma_c2!r}, alpha = {alpha!r}, sigma_a2 = {sigma_a2!r}\n")
         assert not out.exists()
 
-    def test_largest_accepted_scale_keeps_every_estimate_finite(self, tmp_path):
-        # at alpha = 1 the scale is 2 sigma_c2: the largest sigma_c2 whose
-        # scale has a finite square runs, with a vv near the largest float,
-        # and the next float up is refused
-        largest = math.sqrt(np.finfo(np.float64).max) / 2.0
+    def test_largest_accepted_scale_keeps_every_estimate_finite(self, tmp_path, capsys):
+        # at alpha = 1 and p = 1 the rate table's vv is 64/3 + 2 L C1 +
+        # L^2 (A + B), with the scale L = 2 sigma_c2 and A + B = 171/2, so it
+        # overflows below the largest scale with a finite square. The largest
+        # sigma_c2 whose vv is finite runs, and the next float up is refused
+        def accepted(bits):
+            schedule = JumpSchedule.constant(1.0, float(np.int64(bits).view(np.float64)))
+            try:
+                analytic.bound_point(YouParams(1.0), schedule, 2)
+            except ValueError:
+                return False
+            return True
+
+        most = np.finfo(np.float64).max
+        lo, hi = (int(np.float64(s).view(np.int64)) for s in (1.0, math.sqrt(most) / 2.0))
+        assert accepted(lo) and not accepted(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if accepted(mid) else (lo, mid)
+        largest = float(np.int64(lo).view(np.float64))
+        assert largest == pytest.approx(math.sqrt(most / (4.0 * 85.5)), rel=1e-12)
         path = tmp_path / "run.json"
         argv = ["simulate", "--model", "YOUj", "--n", "2", "--alpha", "1", "--p", "1",
                 "--replicates", "200", "--seed", "1", "--json", str(path)]
@@ -739,12 +788,15 @@ class TestJumpScaleWithoutFiniteSquare:
         for name in ("ev", "vv"):
             assert math.isfinite(est[name]["value"]) and est[name]["value"] > 0.0
             assert math.isfinite(est[name]["se"]) and est[name]["se"] > 0.0
-        assert est["vv"]["value"] > 1e306
-        with pytest.raises(ValueError, match="jump scale"):
-            harness.ExperimentConfig(model="YOUj", n=2, params=YouParams(alpha=1.0),
-                                     schedule=JumpSchedule.constant(
-                                         1.0, math.nextafter(largest, math.inf)),
-                                     replicates=200, seed=1)
+        assert est["vv"]["value"] > 1e304
+        above = math.nextafter(largest, math.inf)
+        capsys.readouterr()
+        assert cli.main(argv + ["--sigma-c2", repr(above)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: the rate table cannot hold vv at alpha = 1.0 "
+                                f"(sigma_a2 = 1.0, sigma_c2 = {above!r}): at n = 2 it is inf "
+                                f"in double precision\n")
 
 
 class TestNoTraceback:
@@ -811,12 +863,12 @@ class TestHugeOffsetErrors:
             assert math.isfinite(value) and value > 0.0
 
     def test_unscaled_offset_keeps_its_bytes(self, tmp_path):
-        # at x0 = 1e76 the fourth powers still fit: the document is the one
-        # the unscaled arithmetic always wrote
+        # at x0 = 1e76 the fourth powers still fit: the estimates are the ones
+        # the unscaled arithmetic writes
         path = tmp_path / "run.json"
         assert cli.main(self.ARGV + ["--x0", "1e76", "--json", str(path)]) == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "a9b5c0b5ca96fd730a19e78b212bcec72f6bedc9abf5af139c4021db197b68a0")
+            "45280e7bd684127f1b0b25d6fea733578716639bd50b39aed00c6d2a62b789b7")
 
 
 class TestVerifyCommand:

@@ -840,8 +840,8 @@ class TestSandwich:
             raise AssertionError("a replicate was drawn")
 
         monkeypatch.setattr(harness, "run_replicates", no_draws)
-        config = _you_config(n=2, alpha=2e102, replicates=100)
-        with pytest.raises(ValueError, match="cannot hold vv at alpha = 2e\\+102"):
+        config = _you_config(n=1000, alpha=1e300, replicates=100)
+        with pytest.raises(ValueError, match="cannot hold vv at alpha = 1e\\+300"):
             harness.run_sandwich(config)
 
     @pytest.mark.parametrize("rows", [199, 201])
