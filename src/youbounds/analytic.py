@@ -60,8 +60,9 @@ class YouParams:
     """Trait-process parameters.
 
     alpha is the mean-reversion rate, sigma_a2 the diffusion variance, x0 the
-    ancestral state. All normalized formulas depend on the dimensionless
-    offset delta = x0 sqrt(2 alpha / sigma_a2), whose square must be finite.
+    ancestral state. 2 alpha / sigma_a2 must be finite, and all normalized
+    formulas depend on the dimensionless offset delta = x0 sqrt(2 alpha /
+    sigma_a2), whose square must be finite.
     """
 
     alpha: float
@@ -73,6 +74,9 @@ class YouParams:
             raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
         if not (self.sigma_a2 > 0.0 and math.isfinite(self.sigma_a2)):
             raise ValueError(f"sigma_a2 must be finite and > 0, got {self.sigma_a2}")
+        if not math.isfinite(2.0 * self.alpha / self.sigma_a2):
+            raise ValueError(f"2 alpha / sigma_a2 is not finite at alpha = {self.alpha!r}, "
+                             f"sigma_a2 = {self.sigma_a2!r}")
         if not math.isfinite(self.x0):
             raise ValueError(f"x0 must be finite, got {self.x0}")
         if not math.isfinite(self.delta * self.delta):
@@ -373,11 +377,11 @@ def asymptotic_constants(params: YouParams,
     lies above the exact vv at every n checked. At and below 3/4 it is
     leading-order: without jumps a constant * n^-2 at a = 1/2, a
     zeta-weighted constant * n^(-4a) below 3/4 and 36 n^-3 ln n at 3/4. With
-    jumps of partial probability 0 < p < 1 it is the upper bound
-    4 (2a / sigma_a2)^2 sigma_c2^2 times 16 p(1-p) n^-2 ln n at a = 1/2 and
-    32 p(1-p) / ((4a)(4a-1)(4a-2)) n^-2 above it, which does not fall faster
-    than ev^2 (`nonconvergent`). At p = 1 the jump-free entry understates
-    the truth (`vv_too_small`).
+    jumps of partial probability 0 < p < 1 it is the upper bound 4 L^2, with
+    the jump scale L = (2a / sigma_a2) sigma_c2, times 16 p(1-p) n^-2 ln n at
+    a = 1/2 and 32 p(1-p) / ((4a)(4a-1)(4a-2)) n^-2 above it, which does not
+    fall faster than ev^2 (`nonconvergent`). At p = 1 the jump-free entry
+    understates the truth (`vv_too_small`).
 
     The table depends only on the rate and the schedule, so the last one
     built is kept: a bound curve builds it once. A vv constant that
@@ -392,14 +396,12 @@ def asymptotic_constants(params: YouParams,
     else:
         ev = RatedConstant((2.0 * alpha + 1.0) / (2.0 * alpha - 1.0) * jump_lift, -1.0, 0)
     p, s = schedule.p, schedule.sigma_c2
+    scale = (2.0 * alpha / params.sigma_a2) * s
     limit = regime.band in _LIMIT_BANDS
     if limit:
-        vv = RatedConstant(_vv_limit(alpha, p, (2.0 * alpha / params.sigma_a2) * s), -3.0, 0)
+        vv = RatedConstant(_vv_limit(alpha, p, scale), -3.0, 0)
     elif p * (1.0 - p) * s > 0.0:
-        try:
-            lead = 4.0 * (2.0 * alpha / params.sigma_a2) ** 2 * s * s
-        except OverflowError:
-            lead = math.inf
+        lead = 4.0 * scale * scale
         if regime.band == "half":
             vv = RatedConstant(lead * 16.0 * p * (1.0 - p), -2.0, 1)
         else:

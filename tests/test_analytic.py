@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -62,14 +63,34 @@ class TestYouParams:
     @pytest.mark.parametrize("alpha,sigma_a2,x0", [
         (1.0, 1.0, 1e155),     # delta^2 overflows
         (1.0, 1.0, -1e155),
-        (1.0, 1e-320, 0.0),    # 2 alpha / sigma_a2 overflows, delta = 0 * inf is NaN
-        (1e300, 1e-300, 1.0),  # delta overflows
+        (1e300, 1.0, 1e200),   # delta overflows
     ])
     def test_rejects_offset_without_finite_square(self, alpha, sigma_a2, x0):
         with pytest.raises(ValueError, match=re.escape(
                 f"has no finite square at x0 = {x0!r}, alpha = {alpha!r}, "
                 f"sigma_a2 = {sigma_a2!r}")):
             YouParams(alpha, sigma_a2, x0)
+
+    @pytest.mark.parametrize("alpha,sigma_a2,x0", [
+        (1.0, 1e-320, 0.0),    # the quotient overflows; delta = 0 * inf would be NaN
+        (1e300, 1e-300, 1.0),
+        (1e308, 1.0, 0.0),     # 2 alpha overflows
+        (1e308, 10.0, 1.0),    # and so the quotient, though alpha / sigma_a2 is 1e307
+    ])
+    def test_rejects_rate_scale_without_finite_value(self, alpha, sigma_a2, x0):
+        # refused by its own name, before the offset is formed
+        with pytest.raises(ValueError, match=re.escape(
+                f"2 alpha / sigma_a2 is not finite at alpha = {alpha!r}, "
+                f"sigma_a2 = {sigma_a2!r}")):
+            YouParams(alpha, sigma_a2, x0)
+
+    @pytest.mark.parametrize("sigma_a2", [1.0, 1e-10])
+    def test_largest_rate_scale_accepted(self, sigma_a2):
+        # 2 alpha / sigma_a2 is finite up to alpha / sigma_a2 = max / 2 = 8.99e307
+        largest = sys.float_info.max / 2.0 * sigma_a2
+        YouParams(largest, sigma_a2)
+        with pytest.raises(ValueError, match="2 alpha / sigma_a2 is not finite"):
+            YouParams(math.nextafter(largest, math.inf), sigma_a2)
 
     def test_largest_offsets_accepted(self):
         # delta^2 just below the largest double, and the sweep's largest rate
@@ -537,6 +558,46 @@ class TestVarCondVarYouj:
         with pytest.raises(ValueError, match="Monte Carlo"):
             analytic.asymptotic_constants(YouParams(1.0), sch)
 
+    def test_partial_lead_needs_only_a_finite_jump_scale_square(self):
+        # (2a / sigma_a2)^2 = 1e400 overflows, but L = (2a / sigma_a2) sigma_c2 = 1e50
+        params, sch = YouParams(0.6, 1.2e-200), JumpSchedule.constant(0.5, 1e-150)
+        entry = analytic.asymptotic_constants(params, sch).vv.value
+        assert entry == pytest.approx(4e100 * 8.0 / (2.4 * 1.4 * 0.4), rel=1e-14)
+
+    @staticmethod
+    def _squared_rate_entry(alpha, sigma_a2, p, sigma_c2):
+        """The partial-probability entry with its lead formed as
+        4 (2a / sigma_a2)^2 sigma_c2 sigma_c2, in the table's operation order."""
+        lead = 4.0 * (2.0 * alpha / sigma_a2) ** 2 * sigma_c2 * sigma_c2
+        if alpha == 0.5:
+            return lead, lead * 16.0 * p * (1.0 - p)
+        a4 = 4.0 * alpha
+        return lead, lead * 32.0 * p * (1.0 - p) / (a4 * (a4 - 1.0) * (a4 - 2.0))
+
+    @pytest.mark.parametrize("p", [0.5, 0.1])
+    def test_partial_lead_rounds_like_the_squared_rate_form(self, p):
+        # 4 L L against the squared-rate form, where both leads and entries
+        # are normal doubles: the leads differ by at most 3 ulp, and each
+        # rounded operation after the lead (the division above 1/2, and the
+        # products with p and 1 - p at p = 0.1) can add one more
+        grid = np.geomspace(1e-100, 1e100, 41).tolist()
+        for alpha in np.linspace(0.5, 0.75, 11).tolist():
+            slack = 3 + (alpha != 0.5) + 2 * (p != 0.5)
+            for sigma_a2 in grid:
+                for sigma_c2 in grid:
+                    lead, old = self._squared_rate_entry(alpha, sigma_a2, p, sigma_c2)
+                    if not sys.float_info.min <= min(lead, old) <= max(lead, old) < math.inf:
+                        continue
+                    entry = analytic.asymptotic_constants(
+                        YouParams(alpha, sigma_a2), JumpSchedule.constant(p, sigma_c2)).vv.value
+                    assert abs(entry - old) <= slack * math.ulp(old)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.55, 0.6, 0.7, 0.75])
+    def test_unit_scales_bit_identical_to_the_squared_rate_form(self, alpha):
+        entry = analytic.asymptotic_constants(YouParams(alpha),
+                                              JumpSchedule.constant(0.5, 1.0)).vv.value
+        assert entry == self._squared_rate_entry(alpha, 1.0, 0.5, 1.0)[1]
+
 
 class TestAsymptoticConstants:
     def test_you_fast(self):
@@ -733,6 +794,14 @@ class TestBoundPoint:
         # Gamma(2a + 1) overflows above a = 85.3: no bound ingredient may need it
         for rep in analytic.bound_point(YouParams(100.0, 1.0, 1.0), None, 1000).values():
             assert 0.0 < rep.total < math.inf
+
+    def test_partial_jumps_with_overflowing_rate_square_are_finite(self):
+        # the jump scale L = 1e50 has a finite square; (2a / sigma_a2)^2 has none
+        point = analytic.bound_point(YouParams(0.6, 1.2e-200), JumpSchedule.constant(0.5, 1e-150),
+                                     100)
+        for rep in point.values():
+            assert 0.0 < rep.total < math.inf
+            assert all(math.isfinite(v) for v in rep.term_values())
 
     def test_wasserstein_has_four_terms(self):
         rep = analytic.bound_point(YouParams(1.0), None, 1000)[stein.WASSERSTEIN]

@@ -256,6 +256,17 @@ class TestBoundsCommand:
         assert captured.err.startswith(f"error: the rate table cannot hold vv at "
                                        f"alpha = {float(alpha)!r}")
 
+    def test_partial_jumps_with_overflowing_rate_square(self, capsys):
+        # L = (2 alpha / sigma_a2) sigma_c2 = 1e50 has a finite square, so the
+        # rate table holds vv although (2 alpha / sigma_a2)^2 overflows
+        code = cli.main(["bounds", "--model", "YOUj", "--n", "100", "--alpha", "0.6",
+                         "--sigma-a2", "1.2e-200", "--p", "0.5", "--sigma-c2", "1e-150"])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        totals = [float(line.split()[1]) for line in captured.out.splitlines()
+                  if line.strip().startswith("total")]
+        assert len(totals) == 2 and all(0.0 < t < math.inf for t in totals)
+
     def test_single_distance_selection(self, capsys):
         code = cli.main(["bounds", "--n", "100", "--alpha", "1.0",
                          "--distance", "kolmogorov"])
@@ -706,25 +717,37 @@ dump_tree = {dump_path}
 
 class TestOffsetWithoutFiniteSquare:
     """An offset x0 sqrt(2 alpha / sigma_a2) that is NaN or whose square
-    overflows is refused by name, before any bound or draw."""
+    overflows is refused by name, before any bound or draw; a 2 alpha /
+    sigma_a2 that overflows is refused by its own name first."""
 
-    @pytest.mark.parametrize("argv,x0,alpha,sigma_a2", [
-        (["bounds", "--n", "100", "--alpha", "1", "--x0", "1e155"], 1e155, 1.0, 1.0),
-        (["bounds", "--n", "100", "--alpha", "1", "--sigma-a2", "1e-320"], 0.0, 1.0, 1e-320),
-        (["curves", "--alphas", "1", "--x0", "1e200"], 1e200, 1.0, 1.0),
+    @staticmethod
+    def offset(x0, alpha, sigma_a2):
+        return (f"offset x0 sqrt(2 alpha / sigma_a2) has no finite square at "
+                f"x0 = {x0!r}, alpha = {alpha!r}, sigma_a2 = {sigma_a2!r}")
+
+    @staticmethod
+    def rate_scale(alpha, sigma_a2):
+        return f"2 alpha / sigma_a2 is not finite at alpha = {alpha!r}, sigma_a2 = {sigma_a2!r}"
+
+    @pytest.mark.parametrize("argv,message", [
+        (["bounds", "--n", "100", "--alpha", "1", "--x0", "1e155"], offset(1e155, 1.0, 1.0)),
+        (["bounds", "--n", "100", "--alpha", "1", "--sigma-a2", "1e-320"],
+         rate_scale(1.0, 1e-320)),
+        (["bounds", "--n", "2", "--alpha", "1e308"], rate_scale(1e308, 1.0)),
+        (["curves", "--alphas", "1", "--x0", "1e200"], offset(1e200, 1.0, 1.0)),
+        # the default x0 = (2 alpha)^-1/2 underflows to 0 here
+        (["curves", "--alphas", "1e308"], rate_scale(1e308, 1.0)),
         (["simulate", "--n", "50", "--alpha", "0.3", "--replicates", "10", "--seed", "1",
-          "--x0", "1e200"], 1e200, 0.3, 1.0),
-    ], ids=["bounds-x0", "bounds-sigma_a2", "curves", "simulate"])
-    def test_refused_by_name(self, tmp_path, capsys, argv, x0, alpha, sigma_a2):
+          "--x0", "1e200"], offset(1e200, 0.3, 1.0)),
+    ], ids=["bounds-x0", "bounds-sigma_a2", "bounds-alpha", "curves", "curves-alpha", "simulate"])
+    def test_refused_by_name(self, tmp_path, capsys, argv, message):
         out = tmp_path / "out"
         argv = argv + (["--out", str(out)] if argv[0] == "curves" else [])
         argv = argv + (["--json", str(out)] if argv[0] == "simulate" else [])
         assert cli.main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            f"error: offset x0 sqrt(2 alpha / sigma_a2) has no finite square at "
-            f"x0 = {x0!r}, alpha = {alpha!r}, sigma_a2 = {sigma_a2!r}\n")
+        assert captured.err == f"error: {message}\n"
         assert not out.exists()
 
 
