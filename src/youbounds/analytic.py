@@ -40,7 +40,6 @@ UNSUPPORTED_REGIME_MSG = "unsupported regime (no normal limit expected)"
 # width of the exact-branch windows around the special rates
 _CRITICAL_WINDOW = 1e-12          # around alpha = 1/2
 _THREE_QUARTERS_WINDOW = 0.75e-9  # relative 1e-9 window around alpha = 3/4
-_ONE_WINDOW = 1e-12
 
 
 class UnsupportedRegimeError(ValueError):
@@ -149,15 +148,17 @@ def check_jump_scale(params: YouParams, schedule: JumpSchedule | None) -> None:
 @dataclass(frozen=True)
 class Regime:
     """Rate classification: kind in {slow, critical, fast} plus the finer
-    band that selects the conditional-variance-spread asymptotics."""
+    band that selects the vv entry of the rate table: below_half (refused),
+    half, half_to_three_quarters, three_quarters (a relative 1e-9 window)
+    and above_three_quarters, whose entry is the one limit formula."""
 
     kind: str
     band: str
 
 
 def classify_regime(alpha: float) -> Regime:
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    if not (alpha > 0.0 and math.isfinite(alpha)):
+        raise ValueError(f"alpha must be finite and > 0, got {alpha}")
     if abs(alpha - 0.5) <= _CRITICAL_WINDOW:
         return Regime("critical", "half")
     if alpha < 0.5:
@@ -166,11 +167,7 @@ def classify_regime(alpha: float) -> Regime:
         return Regime("fast", "three_quarters")
     if alpha < 0.75:
         return Regime("fast", "half_to_three_quarters")
-    if abs(alpha - 1.0) <= _ONE_WINDOW:
-        return Regime("fast", "one")
-    if alpha < 1.0:
-        return Regime("fast", "three_quarters_to_one")
-    return Regime("fast", "above_one")
+    return Regime("fast", "above_three_quarters")
 
 
 def laplace_height(n: int, x: float) -> float:
@@ -320,8 +317,6 @@ class RatedConstant:
         return self.value * float(n) ** self.n_power * math.log(n) ** self.log_power
 
 
-# The bands above alpha = 3/4, where the vv entry is the limit of n^3 vv.
-_LIMIT_BANDS = ("three_quarters_to_one", "one", "above_one")
 VV_TOO_SMALL_NOTE = "vv below Monte Carlo: upper bound may be too small"
 
 
@@ -372,9 +367,10 @@ def asymptotic_constants(params: YouParams,
     1 + 2 p sigma_c2 / sigma_a2. ve, the variance of the conditional mean,
     has no entry: the bounds take it exactly from `var_cond_mean_exact`.
 
-    vv, the variance of the conditional variance: above a = 3/4, for every
-    constant schedule, the limit of n^3 vv (`_vv_limit`) times n^-3, which
-    lies above the exact vv at every n checked. At and below 3/4 it is
+    vv, the variance of the conditional variance, is read by the band of
+    `classify_regime`. In above_three_quarters, for every constant schedule,
+    it is the limit of n^3 vv (`_vv_limit`) times n^-3, which lies above the
+    exact vv at every n checked. In the bands at and below 3/4 it is
     leading-order: without jumps a constant * n^-2 at a = 1/2, a
     zeta-weighted constant * n^(-4a) below 3/4 and 36 n^-3 ln n at 3/4. With
     jumps of partial probability 0 < p < 1 it is the upper bound 4 L^2, with
@@ -397,7 +393,7 @@ def asymptotic_constants(params: YouParams,
         ev = RatedConstant((2.0 * alpha + 1.0) / (2.0 * alpha - 1.0) * jump_lift, -1.0, 0)
     p, s = schedule.p, schedule.sigma_c2
     scale = (2.0 * alpha / params.sigma_a2) * s
-    limit = regime.band in _LIMIT_BANDS
+    limit = regime.band == "above_three_quarters"
     if limit:
         vv = RatedConstant(_vv_limit(alpha, p, scale), -3.0, 0)
     elif p * (1.0 - p) * s > 0.0:
@@ -445,7 +441,7 @@ def bound_point(params: YouParams, schedule: JumpSchedule | None,
     ms = MomentSummary(ev=var_ybar_youj(n, params, schedule), vv=vv,
                        ve=var_cond_mean_exact(n, params))
     notes = (f"regime={table.regime.kind}/{table.regime.band}", "ev exact", "ve exact",
-             "vv limit, above exact" if table.regime.band in _LIMIT_BANDS else "vv leading-order")
+             "vv limit, above exact" if table.regime.band == "above_three_quarters" else "vv leading-order")
     if table.vv_too_small:
         notes += (VV_TOO_SMALL_NOTE,)
     if table.nonconvergent:

@@ -185,7 +185,9 @@ def _curve_rows(settings: dict, alphas: list[float], distances: list[str],
     alpha, distance), both in row order and with the CSV's text."""
     model, rows, curves = settings["model"], [], {}
     for alpha in alphas:
-        params = _you_params({"x0": (2.0 * alpha) ** -0.5, **settings, "alpha": alpha})
+        params = _you_params({**settings, "alpha": alpha})
+        if "x0" not in settings:  # the default offset, once YouParams accepted the rate
+            params = dataclasses.replace(params, x0=(2.0 * alpha) ** -0.5)
         cell = _regime_cell(params, schedule)
         curve = analytic.bound_curve(params, schedule, grid)
         for distance in distances:

@@ -52,7 +52,7 @@ def pochhammer_ratio(n: int, x: float) -> float:
     """
     if n < 1 or int(n) != n:
         raise ValueError(f"pochhammer_ratio requires an integer n >= 1, got {n}")
-    if x <= -1.0:
+    if not x > -1.0:
         raise ValueError(f"pochhammer_ratio requires x > -1, got {x}")
     n = int(n)
     if n > _DIRECT_MAX_K:

@@ -166,22 +166,32 @@ class TestClassifyRegime:
         (0.6, "fast", "half_to_three_quarters"),
         (0.75, "fast", "three_quarters"),
         (0.75 + 1e-10, "fast", "three_quarters"),
-        (0.75 + 1e-8, "fast", "three_quarters_to_one"),
+        (0.75 + 1e-8, "fast", "above_three_quarters"),
         (0.75 - 1e-8, "fast", "half_to_three_quarters"),
-        (0.9, "fast", "three_quarters_to_one"),
-        (1.0, "fast", "one"),
-        (1.0 + 1e-13, "fast", "one"),
-        (0.99, "fast", "three_quarters_to_one"),
-        (1.5, "fast", "above_one"),
+        (0.9, "fast", "above_three_quarters"),
+        (1.0, "fast", "above_three_quarters"),
+        (1.0 + 1e-13, "fast", "above_three_quarters"),
+        (0.99, "fast", "above_three_quarters"),
+        (1.5, "fast", "above_three_quarters"),
     ])
     def test_bands(self, alpha, kind, band):
         regime = analytic.classify_regime(alpha)
         assert regime.kind == kind
         assert regime.band == band
 
-    @pytest.mark.parametrize("alpha", [0.0, -0.3])
+    def test_one_band_above_three_quarters(self):
+        # every rate past the 3/4 window, 1 and its neighbours included, takes
+        # the limit vv entry under one label
+        rates = [*np.geomspace(0.75 + 1e-9, 1e3, 40), 1.0 - 1e-13, 1.0, 1.0 + 1e-13]
+        for alpha in rates:
+            assert analytic.classify_regime(alpha) == analytic.Regime("fast", "above_three_quarters")
+            notes = analytic.bound_point(YouParams(alpha), None, 100)[stein.KOLMOGOROV].notes
+            assert "regime=fast/above_three_quarters" in notes, alpha
+            assert "vv limit, above exact" in notes, alpha
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.3, math.nan, math.inf, -math.inf])
     def test_rejects_nonpositive(self, alpha):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="alpha must be finite and > 0"):
             analytic.classify_regime(alpha)
 
     def test_unsupported_message_is_pinned(self):
@@ -218,6 +228,8 @@ class TestLaplaceHeight:
             analytic.laplace_height(0, 1.0)
         with pytest.raises(ValueError):
             analytic.laplace_height(2, -1.0)
+        with pytest.raises(ValueError, match="requires x > -1"):
+            analytic.laplace_height(5, math.nan)
 
 
 class TestLaplacePairTime:
@@ -252,6 +264,8 @@ class TestLaplacePairTime:
             analytic.laplace_pair_time(1, 2.0)
         with pytest.raises(UnsupportedRegimeError):
             analytic.laplace_pair_time(10, 0.9)
+        with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+            analytic.laplace_pair_time(2, math.nan)
 
     @pytest.mark.parametrize("n", EXACT_NS)
     @pytest.mark.parametrize("y", DYADIC_Y)
@@ -489,6 +503,10 @@ class TestJumpMeans:
             analytic.jump_pair_shared_mean(10, 1.0, 1.5)
         with pytest.raises(UnsupportedRegimeError):
             analytic.jump_single_lineage_mean(10, 0.3, 0.5)
+        with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+            analytic.jump_single_lineage_mean(5, math.nan, 0.5)
+        with pytest.raises(ValueError, match="alpha must be finite and > 0"):
+            analytic.jump_pair_shared_mean(5, math.inf, 0.5)
 
 
 class TestVarYbarYouj:
@@ -606,7 +624,7 @@ class TestAsymptoticConstants:
         assert (ac.ev.value, ac.ev.n_power, ac.ev.log_power) == (3.0, -1.0, 0)
         assert ac.vv.value == pytest.approx(64.0 / 3.0, rel=1e-15)
         assert (ac.vv.n_power, ac.vv.log_power) == (-3.0, 0)
-        assert ac.regime.band == "one"
+        assert ac.regime.band == "above_three_quarters"
 
     def test_you_critical(self):
         ac = analytic.asymptotic_constants(YouParams(0.5))
@@ -780,7 +798,7 @@ class TestClosedFormGap:
 class TestBoundPoint:
     def test_notes_record_assembly(self):
         rep = analytic.bound_point(YouParams(1.0, 1.0, 0.5), None, 1000)[stein.KOLMOGOROV]
-        assert "regime=fast/one" in rep.notes
+        assert "regime=fast/above_three_quarters" in rep.notes
         assert "ev exact" in rep.notes
         assert "ve exact" in rep.notes
         assert "vv limit, above exact" in rep.notes

@@ -209,7 +209,7 @@ class TestBoundsCommand:
         out = capsys.readouterr().out
         assert code == 0
         assert out.startswith("model YOU  n 10000  alpha 1")
-        assert "regime fast/one" in out
+        assert "regime fast/above_three_quarters" in out
         assert "kolmogorov upper bound" in out
         assert "wasserstein upper bound" in out
         totals = [float(line.split()[-1]) for line in out.splitlines()
@@ -856,6 +856,16 @@ class TestNoTraceback:
                 assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, (
                     argv, captured.err)
 
+    @pytest.mark.parametrize("alpha", ["0", "-0"])
+    def test_curves_default_offset_at_a_zero_rate(self, tmp_path, capsys, alpha):
+        # without --x0 the offset (2 alpha)^-1/2 is formed only for an accepted rate
+        out = tmp_path / "c.csv"
+        assert cli.main(["curves", f"--alphas={alpha}", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: alpha must be finite and > 0, got {float(alpha)}\n"
+        assert not out.exists()
+
 
 class TestHugeOffsetErrors:
     """Offsets that `YouParams` accepts but whose conditional-mean fourth
@@ -891,7 +901,7 @@ class TestHugeOffsetErrors:
         path = tmp_path / "run.json"
         assert cli.main(self.ARGV + ["--x0", "1e76", "--json", str(path)]) == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "45280e7bd684127f1b0b25d6fea733578716639bd50b39aed00c6d2a62b789b7")
+            "3fc6453fc6126ad504067fb1564bec25ff6689b743de2e59384adebb7ed9f285")
 
 
 class TestVerifyCommand:
