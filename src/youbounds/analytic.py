@@ -100,8 +100,7 @@ class JumpSchedule:
     def __post_init__(self) -> None:
         if self.kind not in ("none", "constant", "per_event"):
             raise ValueError(f"unknown schedule kind: {self.kind!r}")
-        entries = self.pairs if self.kind == "per_event" else ((self.p, self.sigma_c2),)
-        for p, s in entries:
+        for p, s in self.entries:
             if not 0.0 <= p <= 1.0:
                 raise ValueError(f"jump probability must be in [0, 1], got {p}")
             if s < 0.0 or not math.isfinite(s):
@@ -120,13 +119,15 @@ class JumpSchedule:
         return JumpSchedule("per_event", pairs=tuple((float(p), float(s)) for p, s in pairs))
 
     @property
+    def entries(self) -> tuple[tuple[float, float], ...]:
+        """The (p, sigma_c2) pairs the schedule applies: one per event for a
+        per-event schedule, else the one pair, (0, 0) for none."""
+        return self.pairs if self.kind == "per_event" else ((self.p, self.sigma_c2),)
+
+    @property
     def is_inactive(self) -> bool:
         """True when the schedule cannot produce any variance contribution."""
-        if self.kind == "none":
-            return True
-        if self.kind == "constant":
-            return self.p * self.sigma_c2 == 0.0
-        return all(p * s == 0.0 for p, s in self.pairs)
+        return all(p * s == 0.0 for p, s in self.entries)
 
 
 def check_jump_scale(params: YouParams, schedule: JumpSchedule | None) -> None:
@@ -136,8 +137,7 @@ def check_jump_scale(params: YouParams, schedule: JumpSchedule | None) -> None:
     it."""
     if schedule is None:
         return
-    entries = schedule.pairs if schedule.kind == "per_event" else ((schedule.p, schedule.sigma_c2),)
-    sigma_c2 = max((s for p, s in entries if p > 0.0 and s > 0.0), default=0.0)
+    sigma_c2 = max((s for p, s in schedule.entries if p > 0.0 and s > 0.0), default=0.0)
     scale = (2.0 * params.alpha / params.sigma_a2) * sigma_c2
     if not math.isfinite(scale * scale):
         raise ValueError(f"jump scale (2 alpha / sigma_a2) sigma_c2 has no finite square at "

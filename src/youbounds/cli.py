@@ -16,14 +16,13 @@ import time
 
 import numpy as np
 
-from . import analytic, harness, stein, trees
+from . import analytic, stein
 from .analytic import (
     MODEL_YOU,
     MODEL_YOUJ,
     JumpSchedule,
     YouParams,
 )
-from .harness import ExperimentConfig
 
 # simulate's settings in --help order, flag and config key: add_argument keywords
 _SETTINGS = {
@@ -321,6 +320,8 @@ def render_estimates_csv(result: harness.ExperimentResult) -> str:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from . import harness, trees  # the Monte Carlo layer, loaded only by simulate and verify
+
     settings = _resolve_settings(args)
     for key in ("n", "alpha", "replicates", "seed"):
         if key not in settings:
@@ -328,10 +329,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 f"missing required setting {key!r} (flag --{key.replace('_', '-')} "
                 f"or config key {key})")
     n = settings["n"]
-    config = ExperimentConfig(model=settings["model"], n=n, params=_you_params(settings),
-                              schedule=_build_schedule(settings, n, file_flag=True),
-                              replicates=settings["replicates"], seed=settings["seed"],
-                              workers=harness.resolve_workers(settings.get("workers"), 1))
+    config = harness.ExperimentConfig(
+        model=settings["model"], n=n, params=_you_params(settings),
+        schedule=_build_schedule(settings, n, file_flag=True),
+        replicates=settings["replicates"], seed=settings["seed"],
+        workers=harness.resolve_workers(settings.get("workers"), 1))
 
     if "dump_tree" in settings:
         # replicate 0 of the run: row 0 of block 0's draws
@@ -356,7 +358,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # verify
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    from . import verify  # loaded only by this command
+    from . import harness, verify  # verify is loaded only by this command
 
     workers = harness.resolve_workers(args.workers, verify.DEFAULT_WORKERS)
     suite = verify.quick_suite if args.level == "quick" else verify.full_suite

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import operator
 import os
 from dataclasses import dataclass
 
@@ -98,6 +99,11 @@ class ExperimentConfig:
         if self.model == MODEL_YOU and not self.schedule.is_inactive:
             raise ValueError("the jump-free model takes no jump schedule")
         analytic.check_jump_scale(self.params, self.schedule)
+        for name in ("n", "replicates", "seed", "workers"):
+            try:
+                operator.index(getattr(self, name))
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.n < 2:
             raise ValueError(f"n must be >= 2, got {self.n}")
         if self.replicates < 2:

@@ -126,6 +126,11 @@ class TestJumpSchedule:
         with pytest.raises(ValueError, match="2 entries"):
             trees.jump_event_arrays(s, 5)
 
+    def test_entries_for_each_kind(self):
+        assert JumpSchedule.none().entries == ((0.0, 0.0),)
+        assert JumpSchedule.constant(0.5, 1.3).entries == ((0.5, 1.3),)
+        assert JumpSchedule.per_event([(0.1, 1), (0.9, 2)]).entries == ((0.1, 1.0), (0.9, 2.0))
+
     def test_per_event_inactive_detection(self):
         assert JumpSchedule.per_event([(0.0, 1.0), (0.5, 0.0)]).is_inactive
         assert not JumpSchedule.per_event([(0.0, 1.0), (0.5, 2.0)]).is_inactive

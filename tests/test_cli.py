@@ -904,6 +904,53 @@ class TestHugeOffsetErrors:
             "3fc6453fc6126ad504067fb1564bec25ff6689b743de2e59384adebb7ed9f285")
 
 
+# runs each argv of argv[1] through cli.main, then prints which of argv[2] are loaded
+_LOAD_PROBE = """
+import contextlib, io, json, sys
+from youbounds import cli
+for argv in json.loads(sys.argv[1]):
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(argv)
+    except SystemExit as exc:  # --help
+        code = exc.code
+    assert code == 0, argv
+print(json.dumps(sorted(m for m in json.loads(sys.argv[2]) if m in sys.modules)))
+"""
+
+
+class TestWhatEachCommandLoads:
+    """Only simulate and verify load the Monte Carlo layer, and only verify
+    loads verify; each case runs in a fresh interpreter, because this
+    process has imported every module already."""
+
+    WATCHED = ["multiprocessing", "youbounds.harness", "youbounds.trees", "youbounds.verify"]
+
+    def _loaded(self, tmp_path, argvs):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", _LOAD_PROBE, json.dumps(argvs), json.dumps(self.WATCHED)],
+            capture_output=True, text=True, cwd=tmp_path, env={**os.environ, "PYTHONPATH": src},
+            timeout=60, check=True)
+        return json.loads(done.stdout)
+
+    def test_bounds_curves_and_help_load_none(self, tmp_path):
+        argvs = [["--help"],
+                 ["bounds", "--n", "1000", "--alpha", "1"],
+                 ["bounds", "--model", "YOUj", "--n", "1000", "--alpha", "1",
+                  "--p", "0.5", "--sigma-c2", "1"],
+                 ["curves", "--alphas", "0.5,1", "--n-max", "1000", "--points", "3",
+                  "--out", "c.csv", "--gnuplot", "c.gp"],
+                 ["curves", "--model", "YOUj", "--alphas", "1", "--n-max", "1000",
+                  "--points", "3", "--out", "cj.csv"]]
+        assert self._loaded(tmp_path, argvs) == []
+
+    def test_simulate_loads_the_monte_carlo_layer(self, tmp_path):
+        argvs = [["simulate", "--n", "5", "--alpha", "1", "--replicates", "10", "--seed", "1",
+                  "--json", "s.json"]]
+        assert self._loaded(tmp_path, argvs) == self.WATCHED[:3]
+
+
 class TestVerifyCommand:
     def test_quick_level_passes(self, capsys):
         assert cli.main(["verify", "--level", "quick"]) == 0
@@ -919,15 +966,6 @@ class TestVerifyCommand:
                  if line.startswith("[criterion ")]
         assert len(heads) == 3
         assert all(re.search(r" \(\d+\.\d\d s\)$", line) for line in heads)
-
-    def test_other_commands_do_not_load_verify(self):
-        # a fresh interpreter: this process has imported verify already
-        src = str(Path(cli.__file__).resolve().parents[1])
-        code = ("import sys; import youbounds.cli; "
-                "print('youbounds.verify' in sys.modules)")
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
-        assert done.stdout == "False\n"
 
     def test_suites_are_uncalled_criteria(self):
         # building a suite runs nothing, so the command can time each criterion

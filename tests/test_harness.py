@@ -68,6 +68,17 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="seed"):
             _you_config(seed=seed)
 
+    @pytest.mark.parametrize("field, value", [("n", 50.0), ("n", 2.5), ("replicates", 100.0),
+                                              ("seed", 1.5), ("workers", 1.0)])
+    def test_rejects_counts_that_are_not_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            _you_config(**{field: value})
+
+    def test_accepts_numpy_integer_counts(self):
+        config = _you_config(n=np.int64(50), replicates=np.int32(100), seed=np.uint64(SEED),
+                             workers=np.int8(1))
+        assert (config.n, config.replicates, config.seed, config.workers) == (50, 100, SEED, 1)
+
 
 class TestReplicateStreams:
     def test_replicate_rng_is_deterministic(self):
